@@ -1,9 +1,14 @@
 """Independent finite-difference verification of the closed-form results.
 
 A symmetric second-order discretization of -d/dx (1/M) d/dx + V with
-Dirichlet ends, eigenvalues by Sturm-sequence bisection, eigenvectors by
-shifted inverse iteration, and Gauss-Legendre overlaps.  Nothing in here
-knows about the analytic solution route; that independence is the point.
+Dirichlet ends, eigenvalues from Sturm counts, eigenvectors by shifted
+inverse iteration, and Gauss-Legendre overlaps.  The eigenvalue solver
+shares one set of brackets among all levels (each count narrows every
+level's bracket, as LAPACK dstebz does), finishes each isolated level with
+Newton steps on the characteristic polynomial, and returns the midpoint of
+a bracket that Sturm counts certify to 1e-12 relative width.  A finer grid
+starts from the coarser grid's eigenvalues.  Nothing in here knows about
+the analytic solution route; that independence is the point.
 """
 
 from __future__ import annotations
@@ -11,7 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from itertools import islice
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -19,6 +25,12 @@ from . import oscillator, pct
 from .errors import ConvergenceError, DomainError, ParameterError
 from .rosen_morse import RosenMorseParams, rm_energy, rm_nmax, rm_potential, rm_wavefunction
 from .special_fn import gauss_legendre
+
+# eigenvalues are bracketed to a width of _RTOL * max(1, |lambda|); the
+# certificate's half-width stays just under half of that, so that rounding
+# cannot widen a certified bracket past it
+_RTOL = 1e-12
+_CERT = 0.49 * _RTOL
 
 __all__ = [
     "Grid1D",
@@ -118,19 +130,50 @@ def discretize_bdd(
 
 def _sturm_count(d: list[float], e2: list[float], lam: float, pivmin: float) -> int:
     """Number of eigenvalues below lam, by the LDL^T sign count."""
-    count = 0
     q = d[0] - lam
-    if abs(q) <= pivmin:
-        q = -pivmin
-    if q < 0.0:
+    count = 0
+    # a pivot within pivmin of zero is replaced by -pivmin (and counted)
+    if q <= pivmin:
         count = 1
-    for i in range(1, len(d)):
-        q = d[i] - lam - e2[i - 1] / q
-        if abs(q) <= pivmin:
+        if q >= -pivmin:
             q = -pivmin
-        if q < 0.0:
+    for di, ei in zip(islice(d, 1, None), e2):
+        q = di - lam - ei / q
+        if q <= pivmin:
             count += 1
+            if q >= -pivmin:
+                q = -pivmin
     return count
+
+
+def _sturm_newton(
+    d: list[float], e2: list[float], lam: float, pivmin: float
+) -> tuple[int, float]:
+    """The count of _sturm_count at lam, and det'/det of T - lam from the same pass.
+
+    With pivots q_i, det(T - lam) = prod q_i, so det'/det = sum q_i'/q_i.
+    Each ratio r_i = q_i'/q_i follows from r_{i-1} and e2_{i-1}/q_{i-1},
+    so no product is ever formed; an infinite or nan sum only means the
+    Newton step is unusable.
+    """
+    q = d[0] - lam
+    count = 0
+    if q <= pivmin:
+        count = 1
+        if q >= -pivmin:
+            q = -pivmin
+    r = -1.0 / q
+    total = r
+    for di, ei in zip(islice(d, 1, None), e2):
+        t = ei / q
+        q = di - lam - t
+        if q <= pivmin:
+            count += 1
+            if q >= -pivmin:
+                q = -pivmin
+        r = (t * r - 1.0) / q
+        total += r
+    return count, total
 
 
 def _gershgorin(op: TridiagonalOperator) -> tuple[float, float]:
@@ -141,14 +184,39 @@ def _gershgorin(op: TridiagonalOperator) -> tuple[float, float]:
     return float(np.min(d - r)), float(np.max(d + r))
 
 
-def eigenvalues_sturm(op: TridiagonalOperator, k: int) -> list[float]:
-    """The k smallest eigenvalues by Sturm-sequence bisection.
+def eigenvalues_sturm(
+    op: TridiagonalOperator, k: int, starts: Sequence[float] | None = None
+) -> list[float]:
+    """The k smallest eigenvalues, each certified by Sturm counts.
 
-    Each eigenvalue is bracketed to a width of 1e-12 * max(1, |lambda|);
-    brackets start from the Gershgorin disc bounds.
+    Each returned value is the midpoint of a bracket [lo, hi) of width at
+    most 1e-12 * max(1, |lambda|) with count(lo) < j <= count(hi), so
+    Sturm counts prove it holds level j.  Brackets start from the
+    Gershgorin disc bounds, and every count at a shift mu narrows the
+    bracket of every level at once, as in LAPACK dstebz: levels up to the
+    count take mu as an upper end, the others as a lower end.
+
+    A level is bisected until its bracket isolates it (counts j - 1 and j
+    at the ends).  Then each iterate takes a Newton step on det(T - lam),
+    computed in the same pass as its count.  A step that leaves the
+    bracket, is not finite or fails to halve the previous one is replaced
+    by the midpoint.  Once a step falls below tol/2 or below the rounding
+    floor of the pivots (machine epsilon times the Gershgorin bound), two
+    counts just inside lam -+ tol/2 try to prove the final bracket.  Where
+    one fails, probes four times farther out find the other end, and
+    bisection finishes the level.
+
+    starts, if given, holds one first iterate per level, such as the
+    eigenvalues of a coarser discretization of the same operator.  Each
+    start in its level's bracket gets a pass before any level is worked
+    on, and its Newton step is followed even if the level is not yet
+    isolated; a start outside the bracket is ignored.  Starts change how
+    many passes are made, not the guarantee.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 1 or k > op.size:
         raise ParameterError(f"need 1 <= k <= {op.size}, got {k!r}")
+    if starts is not None and len(starts) != k:
+        raise ParameterError(f"need one start per level ({k}), got {len(starts)}")
     d = op.diag.tolist()
     e2 = (op.off * op.off).tolist()
     pivmin = 2.3e-308 * max(1.0, max(e2, default=1.0))
@@ -156,18 +224,71 @@ def eigenvalues_sturm(op: TridiagonalOperator, k: int) -> list[float]:
     # nudge outward so the bracket provably contains all eigenvalues
     glo -= 1e-12 * max(1.0, abs(glo))
     ghi += 1e-12 * max(1.0, abs(ghi))
+    # a Newton step this small is rounding noise in the pivots
+    floor = 2.2e-16 * max(abs(glo), abs(ghi))
+    # level j (0-based) lies in [lo[j], hi[j]); clo/chi are the counts there
+    lo, hi = [glo] * k, [ghi] * k
+    clo, chi = [0] * k, [op.size] * k
+
+    def narrow(mu: float, c: int) -> int:
+        for i in range(min(c, k)):
+            if mu < hi[i]:
+                hi[i], chi[i] = mu, c
+        for i in range(c, k):
+            if mu > lo[i]:
+                lo[i], clo[i] = mu, c
+        return c
+
+    def count(mu: float) -> int:
+        return narrow(mu, _sturm_count(d, e2, mu, pivmin))
+
+    def newton_step(mu: float) -> float:
+        c, s = _sturm_newton(d, e2, mu, pivmin)
+        narrow(mu, c)
+        return -1.0 / s if s != 0.0 and math.isfinite(s) else math.nan
+
+    def certify(j: int, lam: float) -> None:
+        # counts at lam -+ w; a count on the near side of level j moves that
+        # probe four times farther out, until one lands beyond the level
+        w = _CERT * max(1.0, abs(lam))
+        for side in (-1.0, 1.0):
+            dist = w
+            while lo[j] < lam + side * dist < hi[j]:
+                if (count(lam + side * dist) <= j) == (side < 0.0):
+                    break
+                dist *= 4.0
+
+    # every start's count narrows the other levels' brackets before they begin
+    first: list[tuple[float, float] | None] = [None] * k
+    for j, x in enumerate(starts or ()):
+        if lo[j] < x < hi[j]:
+            first[j] = (x, newton_step(x))
+
     out = []
-    for j in range(1, k + 1):
-        lo, hi = glo, ghi
-        while hi - lo > 1e-12 * max(1.0, abs(lo), abs(hi)):
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            if _sturm_count(d, e2, mid, pivmin) >= j:
-                hi = mid
+    for j in range(k):
+        x, step = first[j] or (None, math.nan)
+        # last: size of the previous move, for the halving rule
+        last, newton = math.inf, True
+        while hi[j] - lo[j] > _RTOL * max(1.0, abs(lo[j]), abs(hi[j])):
+            if x is None:
+                x = 0.5 * (lo[j] + hi[j])
+                if x <= lo[j] or x >= hi[j]:
+                    break
+                if not (newton and clo[j] == j and chi[j] == j + 1):
+                    count(x)
+                    x = None
+                    continue
+                last = 0.5 * (hi[j] - lo[j])
+                step = newton_step(x)
+            if abs(step) <= max(floor, _CERT * max(1.0, abs(x))):
+                certify(j, x + step)
+                x, newton = None, False
+            elif lo[j] < x + step < hi[j] and abs(step) <= 0.5 * last:
+                x, last = x + step, abs(step)
+                step = newton_step(x)
             else:
-                lo = mid
-        out.append(0.5 * (lo + hi))
+                x = None
+        out.append(0.5 * (lo[j] + hi[j]))
     return out
 
 
@@ -314,7 +435,12 @@ def _two_grid_report(
     k = len(analytic)
     sizes = ([n_grid // 2] if estimate_order else []) + [n_grid, 2 * n_grid]
     grids = [Grid1D(lo, hi, n) for n in sizes]
-    eigs = [eigenvalues_sturm(discretize_bdd(mass_fn, potential_fn, g), k) for g in grids]
+    # each grid starts from the eigenvalues of the coarser one before it,
+    # never from the analytic values, which would break the independence
+    eigs: list[list[float]] = []
+    for g in grids:
+        op = discretize_bdd(mass_fn, potential_fn, g)
+        eigs.append(eigenvalues_sturm(op, k, starts=eigs[-1] if eigs else None))
     h_pair = (grids[-2].h, grids[-1].h)
     numeric = _richardson(eigs[-2], eigs[-1], h_pair[0] / h_pair[1])
     order = None

@@ -49,6 +49,9 @@ class OscillatorParams:
     b: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("omega0", "A", "b"):
+            if isinstance(getattr(self, name), bool):
+                raise ParameterError(f"{name} must be a number, not a bool")
         # single validation authority, shared with everything derived
         pct.map_parameters(self.omega0, self.A, self.b)
 
@@ -193,10 +196,13 @@ def _jafarov_energy(omega0: float, a: float, n: int) -> float:
 
 
 def _jafarov_coeff(l: int, a: float, n: int) -> float:
-    # integer-arithmetic normalization: (2l-2n)!/(2^(l-n) (l-n)!) * sqrt((l-n) n!/(a (2l-n)!))
-    lead = Fraction(math.factorial(2 * l - 2 * n), 2 ** (l - n) * math.factorial(l - n))
-    inner = Fraction((l - n) * math.factorial(n), math.factorial(2 * l - n))
-    return float(lead) * math.sqrt(float(inner) / a)
+    # integer-arithmetic normalization (2l-2n)!/(2^(l-n) (l-n)!) * sqrt((l-n) n!/(a (2l-n)!)),
+    # squared exactly.  As floats the first factor overflows past l = 150 and
+    # the ratio under the root underflows from l ~ 86, so the square root is
+    # taken in log space.  The first factor is the integer (2l-2n-1)!!.
+    lead = math.factorial(2 * l - 2 * n) // (2 ** (l - n) * math.factorial(l - n))
+    sq = Fraction(lead * lead * (l - n) * math.factorial(n), math.factorial(2 * l - n))
+    return math.exp(0.5 * (math.log(sq.numerator) - math.log(sq.denominator) - math.log(a)))
 
 
 def _jafarov_wavefunction(coeff: float, l: int, a: float, n: int, x: float) -> float:

@@ -143,6 +143,10 @@ def map_parameters(
         raise ParameterError(f"need A > 1 for a nonempty model, got A={A}")
     a = math.sqrt(2.0 / omega0) * (A * (A + 1.0) - 2.0) ** 0.25
     a3 = a * a * a
+    if a3 == 0.0:
+        raise ParameterError(
+            f"omega0={omega0} is too large for A={A}: the confinement half-width underflows"
+        )
     b_limit = 2.0 * A * (A - 1.0) / (omega0 * a3)
     if abs(b) >= b_limit:
         raise ParameterError(

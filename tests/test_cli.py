@@ -68,6 +68,15 @@ def test_solve_rejects_excess_shift(capsys):
     assert "0.7544" in json.loads(err)["message"]
 
 
+def test_solve_rejects_underflowing_half_width(capsys):
+    rc, out, err = run_cli(capsys, "solve", "--omega0", "1e300", "--A", "3")
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1
+    msg = json.loads(err)["message"]
+    assert "omega0" in msg and "A=" in msg
+    assert "a_bar" not in msg and "c_bar" not in msg
+
+
 def test_solve_sample_values(capsys):
     rc, out, _ = run_cli(
         capsys, "solve", "--omega0", "1", "--A", "3", "--b", "0.1",
@@ -192,6 +201,15 @@ def test_quantized_case_values(capsys):
     comp = d["comparison"]
     assert comp["matches"] is True
     assert comp["max_rel_diff"] <= comp["tolerance"] == 1e-12
+
+
+def test_quantized_case_deep_well(capsys):
+    # the normalization factorials overflow a float at this depth
+    rc, out, _ = run_cli(capsys, "jafarov", "--omega0", "1", "--l", "151")
+    assert rc == 0
+    d = json.loads(out)
+    assert d["comparison"]["matches"] is True
+    assert len(d["quantized_route"]["levels"]) == 150
 
 
 def test_quantized_case_rejects_small_l(capsys):

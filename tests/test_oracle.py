@@ -10,11 +10,13 @@ import math
 import pytest
 import scipy.linalg
 
-from pdmosc import pct
+from pdmosc import oracle, pct
 from pdmosc.errors import ConvergenceError, DomainError, ParameterError
 from pdmosc.oracle import (
     Grid1D,
     TridiagonalOperator,
+    _gershgorin,
+    _sturm_count,
     discretize_bdd,
     eigenvalues_sturm,
     eigenvector,
@@ -138,8 +140,6 @@ def test_box_first_three_levels():
 
 
 def test_sturm_counts_monotone():
-    from pdmosc.oracle import _gershgorin, _sturm_count
-
     op = discretize_bdd(ONE, ZERO, Grid1D(0.0, math.pi, 60))
     d = list(op.diag)
     e2 = [v * v for v in op.off]
@@ -169,6 +169,80 @@ def test_against_scipy_tridiagonal():
     scale = max(abs(v) for v in ref)
     for got, w in zip(mine, ref):
         assert abs(got - w) < 1e-10 * scale
+
+
+def test_wilkinson_w21_plus_against_scipy():
+    # diag |10 - i|, unit off-diagonal: the top pairs agree to ~1e-14
+    op = TridiagonalOperator([abs(10.0 - i) for i in range(21)], [1.0] * 20)
+    mine = eigenvalues_sturm(op, 21)
+    ref = scipy.linalg.eigvalsh_tridiagonal(list(op.diag), list(op.off))
+    for got, w in zip(mine, ref):
+        assert abs(got - w) <= 1e-12 * max(1.0, abs(w))
+
+
+def test_diagonal_operator_repeated_eigenvalue():
+    op = TridiagonalOperator((2.0, 1.0, 2.0, 3.0, 2.0), (0.0, 0.0, 0.0, 0.0))
+    lams = eigenvalues_sturm(op, 5)
+    for got, w in zip(lams, [1.0, 2.0, 2.0, 2.0, 3.0]):
+        assert abs(got - w) <= 1e-12
+
+
+def pdm_operator(p, n):
+    a, mass_fn, pot = pdm_mass_and_potential(p)
+    return discretize_bdd(mass_fn, pot, Grid1D(-a, a, n))
+
+
+def test_sturm_counts_certify_every_level():
+    op = pdm_operator(OscillatorParams(1.0, 6.5, 0.2), 1200)
+    d = list(op.diag)
+    e2 = [v * v for v in op.off]
+    pivmin = 2.3e-308 * max(1.0, max(e2))
+    lams = eigenvalues_sturm(op, 6)
+    for j, lam in enumerate(lams, start=1):
+        t = 1e-12 * max(1.0, abs(lam))
+        assert _sturm_count(d, e2, lam - t, pivmin) < j <= _sturm_count(d, e2, lam + t, pivmin)
+
+
+def test_starts_change_no_result():
+    p = OscillatorParams(1.0, 5.5, -0.1)
+    k = 5
+    coarse = eigenvalues_sturm(pdm_operator(p, 600), k)
+    op = pdm_operator(p, 1200)
+    plain = eigenvalues_sturm(op, k)
+    lo, hi = _gershgorin(op)
+    nan, inf = float("nan"), float("inf")
+    for starts in (
+        coarse,
+        plain,
+        plain[::-1],  # each start is another level's eigenvalue
+        [plain[0]] * k,
+        [lo - 1.0, hi + 1.0, nan, inf, -inf],  # outside every bracket
+    ):
+        seeded = eigenvalues_sturm(op, k, starts=starts)
+        for got, want in zip(seeded, plain):
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_newton_and_starts_cut_the_passes(monkeypatch):
+    # bisection alone from the Gershgorin bounds makes about 50 Sturm
+    # passes per level on this operator
+    passes = []
+    for name in ("_sturm_count", "_sturm_newton"):
+        fn = getattr(oracle, name)
+        monkeypatch.setattr(oracle, name, lambda *a, fn=fn: passes.append(1) or fn(*a))
+    p = OscillatorParams(1.0, 5.5, -0.1)
+    k = 5
+    coarse = eigenvalues_sturm(pdm_operator(p, 600), k)
+    assert len(passes) <= 20 * k
+    passes.clear()
+    eigenvalues_sturm(pdm_operator(p, 1200), k, starts=coarse)
+    assert len(passes) <= 10 * k
+
+
+def test_starts_need_one_per_level():
+    op = TridiagonalOperator((2.0, 2.0, 2.0), (-1.0, -1.0))
+    with pytest.raises(ParameterError):
+        eigenvalues_sturm(op, 2, starts=[1.0])
 
 
 # --- eigenvector ---

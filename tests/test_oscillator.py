@@ -74,6 +74,12 @@ def test_params_reject_excessive_shift():
     OscillatorParams(1.0, 3.0, bound * 0.999)
 
 
+@pytest.mark.parametrize("args", [(True, 3.0), (1.0, True), (1.0, 3.0, False)])
+def test_params_reject_bools(args):
+    with pytest.raises(ParameterError, match="bool"):
+        OscillatorParams(*args)
+
+
 def test_derived_constants_reproducible():
     p = OscillatorParams(1.0, 2.7, 0.05)
     a1, map1, rm1 = pct.map_parameters(p.omega0, p.A, p.b)
@@ -323,6 +329,16 @@ def test_quantized_case_matches_general_solver(l):
             got = st.wavefunction(x)
             want = wavefunction(p, st.n, x)
             assert abs(got - want) <= 1e-10 * max(abs(want), 1e-8)
+
+
+def test_quantized_case_deep_well_normalization():
+    # the factorial ratios in the normalization leave the float range from
+    # l ~ 90; the ground state must still match the general route
+    l = 100
+    got = jafarov_case(1.0, l)[0].wavefunction(0.0)
+    want = wavefunction(OscillatorParams(1.0, float(l)), 0, 0.0)
+    assert want > 0.5
+    assert math.isclose(got, want, rel_tol=1e-12)
 
 
 def test_quantized_case_rejections():
