@@ -7,7 +7,9 @@ general solver), ``scan`` (CSV spectrum table over an A or b range).
 
 Exit codes: 0 success, 2 invalid configuration, 3 verification mismatch,
 4 numerical non-convergence.  Errors go to stderr as a one-line JSON object;
-payloads go to stdout or the ``--out`` path.
+payloads go to stdout or the ``--out`` path.  JSON payloads come from
+``json.dumps``: a float prints as its shortest round-trip repr, and NaN and
++-inf print as null.  CSV cells carry 17 significant digits.
 """
 
 from __future__ import annotations
@@ -17,12 +19,10 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
-from math import factorial
 
 from . import oracle, oscillator
 from .errors import ConvergenceError, ParameterError
-from .oscillator import OscillatorParams
+from .oscillator import BoundState, OscillatorParams
 
 VERIFY_TOL = 1e-5
 JAFAROV_TOL = 1e-12
@@ -47,45 +47,28 @@ class RunConfig:
     b_range: tuple[float, float, float] | None = None
 
 
-def _fmt(x: float) -> str:
-    # 17 significant digits round-trips any double
-    return format(x, ".17g")
-
-
-def _json_text(value: object, indent: int = 0) -> str:
-    pad = " " * indent
-    inner = " " * (indent + 2)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            f"{inner}{json.dumps(k)}: {_json_text(v, indent + 2)}"
-            for k, v in value.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [f"{inner}{_json_text(v, indent + 2)}" for v in value]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
+def _null_nonfinite(value: object) -> object:
+    # JSON has no NaN or infinity: every non-finite float prints as null
     if isinstance(value, float):
-        return "null" if math.isnan(value) else _fmt(value)
-    if value is None:
-        return "null"
-    if isinstance(value, str):
-        return json.dumps(value)
-    raise TypeError(f"unserializable value of type {type(value).__name__}")
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _null_nonfinite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_null_nonfinite(v) for v in value]
+    return value
+
+
+def _json_payload(payload: dict) -> str:
+    # floats print as repr, the shortest text that round-trips bit for bit
+    return json.dumps(_null_nonfinite(payload), indent=2, allow_nan=False)
 
 
 def _csv_cell(v: object) -> str:
     if v is None or v == "":
         return ""
     if isinstance(v, float):
-        return _fmt(v)
+        # 17 significant digits round-trips any double
+        return format(v, ".17g")
     return str(v)
 
 
@@ -111,20 +94,34 @@ def _params_block(p: OscillatorParams) -> dict:
     return {"omega0": p.omega0, "A": p.A, "b": p.b}
 
 
-def _spectrum_block(p: OscillatorParams) -> dict:
+def _spectrum(p: OscillatorParams) -> tuple[dict, list[BoundState]]:
     states = oscillator.bound_states(p)
-    return {
+    block = {
         "a": oscillator.confinement_length(p.omega0, p.A),
         "num_states": len(states),
         "levels": [{"n": s.n, "energy": s.energy} for s in states],
     }
+    return block, states
 
 
-def _sample_block(p: OscillatorParams, cfg: RunConfig) -> list[dict]:
-    a = oscillator.confinement_length(p.omega0, p.A)
+def _spectrum_rows(params: list[float], spectra: list[dict]) -> list[list[object]]:
+    # one CSV row per spectrum; columns past a row's last level stay empty
+    kmax = max(s["num_states"] for s in spectra)
+    rows: list[list[object]] = [
+        ["param", "a", "num_states"] + [f"E{i}" for i in range(kmax)]
+    ]
+    for v, s in zip(params, spectra):
+        row: list[object] = [v, s["a"], s["num_states"]]
+        row += [lv["energy"] for lv in s["levels"]]
+        row += [""] * (kmax - s["num_states"])
+        rows.append(row)
+    return rows
+
+
+def _sample_block(states: list[BoundState], a: float, cfg: RunConfig) -> list[dict]:
     xs = [-a + 2.0 * a * (j + 1) / (cfg.samples + 1) for j in range(cfg.samples)]
     out = []
-    for s in oscillator.bound_states(p):
+    for s in states:
         norm = oracle.overlap(s.wavefunction, s.wavefunction, -a, a, cfg.quad)
         out.append(
             {
@@ -140,16 +137,14 @@ def _sample_block(p: OscillatorParams, cfg: RunConfig) -> list[dict]:
 
 def cmd_solve(cfg: RunConfig) -> int:
     p = OscillatorParams(cfg.omega0, cfg.A, cfg.b)
-    spectrum = _spectrum_block(p)
+    spectrum, states = _spectrum(p)
+    samples = _sample_block(states, spectrum["a"], cfg) if cfg.samples > 0 else []
     if cfg.format == "csv":
-        k = spectrum["num_states"]
-        header = ["param", "a", "num_states"] + [f"E{i}" for i in range(k)]
-        row = [p.A, spectrum["a"], k] + [lv["energy"] for lv in spectrum["levels"]]
-        rows = [header, row]
-        if cfg.samples > 0:
+        rows = _spectrum_rows([p.A], [spectrum])
+        if samples:
             rows.append([])
             rows.append(["n", "x", "psi"])
-            for entry in _sample_block(p, cfg):
+            for entry in samples:
                 for pt in entry["samples"]:
                     rows.append([entry["n"], pt["x"], pt["psi"]])
         _emit(cfg, _csv_text(rows))
@@ -159,9 +154,9 @@ def cmd_solve(cfg: RunConfig) -> int:
         "params": _params_block(p),
         "spectrum": spectrum,
     }
-    if cfg.samples > 0:
-        payload["wavefunctions"] = _sample_block(p, cfg)
-    _emit(cfg, _json_text(payload))
+    if samples:
+        payload["wavefunctions"] = samples
+    _emit(cfg, _json_payload(payload))
     return 0
 
 
@@ -200,52 +195,36 @@ def cmd_verify(cfg: RunConfig) -> int:
             "passed": passed,
         },
     }
-    _emit(cfg, _json_text(payload))
+    _emit(cfg, _json_payload(payload))
     return 0 if passed else 3
 
 
-def _quantized_route(omega0: float, l: int) -> dict:
-    # independent arithmetic for the integer-l case: exact rational
-    # normalization constants alongside the closed-form levels
-    a = math.sqrt(2.0 / omega0) * (l * (l + 1) - 2) ** 0.25
-    slope = math.sqrt(1.0 + (3.0 / (omega0 * a * a)) ** 2)
-    levels = []
-    for n in range(l - 1):
-        half = n + 0.5
-        e = omega0 * slope * half - half * half / (a * a) - 1.25 / (a * a)
-        norm_sq = Fraction(
-            factorial(2 * l - 2 * n), 2 ** (l - n) * factorial(l - n)
-        ) ** 2 * Fraction((l - n) * factorial(n), factorial(2 * l - n))
-        levels.append(
-            {"n": n, "energy": e, "norm": math.sqrt(norm_sq / Fraction(a))}
-        )
-    return {"a": a, "levels": levels}
-
-
 def cmd_jafarov(cfg: RunConfig) -> int:
-    states = oscillator.jafarov_case(cfg.omega0, cfg.l)
-    p = OscillatorParams(cfg.omega0, float(cfg.l), 0.0)
-    spectrum = _spectrum_block(p)
-    quant = _quantized_route(cfg.omega0, cfg.l)
-    devs = [abs(quant["a"] - spectrum["a"]) / abs(spectrum["a"])]
-    for lv, qv, st in zip(spectrum["levels"], quant["levels"], states):
-        scale = max(abs(lv["energy"]), 1e-300)
-        devs.append(abs(qv["energy"] - lv["energy"]) / scale)
-        devs.append(abs(st.energy - lv["energy"]) / scale)
+    a_l, quant = oscillator._jafarov_levels(cfg.omega0, cfg.l)
+    spectrum, _ = _spectrum(OscillatorParams(cfg.omega0, float(cfg.l), 0.0))
+    devs = [abs(a_l - spectrum["a"]) / abs(spectrum["a"])]
+    for lv, (e, _) in zip(spectrum["levels"], quant):
+        devs.append(abs(e - lv["energy"]) / max(abs(lv["energy"]), 1e-300))
     worst = max(devs)
     matches = worst <= JAFAROV_TOL
     payload = {
         "command": "jafarov",
         "params": {"omega0": cfg.omega0, "l": cfg.l},
         "spectrum": spectrum,
-        "quantized_route": quant,
+        "quantized_route": {
+            "a": a_l,
+            "levels": [
+                {"n": n, "energy": e, "norm": norm}
+                for n, (e, norm) in enumerate(quant)
+            ],
+        },
         "comparison": {
             "max_rel_diff": worst,
             "tolerance": JAFAROV_TOL,
             "matches": matches,
         },
     }
-    _emit(cfg, _json_text(payload))
+    _emit(cfg, _json_payload(payload))
     return 0 if matches else 3
 
 
@@ -279,17 +258,8 @@ def cmd_scan(cfg: RunConfig) -> int:
             for v in _range_values(cfg.b_range)
         ]
         col = [p.b for p in params]
-    spectra = [_spectrum_block(p) for p in params]
-    kmax = max(s["num_states"] for s in spectra)
-    rows: list[list[object]] = [
-        ["param", "a", "num_states"] + [f"E{i}" for i in range(kmax)]
-    ]
-    for v, s in zip(col, spectra):
-        row: list[object] = [v, s["a"], s["num_states"]]
-        row += [lv["energy"] for lv in s["levels"]]
-        row += [""] * (kmax - s["num_states"])
-        rows.append(row)
-    _emit(cfg, _csv_text(rows))
+    spectra = [_spectrum(p)[0] for p in params]
+    _emit(cfg, _csv_text(_spectrum_rows(col, spectra)))
     return 0
 
 

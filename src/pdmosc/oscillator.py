@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from typing import Callable
 
@@ -114,6 +113,17 @@ def energy(p: OscillatorParams, n: int) -> float:
     return pct.transform_energy(pmap, rm_energy(rm, n))
 
 
+def _half_integer_form(omega0: float, a: float, n: int) -> float:
+    # the b = 0 level in powers of (n + 1/2); the integer-l route shares it
+    a2 = a * a
+    half = n + 0.5
+    return (
+        omega0 * math.sqrt(1.0 + (3.0 / (omega0 * a2)) ** 2) * half
+        - half * half / a2
+        - 5.0 / (4.0 * a2)
+    )
+
+
 def energy_harmonic_form(p: OscillatorParams, n: int) -> float:
     """Same level via the (n + 1/2)-expanded printed form; redundant check route.
 
@@ -123,16 +133,10 @@ def energy_harmonic_form(p: OscillatorParams, n: int) -> float:
     """
     _check_level(p, n)
     a, _, _ = _derived(p)
-    a2 = a * a
-    half = n + 0.5
-    e = (
-        p.omega0 * math.sqrt(1.0 + (3.0 / (p.omega0 * a2)) ** 2) * half
-        - half * half / a2
-        - 5.0 / (4.0 * a2)
-    )
+    e = _half_integer_form(p.omega0, a, n)
     if p.b != 0.0:
         f = (p.A - n) ** 2
-        g = f - 0.25 * p.omega0**2 * a2 * a2
+        g = f - 0.25 * (p.omega0 * a * a) ** 2
         e += p.b * p.b * g / f
     return e
 
@@ -185,24 +189,15 @@ def bound_states(p: OscillatorParams) -> list[BoundState]:
     ]
 
 
-def _jafarov_energy(omega0: float, a: float, n: int) -> float:
-    a2 = a * a
-    half = n + 0.5
-    return (
-        omega0 * math.sqrt(1.0 + (3.0 / (omega0 * a2)) ** 2) * half
-        - half * half / a2
-        - 5.0 / (4.0 * a2)
-    )
-
-
 def _jafarov_coeff(l: int, a: float, n: int) -> float:
-    # integer-arithmetic normalization (2l-2n)!/(2^(l-n) (l-n)!) * sqrt((l-n) n!/(a (2l-n)!)),
-    # squared exactly.  As floats the first factor overflows past l = 150 and
-    # the ratio under the root underflows from l ~ 86, so the square root is
-    # taken in log space.  The first factor is the integer (2l-2n-1)!!.
+    # integer-arithmetic normalization (2l-2n)!/(2^(l-n) (l-n)!) * sqrt((l-n) n!/(a (2l-n)!)).
+    # As floats the first factor overflows past l = 150 and the ratio under the
+    # root underflows from l ~ 86, so the square is divided out in integers:
+    # int / int rounds once, and the quotient stays between ~l^-4 and ~l^(1/2).
+    # The first factor is the integer (2l-2n-1)!!.
     lead = math.factorial(2 * l - 2 * n) // (2 ** (l - n) * math.factorial(l - n))
-    sq = Fraction(lead * lead * (l - n) * math.factorial(n), math.factorial(2 * l - n))
-    return math.exp(0.5 * (math.log(sq.numerator) - math.log(sq.denominator) - math.log(a)))
+    sq = lead * lead * (l - n) * math.factorial(n) / math.factorial(2 * l - n)
+    return math.sqrt(sq / a)
 
 
 def _jafarov_wavefunction(coeff: float, l: int, a: float, n: int, x: float) -> float:
@@ -215,6 +210,16 @@ def _jafarov_wavefunction(coeff: float, l: int, a: float, n: int, x: float) -> f
     return coeff * s ** (0.5 * (l - n - 1)) * gegenbauer_poly(n, l - n + 0.5, t)
 
 
+def _jafarov_levels(omega0: float, l: int) -> tuple[float, list[tuple[float, float]]]:
+    # the integer-l route: half-width a_l, then (energy, normalization) per level
+    if not isinstance(l, int) or isinstance(l, bool) or l < 2:
+        raise ParameterError(f"need an integer l >= 2, got {l!r}")
+    if not math.isfinite(omega0) or omega0 <= 0.0:
+        raise ParameterError(f"need omega0 > 0, got {omega0!r}")
+    a = math.sqrt(2.0 / omega0) * (l * (l + 1) - 2) ** 0.25
+    return a, [(_half_integer_form(omega0, a, n), _jafarov_coeff(l, a, n)) for n in range(l - 1)]
+
+
 def jafarov_case(omega0: float, l: int) -> list[BoundState]:
     """The quantized-confinement special case: integer depth l >= 2.
 
@@ -223,16 +228,8 @@ def jafarov_case(omega0: float, l: int) -> list[BoundState]:
     integer-l formulas (factorials, the (n+1/2) energy form), deliberately
     not through the general transform route, so the two can be compared.
     """
-    if not isinstance(l, int) or isinstance(l, bool) or l < 2:
-        raise ParameterError(f"need an integer l >= 2, got {l!r}")
-    if not math.isfinite(omega0) or omega0 <= 0.0:
-        raise ParameterError(f"need omega0 > 0, got {omega0!r}")
-    a = math.sqrt(2.0 / omega0) * (l * (l + 1) - 2) ** 0.25
+    a, levels = _jafarov_levels(omega0, l)
     return [
-        BoundState(
-            n,
-            _jafarov_energy(omega0, a, n),
-            partial(_jafarov_wavefunction, _jafarov_coeff(l, a, n), l, a, n),
-        )
-        for n in range(l - 1)
+        BoundState(n, e, partial(_jafarov_wavefunction, coeff, l, a, n))
+        for n, (e, coeff) in enumerate(levels)
     ]

@@ -1,7 +1,7 @@
 """Change of variable and function linking the two eigenproblems.
 
 The oscillator on (-a, a) with mass M(x) = (1 - x^2/a^2)^-2 maps onto the
-constant-mass hyperbolic well on the line: u(x) = a_bar * v(x) + b_bar with
+constant-mass hyperbolic well on the line: u(x) = a_bar * v(x) with
 v(x) = a * arctanh(x/a), energies transform affinely, and the potential picks
 up a mass-derivative correction term.  This module holds the profile, the
 transform maps, and the parameter mapping from (omega0, A, b) to everything
@@ -47,20 +47,19 @@ class MassProfile:
 
 @dataclass(frozen=True)
 class PctMap:
-    """Affine transform constants: u = a_bar * v + b_bar, E = a_bar^2 eps + c_bar."""
+    """Transform constants: u = a_bar * v, E = a_bar^2 eps + c_bar.
+
+    u carries no offset: one would break the even symmetry of the mass profile.
+    """
 
     a_bar: float
     c_bar: float
-    b_bar: float = 0.0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.a_bar) and math.isfinite(self.c_bar)):
             raise ParameterError("a_bar and c_bar must be finite")
         if self.a_bar <= 0.0:
             raise ParameterError(f"need a_bar > 0, got {self.a_bar}")
-        if self.b_bar != 0.0:
-            # nonzero offset would break the even symmetry of the mass profile
-            raise ParameterError("b_bar is fixed at 0 for this construction")
 
 
 def _check_x(profile: MassProfile, x: float) -> None:
@@ -86,8 +85,8 @@ def v_of_x(profile: MassProfile, x: float) -> float:
 
 
 def u_of_x(profile: MassProfile, pmap: PctMap, x: float) -> float:
-    """Transformed coordinate u = a_bar * v(x) + b_bar."""
-    return pmap.a_bar * v_of_x(profile, x) + pmap.b_bar
+    """Transformed coordinate u = a_bar * v(x)."""
+    return pmap.a_bar * v_of_x(profile, x)
 
 
 def mass_correction(profile: MassProfile, x: float) -> float:
@@ -143,9 +142,10 @@ def map_parameters(
         raise ParameterError(f"need A > 1 for a nonempty model, got A={A}")
     a = math.sqrt(2.0 / omega0) * (A * (A + 1.0) - 2.0) ** 0.25
     a3 = a * a * a
-    if a3 == 0.0:
+    if not 0.0 < a3 < math.inf:
         raise ParameterError(
-            f"omega0={omega0} is too large for A={A}: the confinement half-width underflows"
+            f"omega0={omega0} and A={A} put the confinement half-width a={a} out of "
+            "range: a^3 overflows or underflows"
         )
     b_limit = 2.0 * A * (A - 1.0) / (omega0 * a3)
     if abs(b) >= b_limit:
@@ -153,7 +153,8 @@ def map_parameters(
             f"|b|={abs(b)} at or above the admissibility bound {b_limit:.17g}; "
             "no bound state is guaranteed beyond it"
         )
-    c_bar = 0.25 * omega0 * omega0 * a * a + 1.0 / (a * a)
+    # omega0 a^2 = 2 sqrt(A(A+1) - 2) stays bounded where omega0^2 would overflow
+    c_bar = 0.25 * omega0 * (omega0 * a * a) + 1.0 / (a * a)
     if b != 0.0:
         c_bar += b * b
     B = -0.5 * omega0 * a3 * b

@@ -7,11 +7,19 @@ stderr; file output goes through tmp_path.
 import json
 import math
 import re
+from fractions import Fraction
 
 import pytest
 
 from pdmosc import cli
-from pdmosc.oscillator import OscillatorParams, confinement_length, energy, wavefunction
+from pdmosc.oscillator import (
+    OscillatorParams,
+    confinement_length,
+    energy,
+    energy_harmonic_form,
+    jafarov_case,
+    wavefunction,
+)
 
 
 def run_cli(capsys, *argv):
@@ -36,13 +44,27 @@ def test_solve_depth_two(capsys):
 
 
 def test_solve_energies_roundtrip_exactly(capsys):
-    # %.17g serialization must survive a JSON round trip bit for bit
+    # the JSON numbers must survive a round trip bit for bit
     rc, out, _ = run_cli(capsys, "solve", "--omega0", "1", "--A", "3")
     d = json.loads(out)
     p = OscillatorParams(1.0, 3.0)
     assert d["spectrum"]["a"] == confinement_length(1.0, 3.0)
     for lev in d["spectrum"]["levels"]:
         assert lev["energy"] == energy(p, lev["n"])
+
+
+def test_integer_valued_floats_load_as_floats(capsys):
+    rc, out, _ = run_cli(capsys, "solve", "--omega0", "1", "--A", "3")
+    params = json.loads(out)["params"]
+    assert params == {"omega0": 1.0, "A": 3.0, "b": 0.0}
+    assert all(type(v) is float for v in params.values())
+
+
+def test_non_finite_numbers_serialize_as_null():
+    text = cli._json_payload(
+        {"x": [math.nan, math.inf, -math.inf, 1.5], "y": {"z": -math.inf}}
+    )
+    assert json.loads(text) == {"x": [None, None, None, 1.5], "y": {"z": None}}
 
 
 def test_solve_shifted_pins(capsys):
@@ -75,6 +97,28 @@ def test_solve_rejects_underflowing_half_width(capsys):
     msg = json.loads(err)["message"]
     assert "omega0" in msg and "A=" in msg
     assert "a_bar" not in msg and "c_bar" not in msg
+
+
+@pytest.mark.parametrize("omega0, A", [("1", "1e200"), ("1e-300", "3")])
+def test_solve_rejects_overflowing_half_width(capsys, omega0, A):
+    # a^3 overflows; the message names the inputs, not internal constants
+    rc, out, err = run_cli(capsys, "solve", "--omega0", omega0, "--A", A)
+    assert rc == 2 and out == ""
+    msg = json.loads(err)["message"]
+    assert f"omega0={float(omega0)!r}" in msg and f"A={float(A)!r}" in msg
+    assert "a_bar" not in msg and "c_bar" not in msg and "admissibility" not in msg
+
+
+def test_solve_large_frequency(capsys):
+    # omega0^2 overflows here, omega0 a^2 does not
+    rc, out, err = run_cli(capsys, "solve", "--omega0", "1e155", "--A", "3")
+    assert rc == 0 and err == ""
+    levels = json.loads(out)["spectrum"]["levels"]
+    p = OscillatorParams(1e155, 3.0)
+    assert len(levels) == 2
+    for lev in levels:
+        assert math.isfinite(lev["energy"])
+        assert math.isclose(lev["energy"], energy_harmonic_form(p, lev["n"]), rel_tol=1e-14)
 
 
 def test_solve_sample_values(capsys):
@@ -210,6 +254,23 @@ def test_quantized_case_deep_well(capsys):
     d = json.loads(out)
     assert d["comparison"]["matches"] is True
     assert len(d["quantized_route"]["levels"]) == 150
+
+
+@pytest.mark.parametrize("l", [2, 148, 151])
+def test_quantized_route_exact_norms(capsys, l):
+    rc, out, _ = run_cli(capsys, "jafarov", "--omega0", "1", "--l", str(l))
+    assert rc == 0
+    quant = json.loads(out)["quantized_route"]
+    a = quant["a"]
+    states = jafarov_case(1.0, l)
+    assert [lv["energy"] for lv in quant["levels"]] == [s.energy for s in states]
+    for lv in quant["levels"]:
+        n = lv["n"]
+        # (2l-2n)!/(2^(l-n) (l-n)!) * sqrt((l-n) n!/(a (2l-n)!)) in exact rationals
+        lead = Fraction(math.factorial(2 * l - 2 * n), 2 ** (l - n) * math.factorial(l - n))
+        square = lead**2 * Fraction((l - n) * math.factorial(n), math.factorial(2 * l - n))
+        want = math.sqrt(square / Fraction(a))
+        assert math.isclose(lv["norm"], want, rel_tol=1e-12)
 
 
 def test_quantized_case_rejects_small_l(capsys):

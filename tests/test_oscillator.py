@@ -155,6 +155,18 @@ def test_energy_two_forms_agree():
             assert abs(e1 - e2) <= 1e-12 * max(abs(e1), abs(e2))
 
 
+@pytest.mark.parametrize("omega0", [1e155, 1e200])
+def test_energy_two_forms_agree_at_large_frequency(omega0):
+    # omega0^2 overflows a float here; omega0 a^2 = 2 sqrt(A(A+1) - 2) does not
+    for frac in (0.0, 0.5):
+        p = OscillatorParams(omega0, 3.0, frac * shift_bound(omega0, 3.0))
+        for n in range(num_bound_states(p)):
+            e1 = energy(p, n)
+            e2 = energy_harmonic_form(p, n)
+            assert math.isfinite(e1)
+            assert abs(e1 - e2) <= 1e-14 * abs(e1)
+
+
 def test_energy_increasing():
     for p in (OscillatorParams(1.0, 5.3), OscillatorParams(2.0, 4.0, 0.3)):
         es = [energy(p, n) for n in range(num_bound_states(p))]
