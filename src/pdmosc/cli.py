@@ -163,11 +163,6 @@ def cmd_solve(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     p = OscillatorParams(cfg.omega0, cfg.A, cfg.b)
     k = oscillator.num_bound_states(p)
-    if k == 0:
-        raise ParameterError(
-            f"nothing to verify: no bound states for omega0={cfg.omega0!r}, "
-            f"A={cfg.A!r}, b={cfg.b!r}"
-        )
     report = oracle.solve_pdm_numeric(p, k, cfg.grid, estimate_order=True)
     levels = []
     for i in range(k):

@@ -24,7 +24,7 @@ import numpy as np
 from . import oscillator, pct
 from .errors import ConvergenceError, DomainError, ParameterError
 from .rosen_morse import RosenMorseParams, rm_energy, rm_nmax, rm_potential, rm_wavefunction
-from .special_fn import gauss_legendre
+from .special_fn import gauss_legendre, is_int
 
 # eigenvalues are bracketed to a width of _RTOL * max(1, |lambda|); the
 # certificate's half-width stays just under half of that, so that rounding
@@ -56,7 +56,7 @@ class Grid1D:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)) or self.lo >= self.hi:
             raise ParameterError(f"need finite lo < hi, got ({self.lo!r}, {self.hi!r})")
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 3:
+        if not is_int(self.n) or self.n < 3:
             raise ParameterError(f"need at least 3 interior points, got {self.n!r}")
 
     @property
@@ -213,7 +213,7 @@ def eigenvalues_sturm(
     isolated; a start outside the bracket is ignored.  Starts change how
     many passes are made, not the guarantee.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1 or k > op.size:
+    if not is_int(k) or k < 1 or k > op.size:
         raise ParameterError(f"need 1 <= k <= {op.size}, got {k!r}")
     if starts is not None and len(starts) != k:
         raise ParameterError(f"need one start per level ({k}), got {len(starts)}")
@@ -471,10 +471,10 @@ def solve_pdm_numeric(
     Grids of 500+ points are where the 1e-6 comparison contract holds;
     smaller grids are accepted for quick looks.
     """
-    if not isinstance(n_grid, int) or isinstance(n_grid, bool) or n_grid < 8:
+    if not is_int(n_grid) or n_grid < 8:
         raise ParameterError(f"need an integer n_grid >= 8, got {n_grid!r}")
     count = oscillator.num_bound_states(p)
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1 or k > count:
+    if not is_int(k) or k < 1 or k > count:
         raise ParameterError(f"need 1 <= k <= {count} admitted levels, got {k!r}")
     a, _, _ = pct.map_parameters(p.omega0, p.A, p.b)
     profile = pct.MassProfile(a)
@@ -503,12 +503,12 @@ def solve_constant_mass_numeric(
     The box must be wide enough that every requested state has decayed
     below 1e-10 at its ends (checked against the analytic wavefunctions).
     """
-    if not isinstance(n_grid, int) or isinstance(n_grid, bool) or n_grid < 8:
+    if not is_int(n_grid) or n_grid < 8:
         raise ParameterError(f"need an integer n_grid >= 8, got {n_grid!r}")
     if not math.isfinite(box) or box <= 0.0:
         raise ParameterError(f"need box > 0, got {box!r}")
     count = rm_nmax(p) + 1
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1 or k > count:
+    if not is_int(k) or k < 1 or k > count:
         raise ParameterError(f"need 1 <= k <= {count} admitted levels, got {k!r}")
     for j in range(k):
         edge = max(abs(rm_wavefunction(p, j, -box)), abs(rm_wavefunction(p, j, box)))

@@ -15,15 +15,10 @@ from functools import partial
 from typing import Callable
 
 from . import pct
-from .errors import DomainError, NoSuchStateError, ParameterError
-from .rosen_morse import (
-    RosenMorseParams,
-    admitted_nmax,
-    rm_energy,
-    _ln_norm_gegenbauer,
-    _ln_norm_jacobi,
-)
-from .special_fn import gegenbauer_poly, jacobi_poly
+from .errors import DomainError, ParameterError
+from .pct import shift_bound
+from .rosen_morse import RosenMorseParams, _check_level, _state, rm_energy
+from .special_fn import gegenbauer_poly, is_int
 
 __all__ = [
     "BoundState",
@@ -74,41 +69,15 @@ def confinement_length(omega0: float, A: float) -> float:
     return a
 
 
-def shift_bound(omega0: float, A: float) -> float:
-    """Largest |b| keeping an admitted state: sqrt(omega0/2) A(A-1) / (A(A+1)-2)^(3/4)."""
-    if not (math.isfinite(omega0) and math.isfinite(A)):
-        raise ParameterError("omega0 and A must be finite")
-    if omega0 <= 0.0:
-        raise ParameterError(f"need omega0 > 0, got {omega0}")
-    if A <= 1.0:
-        raise ParameterError(f"need A > 1, got A={A}")
-    return math.sqrt(omega0 / 2.0) * A * (A - 1.0) / (A * (A + 1.0) - 2.0) ** 0.75
-
-
 def num_bound_states(p: OscillatorParams) -> int:
-    """Count of admitted levels (at least 1 for valid parameters)."""
-    a, _, _ = _derived(p)
-    if p.b == 0.0:
-        threshold = p.A - 1.0
-    else:
-        threshold = p.A - 0.5 * (1.0 + math.sqrt(1.0 + 2.0 * p.omega0 * a**3 * abs(p.b)))
-    return admitted_nmax(threshold) + 1
-
-
-def _check_level(p: OscillatorParams, n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise NoSuchStateError(f"quantum number must be an integer, got {n!r}")
-    count = num_bound_states(p)
-    if n < 0 or n >= count:
-        raise NoSuchStateError(
-            f"no bound state n={n} for (omega0={p.omega0}, A={p.A}, b={p.b}); "
-            f"admitted window is 0..{count - 1}"
-        )
+    """Count of admitted levels: pct.level_count of the derived well, at least 1."""
+    _, _, rm = _derived(p)
+    return pct.level_count(rm.A, rm.B)
 
 
 def energy(p: OscillatorParams, n: int) -> float:
     """Level energy from the transform route a_bar^2 eps_n + c_bar."""
-    _check_level(p, n)
+    _check_level(n, num_bound_states(p), p)
     _, pmap, rm = _derived(p)
     return pct.transform_energy(pmap, rm_energy(rm, n))
 
@@ -131,7 +100,7 @@ def energy_harmonic_form(p: OscillatorParams, n: int) -> float:
     plus b^2 g(n)/f(n) with f(n) = (A-n)^2 and g(n) = f(n) - omega0^2 a^4/4
     when the shift is present.
     """
-    _check_level(p, n)
+    _check_level(n, num_bound_states(p), p)
     a, _, _ = _derived(p)
     e = _half_integer_form(p.omega0, a, n)
     if p.b != 0.0:
@@ -144,41 +113,28 @@ def energy_harmonic_form(p: OscillatorParams, n: int) -> float:
 def wavefunction(p: OscillatorParams, n: int, x: float, form: str = "auto") -> float:
     """Evaluate the normalized bound wavefunction psi_n at x.
 
-    The b = 0 path uses the symmetric envelope (1 - x^2/a^2)^((A-n-1)/2)
-    times a Gegenbauer polynomial; b != 0 tilts the envelope exponents and
-    uses a Jacobi polynomial.  form forces one route ("gegenbauer" needs
-    b = 0); "auto" picks by b.  Within 1e-12 a of the interval ends the
-    value is exactly 0.0; beyond them the point is rejected.
+    psi_n(x) = sqrt(a_bar) M(x)^(1/4) phi_n(u(x)): the hyperbolic well's
+    state, which rosen_morse evaluates at tanh u = x/a, times the transform's
+    prefactor a^(-1/2) (1 - x^2/a^2)^(-1/2).  So the b = 0 path is the
+    envelope (1 - x^2/a^2)^((A-n-1)/2) times a Gegenbauer polynomial, and
+    b != 0 tilts the exponents and uses a Jacobi polynomial.  form forces
+    one route ("gegenbauer" needs b = 0); "auto" picks by b.  Within
+    1e-12 a of the interval ends the value is exactly 0.0; beyond them the
+    point is rejected.
     """
-    _check_level(p, n)
+    _check_level(n, num_bound_states(p), p)
     if not math.isfinite(x):
         raise DomainError(f"x must be finite, got {x!r}")
-    if form not in ("auto", "jacobi", "gegenbauer"):
-        raise ParameterError(f"unknown form {form!r}")
-    if form == "gegenbauer" and p.b != 0.0:
-        raise ParameterError("the gegenbauer form requires b = 0")
     a, _, rm = _derived(p)
     if abs(x) > a:
         raise DomainError(f"|x|={abs(x)} is outside the confinement interval [-{a}, {a}]")
-    if abs(x) >= (1.0 - pct.BOUNDARY_MARGIN) * a:
-        return 0.0
-    m = p.A - n
     t = x / a
-    if form == "gegenbauer" or (form == "auto" and p.b == 0.0):
-        ln_env = (
-            _ln_norm_gegenbauer(p.A, n, m)
-            - 0.5 * math.log(a)
-            + 0.5 * (m - 1.0) * math.log1p(-t * t)
-        )
-        return math.exp(ln_env) * gegenbauer_poly(n, m + 0.5, t)
-    beta = rm.B / m
-    ln_env = (
-        _ln_norm_jacobi(p.A, n, m, beta)
-        - 0.5 * math.log(a)
-        + 0.5 * (m - 1.0 + beta) * math.log1p(-t)
-        + 0.5 * (m - 1.0 - beta) * math.log1p(t)
-    )
-    return math.exp(ln_env) * jacobi_poly(n, m + beta, m - beta, t)
+    if abs(x) >= (1.0 - pct.BOUNDARY_MARGIN) * a:
+        # a wall point: the kernel still checks form, then returns 0.0
+        ln_1m_t = ln_1p_t = -math.inf
+    else:
+        ln_1m_t, ln_1p_t = math.log1p(-t), math.log1p(t)
+    return _state(rm, n, form, t, ln_1m_t, ln_1p_t, lower=0.5, ln_scale=-0.5 * math.log(a))
 
 
 def bound_states(p: OscillatorParams) -> list[BoundState]:
@@ -212,7 +168,7 @@ def _jafarov_wavefunction(coeff: float, l: int, a: float, n: int, x: float) -> f
 
 def _jafarov_levels(omega0: float, l: int) -> tuple[float, list[tuple[float, float]]]:
     # the integer-l route: half-width a_l, then (energy, normalization) per level
-    if not isinstance(l, int) or isinstance(l, bool) or l < 2:
+    if not is_int(l) or l < 2:
         raise ParameterError(f"need an integer l >= 2, got {l!r}")
     if not math.isfinite(omega0) or omega0 <= 0.0:
         raise ParameterError(f"need omega0 > 0, got {omega0!r}")

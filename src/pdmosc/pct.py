@@ -4,8 +4,9 @@ The oscillator on (-a, a) with mass M(x) = (1 - x^2/a^2)^-2 maps onto the
 constant-mass hyperbolic well on the line: u(x) = a_bar * v(x) with
 v(x) = a * arctanh(x/a), energies transform affinely, and the potential picks
 up a mass-derivative correction term.  This module holds the profile, the
-transform maps, and the parameter mapping from (omega0, A, b) to everything
-derived.
+transform maps, the parameter mapping from (omega0, A, b) to everything
+derived, and the admission rule: which (omega0, A, b) give a model with at
+least one level, and how many levels it has.
 """
 
 from __future__ import annotations
@@ -15,15 +16,17 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DomainError, ParameterError
-from .rosen_morse import RosenMorseParams
+from .rosen_morse import WINDOW_MARGIN, RosenMorseParams, admitted_nmax
 
 __all__ = [
     "BOUNDARY_MARGIN",
     "MassProfile",
     "PctMap",
+    "level_count",
     "map_parameters",
     "mass",
     "mass_correction",
+    "shift_bound",
     "transform_potential",
     "transform_energy",
     "u_of_x",
@@ -112,10 +115,38 @@ def transform_energy(pmap: PctMap, epsilon: float) -> float:
     return pmap.a_bar**2 * epsilon + pmap.c_bar
 
 
+def shift_bound(omega0: float, A: float) -> float:
+    """Largest |b| keeping an admitted state: sqrt(omega0/2) A(A-1) / (A(A+1)-2)^(3/4).
+
+    There |B| = A(A-1) and the level_count threshold reaches 0.
+    """
+    if not (math.isfinite(omega0) and math.isfinite(A)):
+        raise ParameterError("omega0 and A must be finite")
+    if omega0 <= 0.0:
+        raise ParameterError(f"need omega0 > 0, got {omega0}")
+    if A <= 1.0:
+        raise ParameterError(f"need A > 1, got A={A}")
+    return math.sqrt(omega0 / 2.0) * A * (A - 1.0) / (A * (A + 1.0) - 2.0) ** 0.75
+
+
+def level_count(A: float, B: float) -> int:
+    """Number of oscillator levels the derived well (A, B) holds: the window rule.
+
+    Level n exists while A - n > (1 + sqrt(1 + 4|B|))/2, where both x-space
+    envelope exponents (A - n - 1 -+ B/(A - n))/2 are positive; admitted_nmax
+    applies the margin.  At B = 0 the threshold is exactly A - 1.
+    """
+    return admitted_nmax(A - 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * abs(B)))) + 1
+
+
 def map_parameters(
     omega0: float, A: float, b: float = 0.0
 ) -> tuple[float, PctMap, RosenMorseParams]:
     """Derive (a, PctMap, RosenMorseParams) from oscillator parameters.
+
+    This is the admission rule: it refuses exactly the inputs whose
+    derived well has level_count 0, so every model it accepts holds at
+    least one level.
 
     Parameters
     ----------
@@ -124,8 +155,8 @@ def map_parameters(
     A : float
         Well-depth parameter, > 1 (not necessarily an integer).
     b : float
-        Linear shift; |b| must stay below the bound that keeps at least
-        one admitted state, equivalently |b| < 2A(A-1)/(omega0 a^3).
+        Linear shift; |b| must stay below shift_bound(omega0, A), where
+        the lowest level reaches the normalizability threshold.
 
     Returns
     -------
@@ -147,15 +178,15 @@ def map_parameters(
             f"omega0={omega0} and A={A} put the confinement half-width a={a} out of "
             "range: a^3 overflows or underflows"
         )
-    b_limit = 2.0 * A * (A - 1.0) / (omega0 * a3)
-    if abs(b) >= b_limit:
+    B = -0.5 * omega0 * a3 * b
+    if level_count(A, B) == 0:
         raise ParameterError(
-            f"|b|={abs(b)} at or above the admissibility bound {b_limit:.17g}; "
-            "no bound state is guaranteed beyond it"
+            f"no bound state for omega0={omega0!r}, A={A!r}, b={b!r}: the lowest level is "
+            f"past or within {WINDOW_MARGIN} of its normalizability threshold, which |b| "
+            f"reaches at the admissibility bound {shift_bound(omega0, A):.17g}"
         )
     # omega0 a^2 = 2 sqrt(A(A+1) - 2) stays bounded where omega0^2 would overflow
     c_bar = 0.25 * omega0 * (omega0 * a * a) + 1.0 / (a * a)
     if b != 0.0:
         c_bar += b * b
-    B = -0.5 * omega0 * a3 * b
     return a, PctMap(a_bar=1.0 / a, c_bar=c_bar), RosenMorseParams(A=A, B=B)

@@ -14,7 +14,7 @@ from functools import partial
 from typing import Callable
 
 from .errors import DomainError, NoSuchStateError, ParameterError
-from .special_fn import gegenbauer_poly, jacobi_poly, ln_gamma
+from .special_fn import gegenbauer_poly, is_int, jacobi_poly, ln_gamma
 
 __all__ = [
     "ConstantMassState",
@@ -97,20 +97,20 @@ def rm_nmax(p: RosenMorseParams) -> int:
     return admitted_nmax(p.A - math.sqrt(abs(p.B)))
 
 
-def _check_level(p: RosenMorseParams, n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool):
+def _check_level(n: int, count: int, model: object) -> None:
+    """The level gate: n must be an integer in 0..count-1 of the given model."""
+    if not is_int(n):
         raise NoSuchStateError(f"quantum number must be an integer, got {n!r}")
-    top = rm_nmax(p)
-    if n < 0 or n > top:
+    if n < 0 or n >= count:
         raise NoSuchStateError(
-            f"no bound state n={n} for A={p.A}, B={p.B} (admitted window is "
-            + (f"0..{top})" if top >= 0 else "empty)")
+            f"no bound state n={n} for {model}; admitted window is "
+            + (f"0..{count - 1}" if count else "empty")
         )
 
 
 def rm_energy(p: RosenMorseParams, n: int) -> float:
     """Bound-state energy -(A-n)^2 - B^2/(A-n)^2."""
-    _check_level(p, n)
+    _check_level(n, rm_nmax(p) + 1, p)
     m = p.A - n
     return -m * m - (p.B * p.B) / (m * m)
 
@@ -137,6 +137,40 @@ def _ln_norm_gegenbauer(A: float, n: int, m: float) -> float:
     )
 
 
+def _state(
+    p: RosenMorseParams, n: int, form: str, t: float, ln_1m_t: float, ln_1p_t: float,
+    lower: float = 0.0, ln_scale: float = 0.0,
+) -> float:
+    """phi_n at t = tanh u, times exp(ln_scale) (1 - t^2)^-lower: the one state kernel.
+
+    It takes log(1-t) and log(1+t), so each caller passes the form of them
+    that stays accurate in its own variable.  A log of -inf marks a wall
+    point, where the value is exactly 0.0.
+    """
+    if form not in ("auto", "jacobi", "gegenbauer"):
+        raise ParameterError(f"unknown form {form!r}")
+    if form == "gegenbauer" and p.B != 0.0:
+        raise ParameterError("the gegenbauer form requires an unshifted well: b = 0, B = 0")
+    if ln_1m_t == -math.inf or ln_1p_t == -math.inf:
+        return 0.0
+    m = p.A - n
+    # the envelope exponents are (m_low -+ beta)/2
+    m_low = m - 2.0 * lower
+    if form == "gegenbauer" or (form == "auto" and p.B == 0.0):
+        ln_env = (
+            _ln_norm_gegenbauer(p.A, n, m) + ln_scale + 0.5 * m_low * (ln_1m_t + ln_1p_t)
+        )
+        return math.exp(ln_env) * gegenbauer_poly(n, m + 0.5, t)
+    beta = p.B / m
+    ln_env = (
+        _ln_norm_jacobi(p.A, n, m, beta)
+        + ln_scale
+        + 0.5 * (m_low + beta) * ln_1m_t
+        + 0.5 * (m_low - beta) * ln_1p_t
+    )
+    return math.exp(ln_env) * jacobi_poly(n, m + beta, m - beta, t)
+
+
 def rm_wavefunction(p: RosenMorseParams, n: int, u: float, form: str = "auto") -> float:
     """Evaluate the normalized bound wavefunction phi_n at u.
 
@@ -158,30 +192,13 @@ def rm_wavefunction(p: RosenMorseParams, n: int, u: float, form: str = "auto") -
     float
         phi_n(u), normalized to unit integral of phi^2 over the line.
     """
-    _check_level(p, n)
+    _check_level(n, rm_nmax(p) + 1, p)
     if not math.isfinite(u):
         raise DomainError(f"u must be finite, got {u!r}")
-    if form not in ("auto", "jacobi", "gegenbauer"):
-        raise ParameterError(f"unknown form {form!r}")
-    if form == "gegenbauer" and p.B != 0.0:
-        raise ParameterError("the gegenbauer form requires B = 0")
-    m = p.A - n
-    t = math.tanh(u)
-    if form == "gegenbauer" or (form == "auto" and p.B == 0.0):
-        # log(sech u) without intermediate overflow
-        ln_sech = _LN2 - abs(u) - math.log1p(math.exp(-2.0 * abs(u)))
-        ln_env = _ln_norm_gegenbauer(p.A, n, m) + m * ln_sech
-        return math.exp(ln_env) * gegenbauer_poly(n, m + 0.5, t)
-    beta = p.B / m
     # log(1 -+ tanh u) stays accurate far into both tails
-    ln_1m_t = _LN2 - _ln1p_exp(2.0 * u)
-    ln_1p_t = _LN2 - _ln1p_exp(-2.0 * u)
-    ln_env = (
-        _ln_norm_jacobi(p.A, n, m, beta)
-        + 0.5 * (m + beta) * ln_1m_t
-        + 0.5 * (m - beta) * ln_1p_t
+    return _state(
+        p, n, form, math.tanh(u), _LN2 - _ln1p_exp(2.0 * u), _LN2 - _ln1p_exp(-2.0 * u)
     )
-    return math.exp(ln_env) * jacobi_poly(n, m + beta, m - beta, t)
 
 
 def rm_bound_states(p: RosenMorseParams) -> list[ConstantMassState]:

@@ -24,8 +24,13 @@ __all__ = [
 ]
 
 
+def is_int(v: object) -> bool:
+    """True for a Python int that is not a bool: the test every integer argument passes."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _check_degree(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+    if not is_int(n) or n < 0:
         raise ParameterError(f"polynomial degree must be a non-negative integer, got {n!r}")
 
 

@@ -18,6 +18,7 @@ from pdmosc.oscillator import (
     energy,
     energy_harmonic_form,
     jafarov_case,
+    shift_bound,
     wavefunction,
 )
 
@@ -88,6 +89,15 @@ def test_solve_rejects_excess_shift(capsys):
     assert rc == 2
     # the limit itself is quoted so the caller knows the valid range
     assert "0.7544" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_shift_leaving_no_level_is_refused(capsys, command):
+    # |b| sits 2e-15 relative below shift_bound(1, 3): the lowest level is
+    # inside the window margin, so no model exists and the bound is quoted
+    rc, out, err = run_cli(capsys, command, "--omega0", "1", "--A", "3", "--b", "0.75446005780976")
+    assert rc == 2 and out == ""
+    assert format(shift_bound(1.0, 3.0), ".17g") in json.loads(err)["message"]
 
 
 def test_solve_rejects_underflowing_half_width(capsys):

@@ -24,6 +24,7 @@ from pdmosc.oscillator import (
     shift_bound,
     wavefunction,
 )
+from pdmosc.rosen_morse import rm_wavefunction
 from pdmosc.special_fn import gauss_legendre
 
 
@@ -109,6 +110,25 @@ def test_window_integer_depth_is_strict():
     # n = A-1 sits exactly on the edge and is excluded
     assert num_bound_states(OscillatorParams(1.0, 2.0)) == 1
     assert num_bound_states(OscillatorParams(1.0, 2.0 + 1e-11)) == 2
+
+
+def test_every_admitted_model_holds_a_level():
+    # at |b| = shift_bound, or A = 1, the window threshold is 0: inputs just
+    # inside either edge are refused or keep level 0, never admitted empty
+    rng = random.Random(57)
+    for _ in range(1500):
+        omega0 = math.exp(rng.uniform(-4.0, 4.0))
+        A = 1.0 + 10.0 ** rng.uniform(-13.0, 1.5)
+        bound = shift_bound(omega0, A)
+        shifts = [0.0, bound, math.nextafter(bound, 0.0)]
+        shifts += [bound * (1.0 - 10.0 ** rng.uniform(-16.0, -8.0)) for _ in range(3)]
+        for b in shifts:
+            for sign in (1.0, -1.0):
+                try:
+                    p = OscillatorParams(omega0, A, sign * b)
+                except ParameterError:
+                    continue
+                assert num_bound_states(p) >= 1, (omega0, A, sign * b)
 
 
 # --- energies ---
@@ -227,6 +247,17 @@ def test_rejects_out_of_window_state():
     p = OscillatorParams(1.0, 2.0)
     with pytest.raises(NoSuchStateError):
         wavefunction(p, 1, 0.5)
+
+
+def test_unknown_form_rejected_everywhere():
+    # the form is checked before the wall shortcut, so x = a raises too
+    p = OscillatorParams(1.0, 3.0)
+    a, _, rm = pct.map_parameters(1.0, 3.0)
+    for x in (0.3, a, -a):
+        with pytest.raises(ParameterError, match="form"):
+            wavefunction(p, 1, x, form="legendre")
+    with pytest.raises(ParameterError, match="form"):
+        rm_wavefunction(rm, 1, 0.3, form="legendre")
 
 
 def test_route_equality_at_zero_shift():

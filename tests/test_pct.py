@@ -277,8 +277,16 @@ def test_map_rejects_excessive_shift_with_bound_in_message():
 # --- change of function ---
 
 
-@pytest.mark.parametrize("omega0,A,b", [(1.0, 2.0, 0.0), (1.0, 3.0, 0.1)])
-def test_quarter_power_change_of_function(omega0, A, b):
+@pytest.mark.parametrize(
+    "omega0,A,b,form",
+    [
+        pytest.param(1.0, 2.0, 0.0, "auto", id="1.0-2.0-0.0"),
+        pytest.param(1.0, 3.0, 0.1, "auto", id="1.0-3.0-0.1"),
+        pytest.param(0.7, 9.3, 0.6 * oscillator.shift_bound(0.7, 9.3), "auto", id="deep-shifted"),
+        pytest.param(1.0, 12.15, 0.0, "jacobi", id="deep-jacobi"),
+    ],
+)
+def test_quarter_power_change_of_function(omega0, A, b, form):
     # psi_n(x) = sqrt(a_bar) M(x)^(1/4) phi_n(u(x)): the u-space solution
     # carried through the variable change reproduces the x-space one
     a, pmap, rm = map_parameters(omega0, A, b)
@@ -288,8 +296,9 @@ def test_quarter_power_change_of_function(omega0, A, b):
         for i in range(40):
             x = -0.95 * a + 1.9 * a * i / 39
             u = u_of_x(prof, pmap, x)
-            via_u = math.sqrt(pmap.a_bar) * mass(prof, x) ** 0.25 * rm_wavefunction(rm, n, u)
-            direct = oscillator.wavefunction(p, n, x)
+            phi = rm_wavefunction(rm, n, u, form)
+            via_u = math.sqrt(pmap.a_bar) * mass(prof, x) ** 0.25 * phi
+            direct = oscillator.wavefunction(p, n, x, form)
             assert abs(via_u - direct) <= 1e-9 * max(abs(direct), 1e-6)
 
 
