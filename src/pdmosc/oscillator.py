@@ -17,7 +17,7 @@ from typing import Callable
 from . import pct
 from .errors import DomainError, ParameterError
 from .pct import shift_bound
-from .rosen_morse import RosenMorseParams, _check_level, _state, rm_energy
+from .rosen_morse import RosenMorseParams, _check_level, _evaluate, _Level, _resolve, rm_energy
 from .special_fn import gegenbauer_poly, is_int
 
 __all__ = [
@@ -50,8 +50,10 @@ class OscillatorParams:
         pct.map_parameters(self.omega0, self.A, self.b)
 
 
-def _derived(p: OscillatorParams) -> tuple[float, pct.PctMap, RosenMorseParams]:
-    return pct.map_parameters(p.omega0, p.A, p.b)
+def _derived(p: OscillatorParams) -> tuple[float, pct.PctMap, RosenMorseParams, int]:
+    # one parameter map: (a, PctMap, RosenMorseParams, level count)
+    a, pmap, rm = pct.map_parameters(p.omega0, p.A, p.b)
+    return a, pmap, rm, pct.level_count(rm.A, rm.B)
 
 
 @dataclass(frozen=True)
@@ -71,15 +73,18 @@ def confinement_length(omega0: float, A: float) -> float:
 
 def num_bound_states(p: OscillatorParams) -> int:
     """Count of admitted levels: pct.level_count of the derived well, at least 1."""
-    _, _, rm = _derived(p)
-    return pct.level_count(rm.A, rm.B)
+    return _derived(p)[3]
+
+
+def _level_energy(pmap: pct.PctMap, rm: RosenMorseParams, n: int) -> float:
+    return pct.transform_energy(pmap, rm_energy(rm, n))
 
 
 def energy(p: OscillatorParams, n: int) -> float:
     """Level energy from the transform route a_bar^2 eps_n + c_bar."""
     _check_level(n, num_bound_states(p), p)
-    _, pmap, rm = _derived(p)
-    return pct.transform_energy(pmap, rm_energy(rm, n))
+    _, pmap, rm, _ = _derived(p)
+    return _level_energy(pmap, rm, n)
 
 
 def _half_integer_form(omega0: float, a: float, n: int) -> float:
@@ -100,14 +105,30 @@ def energy_harmonic_form(p: OscillatorParams, n: int) -> float:
     plus b^2 g(n)/f(n) with f(n) = (A-n)^2 and g(n) = f(n) - omega0^2 a^4/4
     when the shift is present.
     """
-    _check_level(n, num_bound_states(p), p)
-    a, _, _ = _derived(p)
+    a, _, _, count = _derived(p)
+    _check_level(n, count, p)
     e = _half_integer_form(p.omega0, a, n)
     if p.b != 0.0:
         f = (p.A - n) ** 2
         g = f - 0.25 * (p.omega0 * a * a) ** 2
         e += p.b * p.b * g / f
     return e
+
+
+def _x_level(rm: RosenMorseParams, n: int, form: str, a: float) -> _Level:
+    # the well's level times the transform's prefactor a^(-1/2) (1 - t^2)^(-1/2)
+    return _resolve(rm, n, form, lower=0.5, ln_scale=-0.5 * math.log(a))
+
+
+def _psi(s: _Level, a: float, x: float) -> float:
+    if not math.isfinite(x):
+        raise DomainError(f"x must be finite, got {x!r}")
+    if abs(x) > a:
+        raise DomainError(f"|x|={abs(x)} is outside the confinement interval [-{a}, {a}]")
+    if abs(x) >= (1.0 - pct.BOUNDARY_MARGIN) * a:
+        return 0.0
+    # a -+ x is exact near each wall, where 1 -+ x/a would round x/a first
+    return _evaluate(s, x / a, math.log((a - x) / a), math.log((a + x) / a))
 
 
 def wavefunction(p: OscillatorParams, n: int, x: float, form: str = "auto") -> float:
@@ -118,30 +139,27 @@ def wavefunction(p: OscillatorParams, n: int, x: float, form: str = "auto") -> f
     prefactor a^(-1/2) (1 - x^2/a^2)^(-1/2).  So the b = 0 path is the
     envelope (1 - x^2/a^2)^((A-n-1)/2) times a Gegenbauer polynomial, and
     b != 0 tilts the exponents and uses a Jacobi polynomial.  form forces
-    one route ("gegenbauer" needs b = 0); "auto" picks by b.  Within
-    1e-12 a of the interval ends the value is exactly 0.0; beyond them the
-    point is rejected.
+    one route ("gegenbauer" needs b = 0); "auto" picks by b.  The level and
+    then the form are checked before x, so an unknown form is refused even
+    at a wall or outside the interval.  Within 1e-12 a of the interval ends
+    the value is exactly 0.0; beyond them the point is rejected.
     """
-    _check_level(n, num_bound_states(p), p)
-    if not math.isfinite(x):
-        raise DomainError(f"x must be finite, got {x!r}")
-    a, _, rm = _derived(p)
-    if abs(x) > a:
-        raise DomainError(f"|x|={abs(x)} is outside the confinement interval [-{a}, {a}]")
-    t = x / a
-    if abs(x) >= (1.0 - pct.BOUNDARY_MARGIN) * a:
-        # a wall point: the kernel still checks form, then returns 0.0
-        ln_1m_t = ln_1p_t = -math.inf
-    else:
-        ln_1m_t, ln_1p_t = math.log1p(-t), math.log1p(t)
-    return _state(rm, n, form, t, ln_1m_t, ln_1p_t, lower=0.5, ln_scale=-0.5 * math.log(a))
+    a, _, rm, count = _derived(p)
+    _check_level(n, count, p)
+    return _psi(_x_level(rm, n, form, a), a, x)
 
 
 def bound_states(p: OscillatorParams) -> list[BoundState]:
-    """All admitted levels, ordered by n."""
+    """All admitted levels, ordered by n, from one derivation of the model.
+
+    Each state's energy and wavefunction constants are computed here, so
+    evaluating state.wavefunction(x) only does the per-point work; it gives
+    the same value as wavefunction(p, n, x).
+    """
+    a, pmap, rm, count = _derived(p)
     return [
-        BoundState(n, energy(p, n), partial(wavefunction, p, n))
-        for n in range(num_bound_states(p))
+        BoundState(n, _level_energy(pmap, rm, n), partial(_psi, _x_level(rm, n, "auto", a), a))
+        for n in range(count)
     ]
 
 
@@ -161,9 +179,8 @@ def _jafarov_wavefunction(coeff: float, l: int, a: float, n: int, x: float) -> f
         raise DomainError(f"|x|={abs(x)} is outside the confinement interval [-{a}, {a}]")
     if abs(x) >= (1.0 - pct.BOUNDARY_MARGIN) * a:
         return 0.0
-    t = x / a
-    s = 1.0 - t * t
-    return coeff * s ** (0.5 * (l - n - 1)) * gegenbauer_poly(n, l - n + 0.5, t)
+    s = (a - x) / a * ((a + x) / a)
+    return coeff * s ** (0.5 * (l - n - 1)) * gegenbauer_poly(n, l - n + 0.5, x / a)
 
 
 def _jafarov_levels(omega0: float, l: int) -> tuple[float, list[tuple[float, float]]]:

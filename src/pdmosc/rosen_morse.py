@@ -137,38 +137,55 @@ def _ln_norm_gegenbauer(A: float, n: int, m: float) -> float:
     )
 
 
-def _state(
-    p: RosenMorseParams, n: int, form: str, t: float, ln_1m_t: float, ln_1p_t: float,
-    lower: float = 0.0, ln_scale: float = 0.0,
-) -> float:
-    """phi_n at t = tanh u, times exp(ln_scale) (1 - t^2)^-lower: the one state kernel.
+@dataclass(frozen=True)
+class _Level:
+    """One level's constants: phi = exp(ln_norm + e_1m log(1-t) + e_1p log(1+t)) poly(t)."""
 
-    It takes log(1-t) and log(1+t), so each caller passes the form of them
-    that stays accurate in its own variable.  A log of -inf marks a wall
-    point, where the value is exactly 0.0.
+    e_1m: float
+    e_1p: float
+    ln_norm: float
+    poly: Callable[[float], float]
+
+
+def _resolve(
+    p: RosenMorseParams, n: int, form: str, lower: float = 0.0, ln_scale: float = 0.0
+) -> _Level:
+    """Level n of p in the given form, times exp(ln_scale) (1 - t^2)^-lower.
+
+    This is the per-level half of the one state kernel: the form checks,
+    the family choice, the envelope exponents and the log-normalization.
     """
     if form not in ("auto", "jacobi", "gegenbauer"):
         raise ParameterError(f"unknown form {form!r}")
     if form == "gegenbauer" and p.B != 0.0:
         raise ParameterError("the gegenbauer form requires an unshifted well: b = 0, B = 0")
-    if ln_1m_t == -math.inf or ln_1p_t == -math.inf:
-        return 0.0
     m = p.A - n
     # the envelope exponents are (m_low -+ beta)/2
     m_low = m - 2.0 * lower
     if form == "gegenbauer" or (form == "auto" and p.B == 0.0):
-        ln_env = (
-            _ln_norm_gegenbauer(p.A, n, m) + ln_scale + 0.5 * m_low * (ln_1m_t + ln_1p_t)
-        )
-        return math.exp(ln_env) * gegenbauer_poly(n, m + 0.5, t)
+        e = 0.5 * m_low
+        ln_norm = _ln_norm_gegenbauer(p.A, n, m) + ln_scale
+        return _Level(e, e, ln_norm, partial(gegenbauer_poly, n, m + 0.5))
     beta = p.B / m
-    ln_env = (
-        _ln_norm_jacobi(p.A, n, m, beta)
-        + ln_scale
-        + 0.5 * (m_low + beta) * ln_1m_t
-        + 0.5 * (m_low - beta) * ln_1p_t
-    )
-    return math.exp(ln_env) * jacobi_poly(n, m + beta, m - beta, t)
+    ln_norm = _ln_norm_jacobi(p.A, n, m, beta) + ln_scale
+    poly = partial(jacobi_poly, n, m + beta, m - beta)
+    return _Level(0.5 * (m_low + beta), 0.5 * (m_low - beta), ln_norm, poly)
+
+
+def _evaluate(s: _Level, t: float, ln_1m_t: float, ln_1p_t: float) -> float:
+    """The per-point half of the state kernel: phi at t = tanh u from log(1-t) and log(1+t).
+
+    Each caller passes the form of the two logs that stays accurate in its
+    own variable.
+    """
+    return math.exp(s.ln_norm + s.e_1m * ln_1m_t + s.e_1p * ln_1p_t) * s.poly(t)
+
+
+def _phi(s: _Level, u: float) -> float:
+    if not math.isfinite(u):
+        raise DomainError(f"u must be finite, got {u!r}")
+    # log(1 -+ tanh u) stays accurate far into both tails
+    return _evaluate(s, math.tanh(u), _LN2 - _ln1p_exp(2.0 * u), _LN2 - _ln1p_exp(-2.0 * u))
 
 
 def rm_wavefunction(p: RosenMorseParams, n: int, u: float, form: str = "auto") -> float:
@@ -193,17 +210,12 @@ def rm_wavefunction(p: RosenMorseParams, n: int, u: float, form: str = "auto") -
         phi_n(u), normalized to unit integral of phi^2 over the line.
     """
     _check_level(n, rm_nmax(p) + 1, p)
-    if not math.isfinite(u):
-        raise DomainError(f"u must be finite, got {u!r}")
-    # log(1 -+ tanh u) stays accurate far into both tails
-    return _state(
-        p, n, form, math.tanh(u), _LN2 - _ln1p_exp(2.0 * u), _LN2 - _ln1p_exp(-2.0 * u)
-    )
+    return _phi(_resolve(p, n, form), u)
 
 
 def rm_bound_states(p: RosenMorseParams) -> list[ConstantMassState]:
-    """All admitted levels, ordered by n."""
+    """All admitted levels, ordered by n; each state's constants are resolved once."""
     return [
-        ConstantMassState(n, rm_energy(p, n), partial(rm_wavefunction, p, n))
+        ConstantMassState(n, rm_energy(p, n), partial(_phi, _resolve(p, n, "auto")))
         for n in range(rm_nmax(p) + 1)
     ]

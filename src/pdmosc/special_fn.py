@@ -1,8 +1,9 @@
 """Polynomial and quadrature kernels used by the closed-form solvers.
 
 Everything here is dependency-light on purpose: three-term recurrences for
-the Jacobi and Gegenbauer families, a Lanczos log-gamma, and Gauss-Legendre
-rules found by Newton iteration on the Legendre recurrence.
+the Jacobi and Gegenbauer families, the standard library's log-gamma behind
+a domain check, and Gauss-Legendre rules found by Newton iteration on the
+Legendre recurrence.
 """
 
 from __future__ import annotations
@@ -93,36 +94,11 @@ def gegenbauer_poly(n: int, lam: float, x: float) -> float:
     return c
 
 
-# Lanczos approximation, g = 7, 9 coefficients.  Empirically ~4e-15 scaled
-# error against reference values over (0, 2e4].
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-
 def ln_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
+    """Natural log of the gamma function for x > 0: math.lgamma behind a domain check."""
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"ln_gamma requires finite x > 0, got {x!r}")
-    if x < 0.5:
-        # reflection keeps the Lanczos sum in its accurate range
-        return math.log(math.pi / math.sin(math.pi * x)) - ln_gamma(1.0 - x)
-    z = x - 1.0
-    s = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        s += _LANCZOS_C[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(s)
+    return math.lgamma(x)
 
 
 @dataclass(frozen=True)

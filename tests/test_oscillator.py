@@ -8,9 +8,10 @@ independently coded evaluation paths.
 import math
 import random
 
+import mpmath as mp
 import pytest
 
-from pdmosc import pct
+from pdmosc import pct, rosen_morse
 from pdmosc.errors import DomainError, NoSuchStateError, ParameterError
 from pdmosc.oscillator import (
     BoundState,
@@ -31,6 +32,31 @@ from pdmosc.special_fn import gauss_legendre
 def quad_x(f, g, a, size=400):
     rule = gauss_legendre(size)
     return sum(w * a * f(a * z) * g(a * z) for z, w in zip(rule.nodes, rule.weights))
+
+
+def mp_psi(a, A, B, n, x):
+    """psi_n(x) at 60 digits from the normalized Jacobi closed form.
+
+    psi_n = N a^(-1/2) (1-t)^((al-1)/2) (1+t)^((ga-1)/2) P_n^(al, ga)(t) with
+    t = x/a, al = m + beta, ga = m - beta, m = A - n, beta = B/m, and
+    1/N^2 = 2^(al+ga-1) (al+ga) G(n+al+1) G(n+ga+1) / (n! al ga G(n+al+ga+1)).
+    a, A, B and x are taken exactly as the doubles given.
+    """
+    with mp.workdps(60):
+        a, x = mp.mpf(a), mp.mpf(x)
+        m = mp.mpf(A) - n
+        beta = mp.mpf(B) / m
+        al, ga = m + beta, m - beta
+        norm2 = (
+            mp.factorial(n) * al * ga * mp.gamma(n + al + ga + 1)
+            / (mp.power(2, al + ga - 1) * (al + ga) * mp.gamma(n + al + 1) * mp.gamma(n + ga + 1))
+        )
+        env = ((a - x) / a) ** ((al - 1) / 2) * ((a + x) / a) ** ((ga - 1) / 2)
+        return mp.sqrt(norm2 / a) * env * mp.jacobi(n, al, ga, x / a)
+
+
+# 1 - |x/a| from 1e-3 down to 1e-8, on both walls
+WALL_GAPS = [side * 10.0**-e for e in range(3, 9) for side in (1.0, -1.0)]
 
 
 # --- derived constants ---
@@ -334,6 +360,35 @@ def test_boundary_decay_exponent():
             assert abs(slope - want) < 0.02 * want
 
 
+def test_wall_accuracy_against_mpmath():
+    # the reference takes the program's own rounded a and B: rounding a alone
+    # moves psi by about (A-n)/2 eps / (1 - |x/a|), which is conditioning of
+    # the inputs, not error of the evaluation
+    for omega0, A, frac in [(1.0, 12.15, 0.0), (0.8, 59.3, 0.0), (1.3, 27.6, 0.4), (0.9, 58.7, 0.3)]:
+        b = frac * shift_bound(omega0, A)
+        p = OscillatorParams(omega0, A, b)
+        a, _, rm = pct.map_parameters(omega0, A, b)
+        k = num_bound_states(p)
+        for n in sorted({0, 1, k // 2, k - 1}):
+            for gap in WALL_GAPS:
+                x = math.copysign(a * (1.0 - abs(gap)), gap)
+                want = mp_psi(a, rm.A, rm.B, n, x)
+                got = wavefunction(p, n, x)
+                assert abs(got - want) <= 1e-12 * abs(want), (omega0, A, b, n, gap)
+
+
+def test_quantized_case_wall_accuracy_against_mpmath():
+    for omega0, l in [(1.0, 40), (0.7, 13)]:
+        a = confinement_length(omega0, float(l))
+        states = jafarov_case(omega0, l)
+        for n in (0, 1, l // 2, l - 2):
+            for gap in WALL_GAPS:
+                x = math.copysign(a * (1.0 - abs(gap)), gap)
+                want = mp_psi(a, float(l), 0.0, n, x)
+                got = states[n].wavefunction(x)
+                assert abs(got - want) <= 1e-12 * abs(want), (omega0, l, n, gap)
+
+
 def test_bound_states_assembly():
     p = OscillatorParams(1.0, 3.0, 0.1)
     states = bound_states(p)
@@ -341,6 +396,46 @@ def test_bound_states_assembly():
     assert isinstance(states[0], BoundState)
     assert states[1].energy == energy(p, 1)
     assert states[0].wavefunction(0.4) == wavefunction(p, 0, 0.4)
+    # both polynomial routes, at interior, near-wall and wall points: the
+    # same bits as the scalar API
+    models = [
+        OscillatorParams(0.7, 9.3),
+        OscillatorParams(1.4, 25.6, -0.3 * shift_bound(1.4, 25.6)),
+        OscillatorParams(2.0, 14.0),
+    ]
+    for p in models:
+        a = confinement_length(p.omega0, p.A)
+        fracs = (-1.0, -(1.0 - 1e-13), -(1.0 - 1e-8), -0.61, 0.0, 0.37, 1.0 - 1e-5, 1.0)
+        states = bound_states(p)
+        assert len(states) == num_bound_states(p)
+        for s in states:
+            assert s.energy == energy(p, s.n)
+            for f in fracs:
+                assert s.wavefunction(f * a) == wavefunction(p, s.n, f * a)
+
+
+def test_bound_states_derive_once(monkeypatch):
+    models = [OscillatorParams(0.9, 7.4, 0.2), OscillatorParams(1.0, 5.5)]
+    calls = {"map_parameters": 0, "ln_gamma": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(pct, "map_parameters", counted("map_parameters", pct.map_parameters))
+    monkeypatch.setattr(rosen_morse, "ln_gamma", counted("ln_gamma", rosen_morse.ln_gamma))
+    for p in models:
+        calls.update(map_parameters=0, ln_gamma=0)
+        states = bound_states(p)
+        assert calls["map_parameters"] == 1
+        calls.update(map_parameters=0, ln_gamma=0)
+        for s in states:
+            for x in (-1.3, 0.0, 0.45, 2.1):
+                s.wavefunction(x)
+        assert calls == {"map_parameters": 0, "ln_gamma": 0}
 
 
 # --- quantized special case ---

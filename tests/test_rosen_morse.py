@@ -220,9 +220,11 @@ def test_wavefunction_rejects_out_of_window():
 
 
 def test_bound_states_agree_with_scalar_api():
-    p = RosenMorseParams(4.0, -2.0)
-    states = rm_bound_states(p)
-    assert [s.n for s in states] == list(range(rm_nmax(p) + 1))
-    for st in states:
-        assert st.epsilon == rm_energy(p, st.n)
-        assert st.wavefunction(0.7) == rm_wavefunction(p, st.n, 0.7)
+    # both polynomial routes, out to tails that underflow: the same bits
+    for p in (RosenMorseParams(4.0, -2.0), RosenMorseParams(6.3), RosenMorseParams(17.5, 40.0)):
+        states = rm_bound_states(p)
+        assert [s.n for s in states] == list(range(rm_nmax(p) + 1))
+        for st in states:
+            assert st.epsilon == rm_energy(p, st.n)
+            for u in (-400.0, -9.5, -0.8, 0.0, 0.7, 3.3, 12.0, 400.0):
+                assert st.wavefunction(u) == rm_wavefunction(p, st.n, u)

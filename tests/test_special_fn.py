@@ -9,6 +9,7 @@ rules.
 import math
 import random
 
+import mpmath as mp
 import pytest
 import scipy.special as sps
 
@@ -264,6 +265,31 @@ def test_rule_against_scipy():
     for i in range(64):
         assert abs(rule.nodes[i] - nodes[i]) < 1e-13
         assert abs(rule.weights[i] - weights[i]) < 1e-13
+
+
+def test_rule_400_against_polished_mpmath():
+    # the default --quad size; each node is polished by Newton steps on the
+    # Legendre recurrence at 40 digits, and its weight recomputed there
+    n = 400
+    rule = gauss_legendre(n)
+
+    def legendre_pair(x):
+        p0, p1 = mp.mpf(1), x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        return p0, p1
+
+    with mp.workdps(40):
+        for i in (0, 1, 2, 3, 50, 100, 150, 199, 200, 250, 300, 396, 397, 398, 399):
+            x = mp.mpf(rule.nodes[i])
+            for _ in range(3):
+                pm1, p = legendre_pair(x)
+                x -= p / (n * (x * p - pm1) / (x * x - 1))
+            pm1, p = legendre_pair(x)
+            dp = n * (x * p - pm1) / (x * x - 1)
+            w = 2 / ((1 - x * x) * dp * dp)
+            assert abs(rule.nodes[i] - x) < 1e-15
+            assert abs(rule.weights[i] / w - 1) < 1e-11
 
 
 def test_rule_rejects_nonpositive_size():
