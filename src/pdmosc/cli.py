@@ -20,9 +20,11 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import oracle, oscillator
 from .errors import ConvergenceError, ParameterError
-from .oscillator import BoundState, OscillatorParams
+from .oscillator import OscillatorParams
 
 VERIFY_TOL = 1e-5
 JAFAROV_TOL = 1e-12
@@ -94,14 +96,14 @@ def _params_block(p: OscillatorParams) -> dict:
     return {"omega0": p.omega0, "A": p.A, "b": p.b}
 
 
-def _spectrum(p: OscillatorParams) -> tuple[dict, list[BoundState]]:
-    states = oscillator.bound_states(p)
-    block = {
-        "a": oscillator.confinement_length(p.omega0, p.A),
-        "num_states": len(states),
-        "levels": [{"n": s.n, "energy": s.energy} for s in states],
+def _spectrum(p: OscillatorParams) -> dict:
+    # a and the energies from one derivation; no level's wavefunction is resolved
+    a, pmap, rm, count = oscillator._derived(p)
+    return {
+        "a": a,
+        "num_states": count,
+        "levels": [{"n": n, "energy": oscillator._level_energy(pmap, rm, n)} for n in range(count)],
     }
-    return block, states
 
 
 def _spectrum_rows(params: list[float], spectra: list[dict]) -> list[list[object]]:
@@ -118,18 +120,18 @@ def _spectrum_rows(params: list[float], spectra: list[dict]) -> list[list[object
     return rows
 
 
-def _sample_block(states: list[BoundState], a: float, cfg: RunConfig) -> list[dict]:
+def _sample_block(p: OscillatorParams, a: float, cfg: RunConfig) -> list[dict]:
     xs = [-a + 2.0 * a * (j + 1) / (cfg.samples + 1) for j in range(cfg.samples)]
+    points = np.array(xs)
     out = []
-    for s in states:
+    for s in oscillator.bound_states(p):
         norm = oracle.overlap(s.wavefunction, s.wavefunction, -a, a, cfg.quad)
+        psi = s.wavefunction(points).tolist()
         out.append(
             {
                 "n": s.n,
                 "norm": norm,
-                "samples": [
-                    {"x": x, "psi": s.wavefunction(x)} for x in xs
-                ],
+                "samples": [{"x": x, "psi": v} for x, v in zip(xs, psi)],
             }
         )
     return out
@@ -137,8 +139,8 @@ def _sample_block(states: list[BoundState], a: float, cfg: RunConfig) -> list[di
 
 def cmd_solve(cfg: RunConfig) -> int:
     p = OscillatorParams(cfg.omega0, cfg.A, cfg.b)
-    spectrum, states = _spectrum(p)
-    samples = _sample_block(states, spectrum["a"], cfg) if cfg.samples > 0 else []
+    spectrum = _spectrum(p)
+    samples = _sample_block(p, spectrum["a"], cfg) if cfg.samples > 0 else []
     if cfg.format == "csv":
         rows = _spectrum_rows([p.A], [spectrum])
         if samples:
@@ -196,7 +198,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_jafarov(cfg: RunConfig) -> int:
     a_l, quant = oscillator._jafarov_levels(cfg.omega0, cfg.l)
-    spectrum, _ = _spectrum(OscillatorParams(cfg.omega0, float(cfg.l), 0.0))
+    spectrum = _spectrum(OscillatorParams(cfg.omega0, float(cfg.l), 0.0))
     devs = [abs(a_l - spectrum["a"]) / abs(spectrum["a"])]
     for lv, (e, _) in zip(spectrum["levels"], quant):
         devs.append(abs(e - lv["energy"]) / max(abs(lv["energy"]), 1e-300))
@@ -253,7 +255,7 @@ def cmd_scan(cfg: RunConfig) -> int:
             for v in _range_values(cfg.b_range)
         ]
         col = [p.b for p in params]
-    spectra = [_spectrum(p)[0] for p in params]
+    spectra = [_spectrum(p) for p in params]
     _emit(cfg, _csv_text(_spectrum_rows(col, spectra)))
     return 0
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import islice
 from typing import Callable, Sequence
 
@@ -363,24 +363,35 @@ def eigenvector(op: TridiagonalOperator, lam: float, h: float = 1.0) -> np.ndarr
     )
 
 
+@lru_cache(maxsize=64)
+def _rule_arrays(rule_size: int) -> tuple[np.ndarray, np.ndarray]:
+    rule = gauss_legendre(rule_size)
+    nodes, weights = np.array(rule.nodes), np.array(rule.weights)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def overlap(
-    f: Callable[[float], float],
-    g: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
+    g: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
     rule_size: int,
 ) -> float:
-    """Gauss-Legendre approximation of the integral of f*g over (lo, hi)."""
+    """Gauss-Legendre approximation of the integral of f*g over (lo, hi).
+
+    f and g each take the whole array of nodes and return the array of
+    their values there, as the states' wavefunctions do.  Each is called
+    once, and f alone when g is f.
+    """
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         raise ParameterError(f"need finite lo < hi, got ({lo!r}, {hi!r})")
-    rule = gauss_legendre(rule_size)
-    mid = 0.5 * (lo + hi)
+    nodes, weights = _rule_arrays(rule_size)
     half = 0.5 * (hi - lo)
-    acc = 0.0
-    for t, w in zip(rule.nodes, rule.weights):
-        x = mid + half * t
-        acc += w * f(x) * g(x)
-    return half * acc
+    x = 0.5 * (lo + hi) + half * nodes
+    fx = f(x)
+    gx = fx if g is f else g(x)
+    return half * float(np.dot(weights, fx * gx))
 
 
 @dataclass(frozen=True)

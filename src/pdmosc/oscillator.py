@@ -14,11 +14,13 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
+import numpy as np
+
 from . import pct
 from .errors import DomainError, ParameterError
 from .pct import shift_bound
 from .rosen_morse import RosenMorseParams, _check_level, _evaluate, _Level, _resolve, rm_energy
-from .special_fn import gegenbauer_poly, is_int
+from .special_fn import _check_finite, _largest_abs, gegenbauer_poly, is_int
 
 __all__ = [
     "BoundState",
@@ -58,11 +60,14 @@ def _derived(p: OscillatorParams) -> tuple[float, pct.PctMap, RosenMorseParams, 
 
 @dataclass(frozen=True)
 class BoundState:
-    """One bound level: quantum number, energy, normalized wavefunction of x."""
+    """One bound level: quantum number, energy, normalized wavefunction of x.
+
+    wavefunction takes a float or an ndarray of x, as oscillator.wavefunction does.
+    """
 
     n: int
     energy: float
-    wavefunction: Callable[[float], float]
+    wavefunction: Callable[[float | np.ndarray], float | np.ndarray]
 
 
 def confinement_length(omega0: float, A: float) -> float:
@@ -120,19 +125,43 @@ def _x_level(rm: RosenMorseParams, n: int, form: str, a: float) -> _Level:
     return _resolve(rm, n, form, lower=0.5, ln_scale=-0.5 * math.log(a))
 
 
-def _psi(s: _Level, a: float, x: float) -> float:
-    if not math.isfinite(x):
-        raise DomainError(f"x must be finite, got {x!r}")
-    if abs(x) > a:
-        raise DomainError(f"|x|={abs(x)} is outside the confinement interval [-{a}, {a}]")
-    if abs(x) >= (1.0 - pct.BOUNDARY_MARGIN) * a:
-        return 0.0
+def _interior(a: float, x: float | np.ndarray) -> bool | np.ndarray:
+    """Check every entry of x against [-a, a]; True where it lies off the walls.
+
+    Points within BOUNDARY_MARGIN a of a wall are on it, and their value is
+    exactly 0.0; one non-finite entry or one beyond a wall raises DomainError.
+    """
+    top = _largest_abs(x)
+    if not top <= a:
+        _check_finite(x, "x")
+        raise DomainError(f"|x|={top} is outside the confinement interval [-{a}, {a}]")
+    return abs(x) < (1.0 - pct.BOUNDARY_MARGIN) * a
+
+
+def _zero_on_walls(
+    x: float | np.ndarray, inside: bool | np.ndarray, psi: float | np.ndarray
+) -> float | np.ndarray:
+    """psi off the walls and exactly 0.0 on them: a float for a float x, else an array."""
+    # a float skips np.where, whose overhead is a large share of one point's evaluation
+    if isinstance(x, np.ndarray):
+        return np.where(inside, psi, 0.0)
+    return float(psi) if inside else 0.0
+
+
+# the wall points take log 0, tails underflow, and a large depth may
+# overflow the polynomial: each gives its IEEE value, never a warning
+@np.errstate(all="ignore")
+def _psi(s: _Level, a: float, x: float | np.ndarray) -> float | np.ndarray:
+    inside = _interior(a, x)
     # a -+ x is exact near each wall, where 1 -+ x/a would round x/a first
-    return _evaluate(s, x / a, math.log((a - x) / a), math.log((a + x) / a))
+    psi = _evaluate(s, x / a, np.log((a - x) / a), np.log((a + x) / a))
+    return _zero_on_walls(x, inside, psi)
 
 
-def wavefunction(p: OscillatorParams, n: int, x: float, form: str = "auto") -> float:
-    """Evaluate the normalized bound wavefunction psi_n at x.
+def wavefunction(
+    p: OscillatorParams, n: int, x: float | np.ndarray, form: str = "auto"
+) -> float | np.ndarray:
+    """Evaluate the normalized bound wavefunction psi_n at a point or on an array.
 
     psi_n(x) = sqrt(a_bar) M(x)^(1/4) phi_n(u(x)): the hyperbolic well's
     state, which rosen_morse evaluates at tanh u = x/a, times the transform's
@@ -141,8 +170,12 @@ def wavefunction(p: OscillatorParams, n: int, x: float, form: str = "auto") -> f
     b != 0 tilts the exponents and uses a Jacobi polynomial.  form forces
     one route ("gegenbauer" needs b = 0); "auto" picks by b.  The level and
     then the form are checked before x, so an unknown form is refused even
-    at a wall or outside the interval.  Within 1e-12 a of the interval ends
-    the value is exactly 0.0; beyond them the point is rejected.
+    at a wall or outside the interval.
+
+    x is a float, which gives a float, or an ndarray, which gives an array
+    of its shape whose entries are bit for bit the values at each point
+    alone.  Within 1e-12 a of the interval ends the value is exactly 0.0;
+    one entry that is not finite or lies beyond them raises DomainError.
     """
     a, _, rm, count = _derived(p)
     _check_level(n, count, p)
@@ -153,8 +186,8 @@ def bound_states(p: OscillatorParams) -> list[BoundState]:
     """All admitted levels, ordered by n, from one derivation of the model.
 
     Each state's energy and wavefunction constants are computed here, so
-    evaluating state.wavefunction(x) only does the per-point work; it gives
-    the same value as wavefunction(p, n, x).
+    evaluating state.wavefunction(x) only does the per-point work, on a float
+    or on an ndarray of x; it gives the same values as wavefunction(p, n, x).
     """
     a, pmap, rm, count = _derived(p)
     return [
@@ -174,13 +207,14 @@ def _jafarov_coeff(l: int, a: float, n: int) -> float:
     return math.sqrt(sq / a)
 
 
-def _jafarov_wavefunction(coeff: float, l: int, a: float, n: int, x: float) -> float:
-    if abs(x) > a:
-        raise DomainError(f"|x|={abs(x)} is outside the confinement interval [-{a}, {a}]")
-    if abs(x) >= (1.0 - pct.BOUNDARY_MARGIN) * a:
-        return 0.0
+@np.errstate(all="ignore")
+def _jafarov_wavefunction(
+    coeff: float, l: int, a: float, n: int, x: float | np.ndarray
+) -> float | np.ndarray:
+    inside = _interior(a, x)
     s = (a - x) / a * ((a + x) / a)
-    return coeff * s ** (0.5 * (l - n - 1)) * gegenbauer_poly(n, l - n + 0.5, x / a)
+    psi = coeff * np.power(s, 0.5 * (l - n - 1)) * gegenbauer_poly(n, l - n + 0.5, x / a)
+    return _zero_on_walls(x, inside, psi)
 
 
 def _jafarov_levels(omega0: float, l: int) -> tuple[float, list[tuple[float, float]]]:

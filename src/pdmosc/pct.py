@@ -118,14 +118,11 @@ def transform_energy(pmap: PctMap, epsilon: float) -> float:
 def shift_bound(omega0: float, A: float) -> float:
     """Largest |b| keeping an admitted state: sqrt(omega0/2) A(A-1) / (A(A+1)-2)^(3/4).
 
-    There |B| = A(A-1) and the level_count threshold reaches 0.
+    There |B| = A(A-1) and the level_count threshold reaches 0.  Where
+    map_parameters(omega0, A, 0) refuses, no b is admitted and there is no
+    bound: this raises the same ParameterError.
     """
-    if not (math.isfinite(omega0) and math.isfinite(A)):
-        raise ParameterError("omega0 and A must be finite")
-    if omega0 <= 0.0:
-        raise ParameterError(f"need omega0 > 0, got {omega0}")
-    if A <= 1.0:
-        raise ParameterError(f"need A > 1, got A={A}")
+    map_parameters(omega0, A, 0.0)
     return math.sqrt(omega0 / 2.0) * A * (A - 1.0) / (A * (A + 1.0) - 2.0) ** 0.75
 
 
@@ -180,10 +177,15 @@ def map_parameters(
         )
     B = -0.5 * omega0 * a3 * b
     if level_count(A, B) == 0:
+        stem = f"no bound state for omega0={omega0!r}, A={A!r}, b={b!r}: "
+        if level_count(A, 0.0) == 0:
+            raise ParameterError(
+                stem + f"A is within {WINDOW_MARGIN} of 1, where the lowest level meets its "
+                "normalizability threshold, so no b admits a level"
+            )
         raise ParameterError(
-            f"no bound state for omega0={omega0!r}, A={A!r}, b={b!r}: the lowest level is "
-            f"past or within {WINDOW_MARGIN} of its normalizability threshold, which |b| "
-            f"reaches at the admissibility bound {shift_bound(omega0, A):.17g}"
+            stem + f"the lowest level is past or within {WINDOW_MARGIN} of its normalizability "
+            f"threshold, which |b| reaches at the admissibility bound {shift_bound(omega0, A):.17g}"
         )
     # omega0 a^2 = 2 sqrt(A(A+1) - 2) stays bounded where omega0^2 would overflow
     c_bar = 0.25 * omega0 * (omega0 * a * a) + 1.0 / (a * a)

@@ -13,8 +13,10 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
+import numpy as np
+
 from .errors import DomainError, NoSuchStateError, ParameterError
-from .special_fn import gegenbauer_poly, is_int, jacobi_poly, ln_gamma
+from .special_fn import _check_finite, gegenbauer_poly, is_int, jacobi_poly, ln_gamma
 
 __all__ = [
     "ConstantMassState",
@@ -54,11 +56,14 @@ class RosenMorseParams:
 
 @dataclass(frozen=True)
 class ConstantMassState:
-    """One bound level: quantum number, energy, normalized wavefunction of u."""
+    """One bound level: quantum number, energy, normalized wavefunction of u.
+
+    wavefunction takes a float or an ndarray of u, as rm_wavefunction does.
+    """
 
     n: int
     epsilon: float
-    wavefunction: Callable[[float], float]
+    wavefunction: Callable[[float | np.ndarray], float | np.ndarray]
 
 
 def admitted_nmax(threshold: float) -> int:
@@ -79,9 +84,9 @@ def _sech(u: float) -> float:
     return 2.0 * e / (1.0 + e * e)
 
 
-def _ln1p_exp(y: float) -> float:
+def _ln1p_exp(y: float | np.ndarray) -> float | np.ndarray:
     """log(1 + e^y) without overflow."""
-    return max(y, 0.0) + math.log1p(math.exp(-abs(y)))
+    return np.maximum(y, 0.0) + np.log1p(np.exp(-abs(y)))
 
 
 def rm_potential(p: RosenMorseParams, u: float) -> float:
@@ -144,7 +149,7 @@ class _Level:
     e_1m: float
     e_1p: float
     ln_norm: float
-    poly: Callable[[float], float]
+    poly: Callable[[float | np.ndarray], float | np.ndarray]
 
 
 def _resolve(
@@ -172,32 +177,45 @@ def _resolve(
     return _Level(0.5 * (m_low + beta), 0.5 * (m_low - beta), ln_norm, poly)
 
 
-def _evaluate(s: _Level, t: float, ln_1m_t: float, ln_1p_t: float) -> float:
+def _evaluate(
+    s: _Level,
+    t: float | np.ndarray,
+    ln_1m_t: float | np.ndarray,
+    ln_1p_t: float | np.ndarray,
+) -> float | np.ndarray:
     """The per-point half of the state kernel: phi at t = tanh u from log(1-t) and log(1+t).
 
-    Each caller passes the form of the two logs that stays accurate in its
-    own variable.
+    t and the two logs are floats or arrays of one shape; each caller passes
+    the form of the logs that stays accurate in its own variable, and runs
+    this under np.errstate, since at a large depth the polynomial may
+    overflow where the envelope underflows.
     """
-    return math.exp(s.ln_norm + s.e_1m * ln_1m_t + s.e_1p * ln_1p_t) * s.poly(t)
+    return np.exp(s.ln_norm + s.e_1m * ln_1m_t + s.e_1p * ln_1p_t) * s.poly(t)
 
 
-def _phi(s: _Level, u: float) -> float:
-    if not math.isfinite(u):
-        raise DomainError(f"u must be finite, got {u!r}")
+# tails underflow, and a large depth may overflow the polynomial: each
+# gives its IEEE value, never a warning
+@np.errstate(all="ignore")
+def _phi(s: _Level, u: float | np.ndarray) -> float | np.ndarray:
+    _check_finite(u, "u")
     # log(1 -+ tanh u) stays accurate far into both tails
-    return _evaluate(s, math.tanh(u), _LN2 - _ln1p_exp(2.0 * u), _LN2 - _ln1p_exp(-2.0 * u))
+    phi = _evaluate(s, np.tanh(u), _LN2 - _ln1p_exp(2.0 * u), _LN2 - _ln1p_exp(-2.0 * u))
+    return phi if isinstance(u, np.ndarray) else float(phi)
 
 
-def rm_wavefunction(p: RosenMorseParams, n: int, u: float, form: str = "auto") -> float:
-    """Evaluate the normalized bound wavefunction phi_n at u.
+def rm_wavefunction(
+    p: RosenMorseParams, n: int, u: float | np.ndarray, form: str = "auto"
+) -> float | np.ndarray:
+    """Evaluate the normalized bound wavefunction phi_n at a point or on an array.
 
     Parameters
     ----------
     p : RosenMorseParams
     n : int
         Level inside the admitted window.
-    u : float
-        Any finite real; tails underflow to 0.0 rather than raising.
+    u : float or ndarray
+        Finite reals; tails underflow to 0.0 rather than raising.  One
+        non-finite entry raises DomainError.
     form : str
         "jacobi" uses the two-exponent envelope times a Jacobi polynomial
         (works for any B); "gegenbauer" uses the symmetric sech^m envelope
@@ -206,8 +224,10 @@ def rm_wavefunction(p: RosenMorseParams, n: int, u: float, form: str = "auto") -
 
     Returns
     -------
-    float
-        phi_n(u), normalized to unit integral of phi^2 over the line.
+    float or ndarray
+        phi_n(u), normalized to unit integral of phi^2 over the line: a float
+        for a float, an array of u's shape for an array, each entry bit for
+        bit the value at that point alone.
     """
     _check_level(n, rm_nmax(p) + 1, p)
     return _phi(_resolve(p, n, form), u)

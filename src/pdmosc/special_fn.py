@@ -1,9 +1,10 @@
 """Polynomial and quadrature kernels used by the closed-form solvers.
 
 Everything here is dependency-light on purpose: three-term recurrences for
-the Jacobi and Gegenbauer families, the standard library's log-gamma behind
-a domain check, and Gauss-Legendre rules found by Newton iteration on the
-Legendre recurrence.
+the Jacobi and Gegenbauer families, written with arithmetic operators only
+so that one body evaluates a float or a numpy array, the standard
+library's log-gamma behind a domain check, and Gauss-Legendre rules found
+by Newton iteration on the Legendre recurrence.
 """
 
 from __future__ import annotations
@@ -35,8 +36,22 @@ def _check_degree(n: int) -> None:
         raise ParameterError(f"polynomial degree must be a non-negative integer, got {n!r}")
 
 
-def jacobi_poly(n: int, alpha: float, beta: float, x: float) -> float:
-    """Evaluate the Jacobi polynomial P_n^(alpha, beta) at a point.
+def _largest_abs(x: float | np.ndarray) -> float:
+    """max |x| over the entries of a float or an ndarray (0.0 for an empty one); NaN if any is NaN."""
+    # a float skips numpy's reduction, which would dominate a one-point call's checks
+    return np.abs(x).max(initial=0.0) if isinstance(x, np.ndarray) else abs(x)
+
+
+def _check_finite(x: float | np.ndarray, what: str = "evaluation point") -> None:
+    """DomainError unless every entry of x is finite; x is a float or an ndarray."""
+    # NaN and +-inf both fail the one comparison
+    if not _largest_abs(x) < math.inf:
+        flat = np.ravel(x)
+        raise DomainError(f"{what} must be finite, got {float(flat[~np.isfinite(flat)][0])!r}")
+
+
+def jacobi_poly(n: int, alpha: float, beta: float, x: float | np.ndarray) -> float | np.ndarray:
+    """Evaluate the Jacobi polynomial P_n^(alpha, beta) at a point or on an array.
 
     Parameters
     ----------
@@ -44,23 +59,26 @@ def jacobi_poly(n: int, alpha: float, beta: float, x: float) -> float:
         Degree, n >= 0.
     alpha, beta : float
         Family parameters, each > -1 so the weight is integrable.
-    x : float
-        Evaluation point (any finite real; no clipping to [-1, 1]).
+    x : float or ndarray
+        Evaluation points (any finite reals; no clipping to [-1, 1]).  A
+        non-finite entry raises DomainError.
 
     Returns
     -------
-    float
-        P_n^(alpha, beta)(x) from the forward three-term recurrence.
+    float or ndarray
+        P_n^(alpha, beta)(x) from the forward three-term recurrence: a float
+        for a float, an array of x's shape for an array.  The recurrence uses
+        only arithmetic operators, so each array entry is bit for bit the
+        value at that point alone.
     """
     _check_degree(n)
     if not (math.isfinite(alpha) and math.isfinite(beta)):
         raise ParameterError("alpha and beta must be finite")
     if alpha <= -1.0 or beta <= -1.0:
         raise ParameterError(f"need alpha > -1 and beta > -1, got alpha={alpha}, beta={beta}")
-    if not math.isfinite(x):
-        raise DomainError(f"evaluation point must be finite, got {x!r}")
+    _check_finite(x)
     if n == 0:
-        return 1.0
+        return 0.0 * x + 1.0
     pm1 = 1.0
     p = (alpha + 1.0) + (alpha + beta + 2.0) * (x - 1.0) / 2.0
     for k in range(2, n + 1):
@@ -73,20 +91,20 @@ def jacobi_poly(n: int, alpha: float, beta: float, x: float) -> float:
     return p
 
 
-def gegenbauer_poly(n: int, lam: float, x: float) -> float:
-    """Evaluate the Gegenbauer (ultraspherical) polynomial C_n^(lam) at a point.
+def gegenbauer_poly(n: int, lam: float, x: float | np.ndarray) -> float | np.ndarray:
+    """Evaluate the Gegenbauer (ultraspherical) polynomial C_n^(lam) at a point or on an array.
 
-    The recurrence is k C_k = 2(k + lam - 1) x C_{k-1} - (k + 2 lam - 2) C_{k-2}.
-    lam = 0 is rejected: that family degenerates under the standard
-    normalization (C_n^(0) = 0 for n >= 1).
+    The recurrence is k C_k = 2(k + lam - 1) x C_{k-1} - (k + 2 lam - 2) C_{k-2};
+    x, the result and the checks on x are as in jacobi_poly.  lam = 0 is
+    rejected: that family degenerates under the standard normalization
+    (C_n^(0) = 0 for n >= 1).
     """
     _check_degree(n)
     if not math.isfinite(lam) or lam <= -0.5 or lam == 0.0:
         raise ParameterError(f"need lam > -1/2 and lam != 0, got {lam!r}")
-    if not math.isfinite(x):
-        raise DomainError(f"evaluation point must be finite, got {x!r}")
+    _check_finite(x)
     if n == 0:
-        return 1.0
+        return 0.0 * x + 1.0
     cm1 = 1.0
     c = 2.0 * lam * x
     for k in range(2, n + 1):

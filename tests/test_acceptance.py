@@ -11,6 +11,8 @@ import math
 import time
 from functools import partial
 
+import numpy as np
+
 from pdmosc import pct
 from pdmosc.oracle import overlap, solve_constant_mass_numeric, solve_pdm_numeric
 from pdmosc.oscillator import (
@@ -108,22 +110,22 @@ def orthonormality_deviation(p, rule=800):
 
 
 def _sign_changes(values, floor):
-    kept = [v for v in values if abs(v) > floor]
-    return sum(1 for v, w in zip(kept, kept[1:]) if (v > 0.0) != (w > 0.0))
+    kept = values[np.abs(values) > floor]
+    return int(np.count_nonzero((kept[1:] > 0.0) != (kept[:-1] > 0.0)))
 
 
 def node_counts_correct(p):
     a, _, rm = pct.map_parameters(p.omega0, p.A, p.b)
     k = num_bound_states(p)
-    xs = [-a + 2.0 * a * (j + 1) / 3002 for j in range(3001)]
+    xs = np.array([-a + 2.0 * a * (j + 1) / 3002 for j in range(3001)])
     for n in range(k):
-        vals = [wavefunction(p, n, x) for x in xs]
-        if _sign_changes(vals, 1e-9 * max(abs(v) for v in vals)) != n:
+        vals = wavefunction(p, n, xs)
+        if _sign_changes(vals, 1e-9 * np.abs(vals).max()) != n:
             return False
-    us = [-25.0 + 50.0 * j / 2499 for j in range(2500)]
+    us = np.array([-25.0 + 50.0 * j / 2499 for j in range(2500)])
     for state in rm_bound_states(rm)[:k]:
-        vals = [state.wavefunction(u) for u in us]
-        if _sign_changes(vals, 1e-9 * max(abs(v) for v in vals)) != state.n:
+        vals = state.wavefunction(us)
+        if _sign_changes(vals, 1e-9 * np.abs(vals).max()) != state.n:
             return False
     return True
 

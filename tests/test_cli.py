@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from pdmosc import cli
+from pdmosc import cli, pct, rosen_morse
 from pdmosc.oscillator import (
     OscillatorParams,
     confinement_length,
@@ -392,6 +392,35 @@ def test_scan_shift_range_needs_fixed_depth(capsys):
         "--b-start", "0", "--b-stop", "0.1", "--b-step", "0.1",
     )
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "argv,models",
+    [
+        (["scan", "--omega0", "0.9", "--A-start", "2.5", "--A-stop", "6.5", "--A-step", "0.5"], 9),
+        (["scan", "--omega0", "1", "--A", "7.2", "--b-start", "-0.4", "--b-stop", "0.4",
+          "--b-step", "0.2"], 5),
+        (["jafarov", "--omega0", "1.3", "--l", "12"], 1),
+        (["solve", "--omega0", "1", "--A", "9.5", "--b", "0.1"], 1),
+    ],
+)
+def test_spectrum_rows_derive_once_and_resolve_no_state(monkeypatch, capsys, argv, models):
+    # each model maps once to be admitted and once for a and its energies;
+    # rows that print no wavefunction resolve none
+    calls = {"map_parameters": 0, "ln_gamma": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(pct, "map_parameters", counted("map_parameters", pct.map_parameters))
+    monkeypatch.setattr(rosen_morse, "ln_gamma", counted("ln_gamma", rosen_morse.ln_gamma))
+    rc, _, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    assert calls == {"map_parameters": 2 * models, "ln_gamma": 0}
 
 
 # --- error channel ---

@@ -7,6 +7,7 @@ tridiagonal eigensolver gives an extra independent check.
 
 import math
 
+import numpy as np
 import pytest
 import scipy.linalg
 
@@ -323,9 +324,23 @@ def test_eigenvector_rejects_far_shift():
 
 
 def test_overlap_polynomial_exact():
-    f = lambda x: math.sqrt(3.0 / 8.0) * math.sqrt(max(0.0, 1.0 - x * x / 4.0))
+    f = lambda x: math.sqrt(3.0 / 8.0) * np.sqrt(np.maximum(0.0, 1.0 - x * x / 4.0))
     val = overlap(f, f, -2.0, 2.0, 8)
     assert abs(val - 1.0) < 1e-14
+
+
+def test_overlap_evaluates_each_integrand_once_on_the_nodes():
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return np.ones_like(x)
+
+    assert abs(overlap(f, f, -1.0, 3.0, 16) - 4.0) < 1e-14
+    assert len(seen) == 1 and seen[0].shape == (16,)
+    g = lambda x: 2.0 * f(x)
+    assert abs(overlap(f, g, 0.0, 1.0, 5) - 2.0) < 1e-14
+    assert [x.shape for x in seen[1:]] == [(5,), (5,)]
 
 
 def test_overlap_orthogonality():

@@ -7,8 +7,11 @@ independently coded evaluation paths.
 
 import math
 import random
+import warnings
+from functools import partial
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from pdmosc import pct, rosen_morse
@@ -145,9 +148,17 @@ def test_every_admitted_model_holds_a_level():
     for _ in range(1500):
         omega0 = math.exp(rng.uniform(-4.0, 4.0))
         A = 1.0 + 10.0 ** rng.uniform(-13.0, 1.5)
-        bound = shift_bound(omega0, A)
+        gaps = [10.0 ** rng.uniform(-16.0, -8.0) for _ in range(3)]
+        # a bound exactly where b = 0 is admitted
+        try:
+            bound = shift_bound(omega0, A)
+        except ParameterError:
+            with pytest.raises(ParameterError):
+                OscillatorParams(omega0, A, 0.0)
+            continue
+        OscillatorParams(omega0, A, 0.0)
         shifts = [0.0, bound, math.nextafter(bound, 0.0)]
-        shifts += [bound * (1.0 - 10.0 ** rng.uniform(-16.0, -8.0)) for _ in range(3)]
+        shifts += [bound * (1.0 - g) for g in gaps]
         for b in shifts:
             for sign in (1.0, -1.0):
                 try:
@@ -486,3 +497,102 @@ def test_quantized_case_rejections():
         jafarov_case(1.0, 2.5)
     with pytest.raises(ParameterError):
         jafarov_case(0.0, 3)
+
+
+# --- states on arrays ---
+
+ARRAY_MODELS = [
+    OscillatorParams(1.0, 6.4),
+    OscillatorParams(0.8, 9.7, 0.3),
+    OscillatorParams(1.3, 4.0, -0.2 * shift_bound(1.3, 4.0)),
+]
+
+
+def _array_points(a):
+    # interior, wall and near-wall points, in a 2-D shape
+    inner = [f * a for f in (-0.97, -0.61, -0.2, 0.0, 0.13, 0.5, 0.88, 0.999)]
+    walls = [a, -a, a * (1.0 - 1e-13), -a * (1.0 - 5e-13)]
+    return np.array(inner + walls).reshape(3, 4)
+
+
+def _state_families():
+    # (name, state wavefunction or API call, half-width) for every route
+    for p in ARRAY_MODELS:
+        a = confinement_length(p.omega0, p.A)
+        for s in bound_states(p):
+            yield f"bound_states {p} n={s.n}", s.wavefunction, a
+            yield f"wavefunction {p} n={s.n}", partial(wavefunction, p, s.n), a
+        if p.b == 0.0:
+            yield f"jacobi form {p}", partial(wavefunction, p, 1, form="jacobi"), a
+    for l in (2, 5, 9):
+        a = math.sqrt(2.0) * (l * (l + 1) - 2) ** 0.25
+        for s in jafarov_case(1.0, l):
+            yield f"jafarov_case l={l} n={s.n}", s.wavefunction, a
+
+
+def test_float_in_float_out():
+    for name, f, a in _state_families():
+        assert type(f(0.3 * a)) is float, name
+        assert type(f(a)) is float, name
+    rm = pct.map_parameters(0.8, 9.7, 0.3)[2]
+    assert type(rm_wavefunction(rm, 2, 0.4)) is float
+    assert all(type(s.wavefunction(-1.1)) is float for s in rosen_morse.rm_bound_states(rm))
+
+
+def test_array_entries_equal_point_calls_bit_for_bit():
+    for name, f, a in _state_families():
+        xs = _array_points(a)
+        got = f(xs)
+        assert isinstance(got, np.ndarray) and got.shape == xs.shape, name
+        want = [[f(x) for x in row] for row in xs.tolist()]
+        assert got.tolist() == want, name
+
+
+def test_well_states_on_arrays_equal_point_calls_bit_for_bit():
+    us = np.array([-400.0, -9.5, -0.8, 0.0, 0.7, 3.3, 12.0, 400.0]).reshape(2, 2, 2)
+    for p in (rosen_morse.RosenMorseParams(4.0, -2.0), rosen_morse.RosenMorseParams(6.3)):
+        for s in rosen_morse.rm_bound_states(p):
+            for f in (s.wavefunction, partial(rm_wavefunction, p, s.n)):
+                got = f(us)
+                assert got.shape == us.shape
+                assert got.tolist() == [[[f(u) for u in r] for r in m] for m in us.tolist()]
+
+
+def test_wall_entries_are_exactly_zero():
+    for name, f, a in _state_families():
+        vals = f(np.array([a, -a, a * (1.0 - 1e-13), -a * (1.0 - 9e-13), 0.5 * a]))
+        assert vals[:4].tolist() == [0.0] * 4, name
+        assert all(math.copysign(1.0, v) == 1.0 for v in vals[:4]), name
+        assert vals[4] != 0.0, name
+
+
+def test_one_bad_entry_rejects_the_array():
+    for name, f, a in _state_families():
+        for bad in (math.nan, math.inf, -math.inf, a * (1.0 + 1e-9), -2.0 * a):
+            xs = np.array([0.1 * a, bad, -0.3 * a])
+            with pytest.raises(DomainError):
+                f(xs)
+    rm = rosen_morse.RosenMorseParams(4.0, -2.0)
+    with pytest.raises(DomainError):
+        rm_wavefunction(rm, 1, np.array([0.2, math.nan]))
+    with pytest.raises(DomainError):
+        rosen_morse.rm_bound_states(rm)[0].wavefunction(np.array([[0.0, -math.inf]]))
+
+
+def test_empty_array_gives_empty_array():
+    p = ARRAY_MODELS[1]
+    assert wavefunction(p, 0, np.array([])).shape == (0,)
+
+
+def test_deep_model_point_emits_no_warning():
+    # at A = 1e4, n = 299 the polynomial overflows where the envelope
+    # underflows (a known NaN); neither the point nor the array path warns
+    p = OscillatorParams(1.0, 1e4)
+    a = confinement_length(1.0, 1e4)
+    rm = pct.map_parameters(1.0, 1e4)[2]
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
+        wavefunction(p, 299, 0.3 * a)
+        wavefunction(p, 299, np.array([0.3 * a, a, -0.999 * a]))
+        rm_wavefunction(rm, 299, 0.3)
+        rm_wavefunction(rm, 299, np.array([0.3, -800.0]))

@@ -274,6 +274,23 @@ def test_map_rejects_excessive_shift_with_bound_in_message():
     assert format(bound, ".6g")[:6] in msg
 
 
+@pytest.mark.parametrize("omega0,A", [(1.0, 1.0 + 1e-13), (1e300, 3.0)])
+def test_shift_bound_refuses_where_no_shift_is_admitted(omega0, A):
+    # A - 1 inside the window margin, and a^3 underflowing: no b gives a model
+    with pytest.raises(ParameterError):
+        map_parameters(omega0, A, 0.0)
+    with pytest.raises(ParameterError):
+        oscillator.shift_bound(omega0, A)
+
+
+def test_unshifted_refusal_quotes_no_bound():
+    for b in (0.0, 1e-6):
+        with pytest.raises(ParameterError) as err:
+            oscillator.OscillatorParams(1.0, 1.0 + 1e-13, b)
+        assert "admissibility bound" not in str(err.value)
+        assert "no b admits a level" in str(err.value)
+
+
 # --- change of function ---
 
 

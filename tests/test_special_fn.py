@@ -8,8 +8,10 @@ rules.
 
 import math
 import random
+from functools import partial
 
 import mpmath as mp
+import numpy as np
 import pytest
 import scipy.special as sps
 
@@ -109,6 +111,22 @@ def test_jacobi_recurrence_residual():
         rhs = c1 * jacobi_poly(n, alpha, beta, z) - c2 * jacobi_poly(n - 1, alpha, beta, z)
         scale = max(abs(lhs), abs(rhs), 1.0)
         assert abs(lhs - rhs) / scale < 1e-10
+
+
+@pytest.mark.parametrize(
+    "poly",
+    [partial(jacobi_poly, 7, 1.3, 2.6), partial(gegenbauer_poly, 6, 3.25), partial(jacobi_poly, 0, 0.5, 0.5)],
+)
+def test_polynomials_on_arrays(poly):
+    # a float gives a float; an array gives its shape, each entry bit for bit the point value
+    assert type(poly(0.37)) is float
+    zs = np.array([[-1.0, -0.62, 0.0], [0.31, 0.9, 1.7]])
+    got = poly(zs)
+    assert got.shape == zs.shape
+    assert got.tolist() == [[poly(z) for z in row] for row in zs.tolist()]
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            poly(np.array([0.2, bad, 0.4]))
 
 
 def test_jacobi_rejects_bad_input():
