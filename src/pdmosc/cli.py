@@ -6,10 +6,18 @@ Subcommands: ``solve`` (closed-form spectrum, optional wavefunction table),
 general solver), ``scan`` (CSV spectrum table over an A or b range).
 
 Exit codes: 0 success, 2 invalid configuration, 3 verification mismatch,
-4 numerical non-convergence.  Errors go to stderr as a one-line JSON object;
-payloads go to stdout or the ``--out`` path.  JSON payloads come from
-``json.dumps``: a float prints as its shortest round-trip repr, and NaN and
-+-inf print as null.  CSV cells carry 17 significant digits.
+4 numerical non-convergence.  Every error the program finds goes to stderr
+as a one-line JSON object; argparse's own failures (a missing required
+option, a value that is not a number or not an integer, an unknown option)
+print usage and a message to stderr instead, and also exit 2.  Payloads go
+to stdout or the ``--out`` path.  JSON payloads come from ``json.dumps``: a
+float prints as its shortest round-trip repr, and NaN and +-inf print as
+null.  CSV cells carry 17 significant digits.
+
+Work is bounded: a model with more than MAX_LEVELS levels (a ``solve`` or
+``verify`` model, a ``scan`` row, or ``jafarov --l`` above MAX_LEVELS + 1)
+and a scan of more than MAX_SCAN_ROWS rows are refused with exit 2 before
+any level is computed.
 """
 
 from __future__ import annotations
@@ -18,7 +26,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,25 +35,9 @@ from .oscillator import OscillatorParams
 
 VERIFY_TOL = 1e-5
 JAFAROV_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run settings shared by all subcommands."""
-
-    command: str
-    omega0: float
-    A: float | None = None
-    l: int | None = None
-    b: float = 0.0
-    grid: int = 2000
-    quad: int = 400
-    samples: int = 0
-    format: str = "json"
-    out: str | None = None
-    # (start, stop, step); at most one of the two is set
-    a_range: tuple[float, float, float] | None = None
-    b_range: tuple[float, float, float] | None = None
+# work limits: levels of one model, and rows of one scan
+MAX_LEVELS = 10_000
+MAX_SCAN_ROWS = 10_000
 
 
 def _null_nonfinite(value: object) -> object:
@@ -78,9 +69,9 @@ def _csv_text(rows: list[list[object]]) -> str:
     return "\n".join(",".join(_csv_cell(c) for c in row) for row in rows)
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.out is not None:
-        with open(cfg.out, "w", encoding="ascii") as fh:
+def _emit(ns: argparse.Namespace, text: str) -> None:
+    if ns.out is not None:
+        with open(ns.out, "w", encoding="ascii") as fh:
             fh.write(text + "\n")
     else:
         sys.stdout.write(text + "\n")
@@ -96,9 +87,20 @@ def _params_block(p: OscillatorParams) -> dict:
     return {"omega0": p.omega0, "A": p.A, "b": p.b}
 
 
-def _spectrum(p: OscillatorParams) -> dict:
-    # a and the energies from one derivation; no level's wavefunction is resolved
-    a, pmap, rm, count = oscillator._derived(p)
+def _admit(p: OscillatorParams) -> tuple:
+    # one derivation; a model over the level limit is refused before any level is computed
+    derived = oscillator._derived(p)
+    if derived[3] > MAX_LEVELS:
+        raise ParameterError(
+            f"omega0={p.omega0!r}, A={p.A!r}, b={p.b!r} holds {derived[3]} levels, "
+            f"above the limit of {MAX_LEVELS}"
+        )
+    return derived
+
+
+def _spectrum(derived: tuple) -> dict:
+    # a and the energies of an admitted derivation; no level's wavefunction is resolved
+    a, pmap, rm, count = derived
     return {
         "a": a,
         "num_states": count,
@@ -120,12 +122,12 @@ def _spectrum_rows(params: list[float], spectra: list[dict]) -> list[list[object
     return rows
 
 
-def _sample_block(p: OscillatorParams, a: float, cfg: RunConfig) -> list[dict]:
-    xs = [-a + 2.0 * a * (j + 1) / (cfg.samples + 1) for j in range(cfg.samples)]
+def _sample_block(p: OscillatorParams, a: float, ns: argparse.Namespace) -> list[dict]:
+    xs = [-a + 2.0 * a * (j + 1) / (ns.samples + 1) for j in range(ns.samples)]
     points = np.array(xs)
     out = []
     for s in oscillator.bound_states(p):
-        norm = oracle.overlap(s.wavefunction, s.wavefunction, -a, a, cfg.quad)
+        norm = oracle.overlap(s.wavefunction, s.wavefunction, -a, a, ns.quad)
         psi = s.wavefunction(points).tolist()
         out.append(
             {
@@ -137,11 +139,15 @@ def _sample_block(p: OscillatorParams, a: float, cfg: RunConfig) -> list[dict]:
     return out
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    p = OscillatorParams(cfg.omega0, cfg.A, cfg.b)
-    spectrum = _spectrum(p)
-    samples = _sample_block(p, spectrum["a"], cfg) if cfg.samples > 0 else []
-    if cfg.format == "csv":
+def cmd_solve(ns: argparse.Namespace) -> int:
+    if ns.samples < 0:
+        raise ParameterError(f"--samples must be >= 0, got {ns.samples}")
+    if ns.quad < 1:
+        raise ParameterError(f"--quad must be >= 1, got {ns.quad}")
+    p = OscillatorParams(ns.omega0, ns.A, ns.b)
+    spectrum = _spectrum(_admit(p))
+    samples = _sample_block(p, spectrum["a"], ns) if ns.samples > 0 else []
+    if ns.format == "csv":
         rows = _spectrum_rows([p.A], [spectrum])
         if samples:
             rows.append([])
@@ -149,7 +155,7 @@ def cmd_solve(cfg: RunConfig) -> int:
             for entry in samples:
                 for pt in entry["samples"]:
                     rows.append([entry["n"], pt["x"], pt["psi"]])
-        _emit(cfg, _csv_text(rows))
+        _emit(ns, _csv_text(rows))
         return 0
     payload = {
         "command": "solve",
@@ -158,14 +164,20 @@ def cmd_solve(cfg: RunConfig) -> int:
     }
     if samples:
         payload["wavefunctions"] = samples
-    _emit(cfg, _json_payload(payload))
+    _emit(ns, _json_payload(payload))
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    p = OscillatorParams(cfg.omega0, cfg.A, cfg.b)
-    k = oscillator.num_bound_states(p)
-    report = oracle.solve_pdm_numeric(p, k, cfg.grid, estimate_order=True)
+def cmd_verify(ns: argparse.Namespace) -> int:
+    p = OscillatorParams(ns.omega0, ns.A, ns.b)
+    k = _admit(p)[3]
+    if ns.grid // 2 < k:
+        # the oracle estimates each level's order on a third grid of --grid // 2 points
+        raise ParameterError(
+            f"--grid {ns.grid} cannot hold the {k} levels: its order-estimate grid has "
+            f"--grid // 2 = {ns.grid // 2} points; use --grid {2 * k} or more"
+        )
+    report = oracle.solve_pdm_numeric(p, k, ns.grid, estimate_order=True)
     levels = []
     for i in range(k):
         levels.append(
@@ -182,7 +194,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     payload = {
         "command": "verify",
         "params": _params_block(p),
-        "grid": cfg.grid,
+        "grid": ns.grid,
         "report": {
             "grid_sizes": list(report.grid_sizes),
             "spacings": list(report.spacings),
@@ -192,13 +204,17 @@ def cmd_verify(cfg: RunConfig) -> int:
             "passed": passed,
         },
     }
-    _emit(cfg, _json_payload(payload))
+    _emit(ns, _json_payload(payload))
     return 0 if passed else 3
 
 
-def cmd_jafarov(cfg: RunConfig) -> int:
-    a_l, quant = oscillator._jafarov_levels(cfg.omega0, cfg.l)
-    spectrum = _spectrum(OscillatorParams(cfg.omega0, float(cfg.l), 0.0))
+def cmd_jafarov(ns: argparse.Namespace) -> int:
+    if ns.l - 1 > MAX_LEVELS:
+        raise ParameterError(
+            f"--l {ns.l} gives {ns.l - 1} levels, above the limit of {MAX_LEVELS}"
+        )
+    a_l, quant = oscillator._jafarov_levels(ns.omega0, ns.l)
+    spectrum = _spectrum(_admit(OscillatorParams(ns.omega0, float(ns.l), 0.0)))
     devs = [abs(a_l - spectrum["a"]) / abs(spectrum["a"])]
     for lv, (e, _) in zip(spectrum["levels"], quant):
         devs.append(abs(e - lv["energy"]) / max(abs(lv["energy"]), 1e-300))
@@ -206,7 +222,7 @@ def cmd_jafarov(cfg: RunConfig) -> int:
     matches = worst <= JAFAROV_TOL
     payload = {
         "command": "jafarov",
-        "params": {"omega0": cfg.omega0, "l": cfg.l},
+        "params": {"omega0": ns.omega0, "l": ns.l},
         "spectrum": spectrum,
         "quantized_route": {
             "a": a_l,
@@ -221,7 +237,7 @@ def cmd_jafarov(cfg: RunConfig) -> int:
             "matches": matches,
         },
     }
-    _emit(cfg, _json_payload(payload))
+    _emit(ns, _json_payload(payload))
     return 0 if matches else 3
 
 
@@ -231,83 +247,34 @@ def _range_values(rng: tuple[float, float, float]) -> list[float]:
         raise ParameterError(f"scan step must be positive, got {step!r}")
     if stop < start:
         raise ParameterError(f"empty scan range: stop {stop!r} < start {start!r}")
-    vals = []
-    i = 0
-    while True:
-        v = start + i * step
-        if v > stop + 1e-12 * step:
-            break
-        vals.append(v)
-        i += 1
-    return vals
+    if not all(math.isfinite(v) for v in rng):
+        raise ParameterError(f"scan range needs a finite start, stop and step, got {rng!r}")
+    last = stop + 1e-12 * step
+    # (last - start) / step is the row count less one, to within its rounding: a
+    # range clearly over the limit is refused before any row is made, and the
+    # loop's own test decides the rest
+    if (last - start) / step < MAX_SCAN_ROWS + 1:
+        vals: list[float] = []
+        while len(vals) <= MAX_SCAN_ROWS and start + len(vals) * step <= last:
+            vals.append(start + len(vals) * step)
+        if len(vals) <= MAX_SCAN_ROWS:
+            return vals
+    raise ParameterError(
+        f"scan from {start!r} to {stop!r} by {step!r} has more than {MAX_SCAN_ROWS} rows, the limit"
+    )
 
 
-def cmd_scan(cfg: RunConfig) -> int:
-    if cfg.a_range is not None:
-        params = [
-            OscillatorParams(cfg.omega0, v, cfg.b)
-            for v in _range_values(cfg.a_range)
-        ]
+def cmd_scan(ns: argparse.Namespace) -> int:
+    a_range, b_range = _scan_ranges(ns)
+    if a_range is not None:
+        params = [OscillatorParams(ns.omega0, v, ns.b) for v in _range_values(a_range)]
         col = [p.A for p in params]
     else:
-        params = [
-            OscillatorParams(cfg.omega0, cfg.A, v)
-            for v in _range_values(cfg.b_range)
-        ]
+        params = [OscillatorParams(ns.omega0, ns.A, v) for v in _range_values(b_range)]
         col = [p.b for p in params]
-    spectra = [_spectrum(p) for p in params]
-    _emit(cfg, _csv_text(_spectrum_rows(col, spectra)))
+    models = [_admit(p) for p in params]
+    _emit(ns, _csv_text(_spectrum_rows(col, [_spectrum(m) for m in models])))
     return 0
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pdmosc",
-        description="Bound states of the confined oscillator with a "
-        "position-dependent mass.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--omega0", type=float, required=True,
-                        help="oscillator frequency (> 0)")
-        sp.add_argument("--out", help="write the payload to this path")
-
-    sp = sub.add_parser("solve", help="closed-form spectrum and wavefunctions")
-    common(sp)
-    sp.add_argument("--A", type=float, required=True,
-                    help="potential depth parameter (> 1)")
-    sp.add_argument("--b", type=float, default=0.0, help="shift parameter")
-    sp.add_argument("--samples", type=int, default=0,
-                    help="interior sample count per wavefunction")
-    sp.add_argument("--quad", type=int, default=400,
-                    help="quadrature size for the norm column")
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
-
-    sp = sub.add_parser("verify", help="cross-check against the grid solver")
-    common(sp)
-    sp.add_argument("--A", type=float, required=True)
-    sp.add_argument("--b", type=float, default=0.0)
-    sp.add_argument("--grid", type=int, default=2000,
-                    help="base grid size (also solved at twice this)")
-
-    sp = sub.add_parser("jafarov", help="integer-l quantized-length case")
-    common(sp)
-    sp.add_argument("--l", type=int, required=True,
-                    help="integer depth parameter (>= 2)")
-
-    sp = sub.add_parser("scan", help="CSV table over an A or b range")
-    common(sp)
-    sp.add_argument("--A", type=float, help="fixed A for a b-range scan")
-    sp.add_argument("--b", type=float, default=0.0,
-                    help="fixed b for an A-range scan")
-    sp.add_argument("--A-start", type=float, dest="A_start")
-    sp.add_argument("--A-stop", type=float, dest="A_stop")
-    sp.add_argument("--A-step", type=float, dest="A_step")
-    sp.add_argument("--b-start", type=float, dest="b_start")
-    sp.add_argument("--b-stop", type=float, dest="b_stop")
-    sp.add_argument("--b-step", type=float, dest="b_step")
-    return parser
 
 
 def _scan_ranges(ns: argparse.Namespace) -> tuple[tuple | None, tuple | None]:
@@ -326,34 +293,61 @@ def _scan_ranges(ns: argparse.Namespace) -> tuple[tuple | None, tuple | None]:
     return (a_parts if a_given else None, b_parts if b_given else None)
 
 
-def _config(ns: argparse.Namespace) -> RunConfig:
-    fields = {"command": ns.command, "omega0": ns.omega0, "out": ns.out}
-    for name in ("A", "l", "b", "grid", "quad", "samples", "format"):
-        if hasattr(ns, name):
-            fields[name] = getattr(ns, name)
-    if ns.command == "scan":
-        fields["a_range"], fields["b_range"] = _scan_ranges(ns)
-        fields["format"] = "csv"
-    if ns.command == "solve" and fields["samples"] < 0:
-        raise ParameterError(f"--samples must be >= 0, got {fields['samples']}")
-    if ns.command == "solve" and fields["quad"] < 1:
-        raise ParameterError(f"--quad must be >= 1, got {fields['quad']}")
-    return RunConfig(**fields)
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="pdmosc",
+        description="Bound states of the confined oscillator with a "
+        "position-dependent mass.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name: str, handler, summary: str) -> argparse.ArgumentParser:
+        sp = sub.add_parser(name, help=summary)
+        sp.set_defaults(handler=handler)
+        sp.add_argument("--omega0", type=float, required=True,
+                        help="oscillator frequency (> 0)")
+        sp.add_argument("--out", help="write the payload to this path")
+        return sp
+
+    def well(sp: argparse.ArgumentParser, required: bool = True,
+             a_help: str = "potential depth parameter (> 1)",
+             b_help: str = "shift parameter") -> None:
+        sp.add_argument("--A", type=float, required=required, help=a_help)
+        sp.add_argument("--b", type=float, default=0.0, help=b_help)
+
+    sp = command("solve", cmd_solve, "closed-form spectrum and wavefunctions")
+    well(sp)
+    sp.add_argument("--samples", type=int, default=0,
+                    help="interior sample count per wavefunction")
+    sp.add_argument("--quad", type=int, default=400,
+                    help="quadrature size for the norm column")
+    sp.add_argument("--format", choices=("json", "csv"), default="json")
+
+    sp = command("verify", cmd_verify, "cross-check against the grid solver")
+    well(sp)
+    sp.add_argument("--grid", type=int, default=2000,
+                    help="base grid size (also solved at twice this)")
+
+    sp = command("jafarov", cmd_jafarov, "integer-l quantized-length case")
+    sp.add_argument("--l", type=int, required=True,
+                    help="integer depth parameter (>= 2)")
+
+    sp = command("scan", cmd_scan, "CSV table over an A or b range")
+    well(sp, False, "fixed A for a b-range scan", "fixed b for an A-range scan")
+    for name in ("A", "b"):
+        for part in ("start", "stop", "step"):
+            sp.add_argument(f"--{name}-{part}", type=float)
+    return parser
 
 
-_DISPATCH = {
-    "solve": cmd_solve,
-    "verify": cmd_verify,
-    "jafarov": cmd_jafarov,
-    "scan": cmd_scan,
-}
+# built once: parsing leaves the parser unchanged, and each call gets a new namespace
+_PARSER = build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
-    ns = build_parser().parse_args(argv)
+    ns = _PARSER.parse_args(argv)
     try:
-        cfg = _config(ns)
-        return _DISPATCH[cfg.command](cfg)
+        return ns.handler(ns)
     except ConvergenceError as exc:
         _error("numerical", str(exc))
         return 4

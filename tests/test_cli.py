@@ -4,14 +4,21 @@ Everything drives cli.main(argv) in-process and reads captured stdout or
 stderr; file output goes through tmp_path.
 """
 
+import argparse
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from pdmosc import cli, pct, rosen_morse
+from pdmosc import cli, oscillator, pct, rosen_morse
+from pdmosc.errors import ParameterError
 from pdmosc.oscillator import (
     OscillatorParams,
     confinement_length,
@@ -432,3 +439,142 @@ def test_error_is_single_json_line(capsys):
     assert err.count("\n") == 1 and err.endswith("\n")
     msg = json.loads(err)
     assert set(msg) == {"error", "message"}
+
+
+# --- one parser, and the real entry point ---
+
+
+def test_parser_state_does_not_leak_between_calls(capsys):
+    rc, out, _ = run_cli(capsys, "solve", "--omega0", "1", "--A", "3", "--b", "0.3")
+    assert rc == 0 and json.loads(out)["params"]["b"] == 0.3
+    rc, out, _ = run_cli(capsys, "solve", "--omega0", "1", "--A", "3")
+    assert rc == 0 and json.loads(out)["params"]["b"] == 0.0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["jafarov", "--omega0", "1", "--l", "2.5"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    rc, out, err = run_cli(
+        capsys, "scan", "--omega0", "1", "--A-start", "2", "--A-stop", "3", "--A-step", "0.5"
+    )
+    assert rc == 0 and err == ""
+    assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["2", "2.5", "3"]
+
+
+def test_main_builds_no_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for argv in (
+        ["solve", "--omega0", "1", "--A", "3"],
+        ["scan", "--omega0", "1", "--A-start", "2", "--A-stop", "3", "--A-step", "1"],
+        ["jafarov", "--omega0", "1", "--l", "3"],
+    ):
+        assert run_cli(capsys, *argv)[0] == 0
+    assert built == []
+
+
+def run_module(*argv):
+    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    return subprocess.run(
+        [sys.executable, "-m", "pdmosc.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def test_module_entry_point():
+    done = run_module("solve", "--omega0", "1", "--A", "2")
+    assert done.returncode == 0 and done.stderr == ""
+    assert json.loads(done.stdout)["spectrum"]["num_states"] == 1
+    done = run_module("solve", "--omega0", "-1", "--A", "2")
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.count("\n") == 1
+    assert json.loads(done.stderr)["error"] == "config"
+
+
+# --- work limits ---
+
+
+def test_scan_length_refused_before_any_row():
+    class Start(float):
+        # every scan row is start + i * step
+        def __add__(self, other):
+            raise AssertionError("a scan row was made")
+
+    with pytest.raises(ParameterError, match=f"more than {cli.MAX_SCAN_ROWS} rows"):
+        cli._range_values((Start(2.0), 3.0, 1e-300))
+
+
+def test_scan_length_limit_is_exact():
+    limit = cli.MAX_SCAN_ROWS
+    assert len(cli._range_values((0.0, limit - 1.0, 1.0))) == limit
+    with pytest.raises(ParameterError, match=str(limit)):
+        cli._range_values((0.0, float(limit), 1.0))
+
+
+@pytest.mark.parametrize(
+    "bound, value",
+    [("--A-start", "nan"), ("--A-start", "-inf"), ("--A-stop", "nan"), ("--A-stop", "inf"),
+     ("--A-step", "nan"), ("--A-step", "inf")],
+)
+def test_scan_rejects_nonfinite_range(capsys, bound, value):
+    argv = {"--A-start": "2", "--A-stop": "3", "--A-step": "0.5"}
+    argv[bound] = value
+    rc, out, err = run_cli(capsys, "scan", "--omega0", "1", *(f"{k}={v}" for k, v in argv.items()))
+    assert rc == 2 and out == ""
+    assert "finite" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize(
+    "limit, argv",
+    [
+        ("MAX_SCAN_ROWS",
+         ["scan", "--omega0", "1", "--A-start", "2", "--A-stop", "3", "--A-step", "1e-300"]),
+        ("MAX_LEVELS", ["solve", "--omega0", "1", "--A", "1e15"]),
+        # the first rows are admitted; the last holds 20 002 levels
+        ("MAX_LEVELS",
+         ["scan", "--omega0", "1", "--A-start", "3", "--A-stop", "20003", "--A-step", "10000"]),
+        ("MAX_LEVELS", ["verify", "--omega0", "1", "--A", "1e15", "--grid", "2000"]),
+        ("MAX_LEVELS", ["jafarov", "--omega0", "1", "--l", "1000000"]),
+    ],
+)
+def test_work_over_a_limit_is_refused_before_any_level(monkeypatch, capsys, limit, argv):
+    def no_level(*args):
+        raise AssertionError("a level was computed")
+
+    monkeypatch.setattr(oscillator, "_level_energy", no_level)
+    monkeypatch.setattr(oscillator, "_jafarov_levels", no_level)
+    t0 = time.perf_counter()
+    rc, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1
+    assert str(getattr(cli, limit)) in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("A, rc, count", [("1e4", 0, 9999), ("10001", 0, 10000), ("10002", 2, None)])
+def test_level_limit_boundary(capsys, A, rc, count):
+    got, out, err = run_cli(capsys, "solve", "--omega0", "1", "--A", A)
+    assert got == rc
+    if count is None:
+        assert str(cli.MAX_LEVELS) in json.loads(err)["message"]
+    else:
+        spectrum = json.loads(out)["spectrum"]
+        assert spectrum["num_states"] == len(spectrum["levels"]) == count
+
+
+def test_verify_refuses_a_grid_too_small_for_its_levels(capsys):
+    rc, out, err = run_cli(capsys, "verify", "--omega0", "1", "--A", "30.5", "--grid", "20")
+    assert rc == 2 and out == ""
+    msg = json.loads(err)["message"]
+    assert "--grid" in msg and "30 levels" in msg and "--grid 60" in msg
+    assert "k <=" not in msg
+    rc, _, _ = run_cli(capsys, "verify", "--omega0", "1", "--A", "30.5", "--grid", "59")
+    assert rc == 2
+    rc, out, _ = run_cli(capsys, "verify", "--omega0", "1", "--A", "30.5", "--grid", "60")
+    assert rc in (0, 3) and len(json.loads(out)["report"]["levels"]) == 30
