@@ -6,7 +6,7 @@ Subcommands: ``solve`` (closed-form spectrum, optional wavefunction table),
 general solver), ``scan`` (CSV spectrum table over an A or b range).
 
 Exit codes: 0 success, 2 invalid configuration, 3 verification mismatch,
-4 numerical non-convergence.  Every error the program finds goes to stderr
+4 numerical non-convergence or an arithmetic fault (overflow, zero division).  Every error the program finds goes to stderr
 as a one-line JSON object; argparse's own failures (a missing required
 option, a value that is not a number or not an integer, an unknown option)
 print usage and a message to stderr instead, and also exit 2.  Payloads go
@@ -122,18 +122,19 @@ def _spectrum_rows(params: list[float], spectra: list[dict]) -> list[list[object
     return rows
 
 
-def _sample_block(p: OscillatorParams, a: float, ns: argparse.Namespace) -> list[dict]:
+def _sample_block(derived: tuple, ns: argparse.Namespace) -> list[dict]:
+    # the states of an admitted derivation; their energies are the spectrum's, not recomputed
+    a, _, rm, count = derived
     xs = [-a + 2.0 * a * (j + 1) / (ns.samples + 1) for j in range(ns.samples)]
     points = np.array(xs)
     out = []
-    for s in oscillator.bound_states(p):
-        norm = oracle.overlap(s.wavefunction, s.wavefunction, -a, a, ns.quad)
-        psi = s.wavefunction(points).tolist()
+    for n in range(count):
+        psi = oscillator._level_psi(a, rm, n)
         out.append(
             {
-                "n": s.n,
-                "norm": norm,
-                "samples": [{"x": x, "psi": v} for x, v in zip(xs, psi)],
+                "n": n,
+                "norm": oracle.overlap(psi, psi, -a, a, ns.quad),
+                "samples": [{"x": x, "psi": v} for x, v in zip(xs, psi(points).tolist())],
             }
         )
     return out
@@ -145,8 +146,9 @@ def cmd_solve(ns: argparse.Namespace) -> int:
     if ns.quad < 1:
         raise ParameterError(f"--quad must be >= 1, got {ns.quad}")
     p = OscillatorParams(ns.omega0, ns.A, ns.b)
-    spectrum = _spectrum(_admit(p))
-    samples = _sample_block(p, spectrum["a"], ns) if ns.samples > 0 else []
+    derived = _admit(p)
+    spectrum = _spectrum(derived)
+    samples = _sample_block(derived, ns) if ns.samples > 0 else []
     if ns.format == "csv":
         rows = _spectrum_rows([p.A], [spectrum])
         if samples:
@@ -348,7 +350,8 @@ def main(argv: list[str] | None = None) -> int:
     ns = _PARSER.parse_args(argv)
     try:
         return ns.handler(ns)
-    except ConvergenceError as exc:
+    except (ConvergenceError, ArithmeticError) as exc:
+        # non-convergence, and overflow, zero division or a floating-point trap
         _error("numerical", str(exc))
         return 4
     except ValueError as exc:

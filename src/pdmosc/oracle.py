@@ -105,8 +105,8 @@ class TridiagonalOperator:
 
 
 def discretize_bdd(
-    mass_fn: Callable[[float], float],
-    potential_fn: Callable[[float], float],
+    mass_fn: Callable[[np.ndarray], np.ndarray],
+    potential_fn: Callable[[np.ndarray], np.ndarray],
     grid: Grid1D,
 ) -> TridiagonalOperator:
     """Assemble -d/dx (1/M) d/dx + V on the grid.
@@ -115,11 +115,15 @@ def discretize_bdd(
     and second-order consistent:
         diag_i = [(1/M)_{i-1/2} + (1/M)_{i+1/2}]/h^2 + V(x_i)
         off_i  = -(1/M)_{i+1/2}/h^2
+    mass_fn is called once, on the array of half-grid points, and
+    potential_fn once, on the array of nodes.  Each returns the array of
+    its values there, as pct.mass and rosen_morse.rm_potential do, or one
+    value for every point.
     """
     xs = grid.nodes()
     xh = grid.half_nodes()
-    w = np.array([1.0 / mass_fn(float(x)) for x in xh])
-    v = np.array([potential_fn(float(x)) for x in xs])
+    w = np.broadcast_to(1.0 / np.asarray(mass_fn(xh), dtype=float), xh.shape)
+    v = np.broadcast_to(np.asarray(potential_fn(xs), dtype=float), xs.shape)
     if not (np.all(np.isfinite(w)) and np.all(np.isfinite(v))):
         raise DomainError("mass or potential sampled to a non-finite value")
     h2 = grid.h * grid.h
@@ -435,8 +439,8 @@ def _order_estimates(
 
 
 def _two_grid_report(
-    mass_fn: Callable[[float], float],
-    potential_fn: Callable[[float], float],
+    mass_fn: Callable[[np.ndarray], np.ndarray],
+    potential_fn: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
     analytic: list[float],
@@ -446,12 +450,23 @@ def _two_grid_report(
     k = len(analytic)
     sizes = ([n_grid // 2] if estimate_order else []) + [n_grid, 2 * n_grid]
     grids = [Grid1D(lo, hi, n) for n in sizes]
-    # each grid starts from the eigenvalues of the coarser one before it,
-    # never from the analytic values, which would break the independence
+    # an unreported pre-grid of sizes[0] // 8 points, when it holds the k
+    # levels, gives the first grid its starts; every later grid starts on
+    # the h^2 line, at the exact spacings, through the two grids before it.
+    # The starts come only from these grids, never from the analytic
+    # values, which would break the independence
+    pre = sizes[0] // 8
+    solved = ([Grid1D(lo, hi, pre)] if pre >= max(k, 3) else []) + grids
     eigs: list[list[float]] = []
-    for g in grids:
+    for i, g in enumerate(solved):
+        starts = eigs[-1] if len(eigs) == 1 else None
+        if len(eigs) >= 2:
+            ha2, hb2 = solved[i - 2].h ** 2, solved[i - 1].h ** 2
+            t = (g.h * g.h - hb2) / (hb2 - ha2)
+            starts = [eb + (eb - ea) * t for ea, eb in zip(eigs[-2], eigs[-1])]
         op = discretize_bdd(mass_fn, potential_fn, g)
-        eigs.append(eigenvalues_sturm(op, k, starts=eigs[-1] if eigs else None))
+        eigs.append(eigenvalues_sturm(op, k, starts=starts))
+    eigs = eigs[len(eigs) - len(grids):]
     h_pair = (grids[-2].h, grids[-1].h)
     numeric = _richardson(eigs[-2], eigs[-1], h_pair[0] / h_pair[1])
     order = None

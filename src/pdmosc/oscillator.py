@@ -182,6 +182,13 @@ def wavefunction(
     return _psi(_x_level(rm, n, form, a), a, x)
 
 
+def _level_psi(
+    a: float, rm: RosenMorseParams, n: int
+) -> Callable[[float | np.ndarray], float | np.ndarray]:
+    # level n's wavefunction of x with its constants resolved; only the per-point work is left
+    return partial(_psi, _x_level(rm, n, "auto", a), a)
+
+
 def bound_states(p: OscillatorParams) -> list[BoundState]:
     """All admitted levels, ordered by n, from one derivation of the model.
 
@@ -190,21 +197,26 @@ def bound_states(p: OscillatorParams) -> list[BoundState]:
     or on an ndarray of x; it gives the same values as wavefunction(p, n, x).
     """
     a, pmap, rm, count = _derived(p)
-    return [
-        BoundState(n, _level_energy(pmap, rm, n), partial(_psi, _x_level(rm, n, "auto", a), a))
-        for n in range(count)
-    ]
+    return [BoundState(n, _level_energy(pmap, rm, n), _level_psi(a, rm, n)) for n in range(count)]
 
 
-def _jafarov_coeff(l: int, a: float, n: int) -> float:
-    # integer-arithmetic normalization (2l-2n)!/(2^(l-n) (l-n)!) * sqrt((l-n) n!/(a (2l-n)!)).
-    # As floats the first factor overflows past l = 150 and the ratio under the
-    # root underflows from l ~ 86, so the square is divided out in integers:
+def _jafarov_coeffs(l: int, a: float) -> list[float]:
+    # integer-arithmetic normalizations (2l-2n)!/(2^(l-n) (l-n)!) * sqrt((l-n) n!/(a (2l-n)!))
+    # for n = 0..l-2.  As floats the first factor overflows past l = 150 and the ratio
+    # under the root underflows from l ~ 86, so the square is divided out in integers:
     # int / int rounds once, and the quotient stays between ~l^-4 and ~l^(1/2).
-    # The first factor is the integer (2l-2n-1)!!.
-    lead = math.factorial(2 * l - 2 * n) // (2 ** (l - n) * math.factorial(l - n))
-    sq = lead * lead * (l - n) * math.factorial(n) / math.factorial(2 * l - n)
-    return math.sqrt(sq / a)
+    # The first factor is lead_n = (2l-2n-1)!!, so lead_(n+1) = lead_n / (2l-2n-1):
+    # num = lead_n^2 n! and den = (2l-n)! pass from level to level by exact small-integer
+    # products and quotients, and each level divides the same integers as the factorials.
+    den = math.factorial(2 * l)
+    num = (den // (2**l * math.factorial(l))) ** 2
+    out = []
+    for n in range(l - 1):
+        sq = num * (l - n) / den
+        out.append(math.sqrt(sq / a))
+        num = num // (2 * (l - n) - 1) ** 2 * (n + 1)
+        den //= 2 * l - n
+    return out
 
 
 @np.errstate(all="ignore")
@@ -224,7 +236,7 @@ def _jafarov_levels(omega0: float, l: int) -> tuple[float, list[tuple[float, flo
     if not math.isfinite(omega0) or omega0 <= 0.0:
         raise ParameterError(f"need omega0 > 0, got {omega0!r}")
     a = math.sqrt(2.0 / omega0) * (l * (l + 1) - 2) ** 0.25
-    return a, [(_half_integer_form(omega0, a, n), _jafarov_coeff(l, a, n)) for n in range(l - 1)]
+    return a, [(_half_integer_form(omega0, a, n), c) for n, c in enumerate(_jafarov_coeffs(l, a))]
 
 
 def jafarov_case(omega0: float, l: int) -> list[BoundState]:

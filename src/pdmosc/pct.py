@@ -15,8 +15,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .errors import DomainError, ParameterError
 from .rosen_morse import WINDOW_MARGIN, RosenMorseParams, admitted_nmax
+from .special_fn import _check_finite, _largest_abs
 
 __all__ = [
     "BOUNDARY_MARGIN",
@@ -65,19 +68,27 @@ class PctMap:
             raise ParameterError(f"need a_bar > 0, got {self.a_bar}")
 
 
-def _check_x(profile: MassProfile, x: float) -> None:
-    if not math.isfinite(x):
-        raise DomainError(f"x must be finite, got {x!r}")
-    if abs(x) > (1.0 - BOUNDARY_MARGIN) * profile.a:
+def _check_x(profile: MassProfile, x: float | np.ndarray) -> None:
+    """DomainError unless every entry of x is finite and inside the open interval."""
+    top = _largest_abs(x)
+    if not top <= (1.0 - BOUNDARY_MARGIN) * profile.a:
+        _check_finite(x, "x")
         raise DomainError(
-            f"|x|={abs(x)} is outside the open confinement interval of half-width {profile.a}"
+            f"|x|={top} is outside the open confinement interval of half-width {profile.a}"
         )
 
 
-def mass(profile: MassProfile, x: float) -> float:
-    """Mass value (1 - x^2/a^2)^-2; diverges toward the interval ends."""
+def mass(profile: MassProfile, x: float | np.ndarray) -> float | np.ndarray:
+    """Mass value (1 - x^2/a^2)^-2 at a point or on an array; diverges toward the interval ends.
+
+    A float gives a float; an ndarray gives an array of its shape, each
+    entry bit for bit the value at that point alone (the body uses only
+    arithmetic operators).  One entry that is not finite or lies within
+    BOUNDARY_MARGIN a of a wall or beyond raises DomainError.
+    """
     _check_x(profile, x)
-    s = 1.0 - (x / profile.a) ** 2
+    t = x / profile.a
+    s = 1.0 - t * t
     return 1.0 / (s * s)
 
 

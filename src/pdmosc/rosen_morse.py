@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NoSuchStateError, ParameterError
+from .errors import NoSuchStateError, ParameterError
 from .special_fn import _check_finite, gegenbauer_poly, is_int, jacobi_poly, ln_gamma
 
 __all__ = [
@@ -78,23 +78,24 @@ def admitted_nmax(threshold: float) -> int:
     return math.ceil(threshold - WINDOW_MARGIN) - 1
 
 
-def _sech(u: float) -> float:
-    # exp(-|u|) form never overflows; underflows cleanly to 0 for huge |u|
-    e = math.exp(-abs(u))
-    return 2.0 * e / (1.0 + e * e)
-
-
 def _ln1p_exp(y: float | np.ndarray) -> float | np.ndarray:
     """log(1 + e^y) without overflow."""
     return np.maximum(y, 0.0) + np.log1p(np.exp(-abs(y)))
 
 
-def rm_potential(p: RosenMorseParams, u: float) -> float:
-    """Potential value -A(A+1)sech^2(u) + 2B tanh(u)."""
-    if not math.isfinite(u):
-        raise DomainError(f"u must be finite, got {u!r}")
-    s = _sech(u)
-    return -p.A * (p.A + 1.0) * s * s + 2.0 * p.B * math.tanh(u)
+def rm_potential(p: RosenMorseParams, u: float | np.ndarray) -> float | np.ndarray:
+    """Potential value -A(A+1)sech^2(u) + 2B tanh(u) at a point or on an array.
+
+    A float gives a float; an ndarray gives an array of its shape, each
+    entry bit for bit the value at that point alone.  One non-finite entry
+    raises DomainError.
+    """
+    _check_finite(u, "u")
+    # sech in its exp(-|u|) form never overflows and underflows cleanly to 0
+    e = np.exp(-abs(u))
+    s = 2.0 * e / (1.0 + e * e)
+    v = -p.A * (p.A + 1.0) * s * s + 2.0 * p.B * np.tanh(u)
+    return v if isinstance(u, np.ndarray) else float(v)
 
 
 def rm_nmax(p: RosenMorseParams) -> int:

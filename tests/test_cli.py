@@ -273,6 +273,16 @@ def test_quantized_case_deep_well(capsys):
     assert len(d["quantized_route"]["levels"]) == 150
 
 
+def test_quantized_case_at_a_large_depth_is_quick(capsys):
+    # the normalizations pass exact integers from level to level instead of
+    # building four factorials of up to 2l per level (9 s here before)
+    t0 = time.perf_counter()
+    rc, out, _ = run_cli(capsys, "jafarov", "--omega0", "1", "--l", "3000")
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 0
+    assert len(json.loads(out)["quantized_route"]["levels"]) == 2999
+
+
 @pytest.mark.parametrize("l", [2, 148, 151])
 def test_quantized_route_exact_norms(capsys, l):
     rc, out, _ = run_cli(capsys, "jafarov", "--omega0", "1", "--l", str(l))
@@ -430,7 +440,44 @@ def test_spectrum_rows_derive_once_and_resolve_no_state(monkeypatch, capsys, arg
     assert calls == {"map_parameters": 2 * models, "ln_gamma": 0}
 
 
+def test_samples_reuse_the_spectrum_derivation(monkeypatch, capsys):
+    # the states come from the derivation that admitted the model, and each
+    # level's energy is computed once, for the spectrum
+    calls = {"map_parameters": 0, "rm_energy": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(pct, "map_parameters", counted("map_parameters", pct.map_parameters))
+    monkeypatch.setattr(oscillator, "rm_energy", counted("rm_energy", oscillator.rm_energy))
+    rc, out, _ = run_cli(capsys, "solve", "--omega0", "1", "--A", "6.5", "--b", "0.1",
+                         "--samples", "4")
+    assert rc == 0
+    waves = json.loads(out)["wavefunctions"]
+    assert calls == {"map_parameters": 2, "rm_energy": len(waves)}
+    states = oscillator.bound_states(OscillatorParams(1.0, 6.5, 0.1))
+    assert [w["n"] for w in waves] == [s.n for s in states]
+    for w, s in zip(waves, states):
+        assert [pt["psi"] for pt in w["samples"]] == [s.wavefunction(pt["x"]) for pt in w["samples"]]
+
+
 # --- error channel ---
+
+
+@pytest.mark.parametrize("fault", [OverflowError, ZeroDivisionError, FloatingPointError])
+def test_arithmetic_fault_is_a_numerical_error(monkeypatch, capsys, fault):
+    def faulty(*args):
+        raise fault("the fault's message")
+
+    monkeypatch.setattr(oscillator, "_jafarov_levels", faulty)
+    rc, out, err = run_cli(capsys, "jafarov", "--omega0", "1", "--l", "5")
+    assert rc == 4 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "numerical", "message": "the fault's message"}
 
 
 def test_error_is_single_json_line(capsys):

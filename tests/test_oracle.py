@@ -71,6 +71,28 @@ def test_unit_laplacian_stencil():
     assert list(op.off) == [-1.0, -1.0]
 
 
+def test_each_callable_is_called_once_on_the_node_arrays():
+    g = Grid1D(-1.0, 2.0, 40)
+    seen = {"mass": [], "potential": []}
+
+    def mass_fn(x):
+        seen["mass"].append(x.copy())
+        return 1.0 + x * x
+
+    def potential_fn(x):
+        seen["potential"].append(x.copy())
+        return 3.0 * x
+
+    op = discretize_bdd(mass_fn, potential_fn, g)
+    assert [len(v) for v in seen.values()] == [1, 1]
+    assert seen["mass"][0].tolist() == g.half_nodes().tolist()
+    assert seen["potential"][0].tolist() == g.nodes().tolist()
+    w = 1.0 / (1.0 + g.half_nodes() ** 2)
+    h2 = g.h * g.h
+    assert op.diag.tolist() == ((w[:-1] + w[1:]) / h2 + 3.0 * g.nodes()).tolist()
+    assert op.off.tolist() == (-w[1:-1] / h2).tolist()
+
+
 def test_box_ground_energy():
     g = Grid1D(0.0, math.pi, 999)
     op = discretize_bdd(ONE, ZERO, g)
@@ -80,10 +102,10 @@ def test_box_ground_energy():
 
 def test_rejects_nonfinite_samples():
     g = Grid1D(-1.0, 1.0, 50)
-    bad_pot = lambda x: float("nan") if abs(x) < 0.1 else 0.0
+    bad_pot = lambda x: np.where(abs(x) < 0.1, np.nan, 0.0)
     with pytest.raises(DomainError):
         discretize_bdd(ONE, bad_pot, g)
-    bad_mass = lambda x: float("nan") if x > 0.9 else 1.0
+    bad_mass = lambda x: np.where(x > 0.9, np.nan, 1.0)
     with pytest.raises(DomainError):
         discretize_bdd(bad_mass, ZERO, g)
 
@@ -240,6 +262,51 @@ def test_newton_and_starts_cut_the_passes(monkeypatch):
     assert len(passes) <= 10 * k
 
 
+def count_sturm_rows(monkeypatch):
+    # every Sturm pass walks all rows of the matrix once
+    rows = [0]
+    for name in ("_sturm_count", "_sturm_newton"):
+        fn = getattr(oracle, name)
+
+        def counted(d, *args, fn=fn):
+            rows[0] += len(d)
+            return fn(d, *args)
+
+        monkeypatch.setattr(oracle, name, counted)
+    return rows
+
+
+def test_start_chain_cuts_the_sturm_rows(monkeypatch):
+    # a pre-grid and starts on the h^2 line through the two grids before:
+    # 534 000 rows when each grid started from the previous one alone
+    rows = count_sturm_rows(monkeypatch)
+    solve_pdm_numeric(OscillatorParams(1.0, 12.25), 12, 2000, estimate_order=True)
+    assert rows[0] <= 450_000
+
+
+@pytest.mark.parametrize("p", [OscillatorParams(1.0, 6.5, 0.2), OscillatorParams(1.0, 6.25)])
+def test_every_solve_in_a_report_is_certified(monkeypatch, p):
+    solves = []
+
+    def recorded(op, k, starts=None):
+        out = eigenvalues_sturm(op, k, starts=starts)
+        solves.append((op, out))
+        return out
+
+    monkeypatch.setattr(oracle, "eigenvalues_sturm", recorded)
+    k = num_bound_states(p)
+    rep = solve_pdm_numeric(p, k, 2000, estimate_order=True)
+    # the unreported pre-grid of 1000 // 8 points comes first
+    assert [op.size for op, _ in solves] == [125, *rep.grid_sizes]
+    for op, lams in solves:
+        d = op.diag.tolist()
+        e2 = (op.off * op.off).tolist()
+        pivmin = 2.3e-308 * max(1.0, max(e2))
+        for j, lam in enumerate(lams, start=1):
+            t = 1e-12 * max(1.0, abs(lam))
+            assert _sturm_count(d, e2, lam - t, pivmin) < j <= _sturm_count(d, e2, lam + t, pivmin)
+
+
 def test_starts_need_one_per_level():
     op = TridiagonalOperator((2.0, 2.0, 2.0), (-1.0, -1.0))
     with pytest.raises(ParameterError):
@@ -288,7 +355,7 @@ def test_pdm_ground_vector_matches_analytic():
 def test_constant_mass_ground_vector_is_sech_squared():
     rm = RosenMorseParams(2.0, 0.0)
     g = Grid1D(-25.0, 25.0, 2600)
-    pot = lambda u: -6.0 / math.cosh(u) ** 2
+    pot = lambda u: -6.0 / np.cosh(u) ** 2
     op = discretize_bdd(ONE, pot, g)
     (lam,) = eigenvalues_sturm(op, 1)
     v = eigenvector(op, lam, h=g.h)

@@ -14,7 +14,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from pdmosc import pct, rosen_morse
+from pdmosc import oscillator, pct, rosen_morse
 from pdmosc.errors import DomainError, NoSuchStateError, ParameterError
 from pdmosc.oscillator import (
     BoundState,
@@ -488,6 +488,21 @@ def test_quantized_case_deep_well_normalization():
     want = wavefunction(OscillatorParams(1.0, float(l)), 0, 0.0)
     assert want > 0.5
     assert math.isclose(got, want, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("l", [2, 3, 10, 150, 151, 400, 1000])
+def test_quantized_norms_equal_the_factorial_formula_bit_for_bit(l):
+    # the running integers divide the same numerator and denominator as the
+    # four factorials, so the one rounding of int / int gives the same floats
+    a = confinement_length(1.0, float(l))
+    want = []
+    for n in range(l - 1):
+        lead = math.factorial(2 * l - 2 * n) // (2 ** (l - n) * math.factorial(l - n))
+        sq = lead * lead * (l - n) * math.factorial(n) / math.factorial(2 * l - n)
+        want.append(math.sqrt(sq / a))
+    got = oscillator._jafarov_levels(1.0, l)
+    assert got[0] == a
+    assert [norm for _, norm in got[1]] == want
 
 
 def test_quantized_case_rejections():

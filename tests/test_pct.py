@@ -8,6 +8,7 @@ potential transform is pinned to the target parabola pointwise.
 import math
 import random
 
+import numpy as np
 import pytest
 import sympy
 
@@ -58,6 +59,24 @@ def test_mass_domain_guard():
         mass(prof, 2.0)
     with pytest.raises(DomainError):
         mass(prof, -2.3)
+
+
+def test_mass_on_arrays_equals_point_calls_bit_for_bit():
+    # a float gives a float; an array gives its shape, each entry bit for bit the point value
+    prof = MassProfile(1.7)
+    assert type(mass(prof, 0.3)) is float
+    xs = np.array([-1.69, -0.9, -1e-3, 0.0, 0.3, 1.2, 1.5, 1.7 * (1.0 - 2e-12)]).reshape(2, 4)
+    got = mass(prof, xs)
+    assert isinstance(got, np.ndarray) and got.shape == xs.shape
+    assert got.tolist() == [[mass(prof, x) for x in row] for row in xs.tolist()]
+    assert mass(prof, np.array([])).shape == (0,)
+
+
+def test_mass_on_arrays_checks_every_entry():
+    prof = MassProfile(2.0)
+    for bad in (math.nan, math.inf, -math.inf, 2.0, -2.3, 2.0 * (1.0 - 1e-13)):
+        with pytest.raises(DomainError):
+            mass(prof, np.array([0.1, bad, -0.3]))
 
 
 def test_profile_rejects_nonpositive_width():

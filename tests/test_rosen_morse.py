@@ -8,9 +8,10 @@ closed forms and quadrature.
 import math
 import random
 
+import numpy as np
 import pytest
 
-from pdmosc.errors import NoSuchStateError, ParameterError
+from pdmosc.errors import DomainError, NoSuchStateError, ParameterError
 from pdmosc.rosen_morse import (
     RosenMorseParams,
     rm_bound_states,
@@ -80,6 +81,25 @@ def test_potential_tilts_with_asymmetry():
     # negative B makes u -> +inf the low side (limit 2B) and u -> -inf the high side
     assert rm_potential(p, -10.0) > 0.0 > rm_potential(p, 10.0)
     assert math.isclose(rm_potential(p, 30.0), -4.0, rel_tol=1e-8)
+
+
+def test_potential_on_arrays_equals_point_calls_bit_for_bit():
+    # a float gives a float; an array gives its shape, each entry bit for bit the point value
+    us = np.array([-800.0, -12.0, -0.8, 0.0, 1e-9, 0.7, 3.3, 800.0]).reshape(4, 2)
+    for p in (RosenMorseParams(2.5, 1.5), RosenMorseParams(6.3), RosenMorseParams(3.0, -2.0)):
+        assert type(rm_potential(p, 0.7)) is float
+        got = rm_potential(p, us)
+        assert isinstance(got, np.ndarray) and got.shape == us.shape
+        assert got.tolist() == [[rm_potential(p, u) for u in row] for row in us.tolist()]
+
+
+def test_potential_rejects_any_nonfinite_entry():
+    p = RosenMorseParams(2.5, 1.5)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            rm_potential(p, bad)
+        with pytest.raises(DomainError):
+            rm_potential(p, np.array([0.1, bad, -0.3]))
 
 
 # --- rm_nmax window ---
