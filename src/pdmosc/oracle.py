@@ -6,9 +6,11 @@ inverse iteration, and Gauss-Legendre overlaps.  The eigenvalue solver
 shares one set of brackets among all levels (each count narrows every
 level's bracket, as LAPACK dstebz does), finishes each isolated level with
 Newton steps on the characteristic polynomial, and returns the midpoint of
-a bracket that Sturm counts certify to 1e-12 relative width.  A finer grid
-starts from the coarser grid's eigenvalues.  Nothing in here knows about
-the analytic solution route; that independence is the point.
+a bracket that Sturm counts certify to 1e-12 relative width.  A report
+first solves an unreported pre-grid an eighth the size of its coarsest
+grid, whose eigenvalues start that grid; every later grid starts from the
+h^2 line through the two grids solved before it.  Nothing in here knows
+about the analytic solution route; that independence is the point.
 """
 
 from __future__ import annotations
@@ -459,14 +461,14 @@ def _two_grid_report(
     solved = ([Grid1D(lo, hi, pre)] if pre >= max(k, 3) else []) + grids
     eigs: list[list[float]] = []
     for i, g in enumerate(solved):
-        starts = eigs[-1] if len(eigs) == 1 else None
-        if len(eigs) >= 2:
-            ha2, hb2 = solved[i - 2].h ** 2, solved[i - 1].h ** 2
-            t = (g.h * g.h - hb2) / (hb2 - ha2)
-            starts = [eb + (eb - ea) * t for ea, eb in zip(eigs[-2], eigs[-1])]
-        op = discretize_bdd(mass_fn, potential_fn, g)
-        eigs.append(eigenvalues_sturm(op, k, starts=starts))
-    eigs = eigs[len(eigs) - len(grids):]
+        if i < 2:
+            starts = eigs[-1] if eigs else None
+        else:
+            h0, h1 = solved[i - 2].h, solved[i - 1].h
+            t = (g.h * g.h - h1 * h1) / (h1 * h1 - h0 * h0)
+            starts = [e1 + (e1 - e0) * t for e0, e1 in zip(eigs[-2], eigs[-1])]
+        eigs.append(eigenvalues_sturm(discretize_bdd(mass_fn, potential_fn, g), k, starts=starts))
+    eigs = eigs[-len(grids):]
     h_pair = (grids[-2].h, grids[-1].h)
     numeric = _richardson(eigs[-2], eigs[-1], h_pair[0] / h_pair[1])
     order = None
@@ -493,7 +495,9 @@ def solve_pdm_numeric(
     """Numeric spectrum of the confined model on (-a, a), paired with closed forms.
 
     Solves on grids (n_grid, 2 n_grid) and Richardson-extrapolates; a third
-    grid of n_grid // 2 points feeds the order estimate when requested.
+    grid of n_grid // 2 points feeds the order estimate when requested.  A
+    pre-grid of an eighth of the coarsest grid's points, when it holds the
+    k levels, only gives that grid its first iterates and is not reported.
     Grids of 500+ points are where the 1e-6 comparison contract holds;
     smaller grids are accepted for quick looks.
     """
