@@ -6,10 +6,11 @@ Subcommands: ``solve`` (closed-form spectrum, optional wavefunction table),
 general solver), ``scan`` (CSV spectrum table over an A or b range).
 
 Exit codes: 0 success, 2 invalid configuration, 3 verification mismatch,
-4 numerical non-convergence or an arithmetic fault (overflow, zero division).  Every error the program finds goes to stderr
-as a one-line JSON object; argparse's own failures (a missing required
-option, a value that is not a number or not an integer, an unknown option)
-print usage and a message to stderr instead, and also exit 2.  Payloads go
+4 numerical non-convergence or an arithmetic fault (overflow, zero
+division).  Every error the program finds goes to stderr as a one-line
+JSON object; argparse's own failures (a missing required option, a value
+that is not a number or not an integer, an unknown option) print usage and
+a message to stderr instead, and also exit 2.  Payloads go
 to stdout or the ``--out`` path.  JSON payloads come from ``json.dumps``: a
 float prints as its shortest round-trip repr, and NaN and +-inf print as
 null.  CSV cells carry 17 significant digits.

@@ -462,7 +462,8 @@ def test_samples_reuse_the_spectrum_derivation(monkeypatch, capsys):
     states = oscillator.bound_states(OscillatorParams(1.0, 6.5, 0.1))
     assert [w["n"] for w in waves] == [s.n for s in states]
     for w, s in zip(waves, states):
-        assert [pt["psi"] for pt in w["samples"]] == [s.wavefunction(pt["x"]) for pt in w["samples"]]
+        points = w["samples"]
+        assert [pt["psi"] for pt in points] == [s.wavefunction(pt["x"]) for pt in points]
 
 
 # --- error channel ---
