@@ -57,8 +57,6 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--side", type=_side, action="append",
                     help="LABEL=DIR of a checkout to run (repeatable)")
-    ap.add_argument("--workload", choices=WORKLOADS, action="append",
-                    help="workload to run (repeatable; default all)")
     ap.add_argument("--runs", type=int, default=10, help="timed runs per side and workload")
     ap.add_argument("--seconds", type=float, default=30.0, help="--seconds of each run")
     ap.add_argument("--seed", type=int, default=1, help="seed of the first run")
@@ -71,7 +69,7 @@ def main(argv: list[str] | None = None) -> int:
 
     rows = []
     correct = True
-    for workload in args.workload or WORKLOADS:
+    for workload in WORKLOADS:
         timed: dict[str, list[dict]] = {label: [] for label, _ in sides}
         for i in range(args.runs):
             for label, root in sides if i % 2 == 0 else sides[::-1]:

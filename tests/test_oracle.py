@@ -262,8 +262,10 @@ def test_newton_and_starts_cut_the_passes(monkeypatch):
     assert len(passes) <= 10 * k
 
 
-def count_sturm_rows(monkeypatch):
-    # every Sturm pass walks all rows of the matrix once
+def test_start_chain_cuts_the_sturm_rows(monkeypatch):
+    # a pre-grid and starts on the h^2 line through the two grids before:
+    # 534 000 rows when each grid started from the previous one alone.
+    # Every Sturm pass walks all rows of the matrix once
     rows = [0]
     for name in ("_sturm_count", "_sturm_newton"):
         fn = getattr(oracle, name)
@@ -273,13 +275,6 @@ def count_sturm_rows(monkeypatch):
             return fn(d, *args)
 
         monkeypatch.setattr(oracle, name, counted)
-    return rows
-
-
-def test_start_chain_cuts_the_sturm_rows(monkeypatch):
-    # a pre-grid and starts on the h^2 line through the two grids before:
-    # 534 000 rows when each grid started from the previous one alone
-    rows = count_sturm_rows(monkeypatch)
     solve_pdm_numeric(OscillatorParams(1.0, 12.25), 12, 2000, estimate_order=True)
     assert rows[0] <= 450_000
 
