@@ -5,14 +5,16 @@
 
 Each ``--side LABEL=DIR`` names a checkout whose ``bench/run.py`` is run
 from its own root, so each side times its own sources with its own
-benchmark code (default: this checkout, labelled ``checkout``).  Run i uses
-seed ``--seed + i`` on every side, and the sides alternate which goes
+benchmark code (default: this checkout, labelled ``checkout``).  Run i
+(1..N) uses seed i on every side, and the sides alternate which goes
 first.  After the timed runs, each side makes one ``--trace 1`` run per
-workload at the first seed.
+workload at seed 1.
 
 The output holds one row per (side, workload, metric).  An end-to-end row
 gives the median, the quartiles and their distance (IQR) over the N runs,
-with n, the Python version and the core count; a per-layer row gives the
+with n, the Python version and the core count, and lists every run's value
+with its seed and its place in the run order (0 = first of the pair), so
+pairs of runs can be compared from the record; a per-layer row gives the
 traced run's value with n = 1.  Each (side, workload) also gets an
 ``outcome`` row: failed and attempted operations summed over the timed
 runs.  The command exits 1 if any run's outputs failed their checks.
@@ -59,7 +61,6 @@ def main(argv: list[str] | None = None) -> int:
                     help="LABEL=DIR of a checkout to run (repeatable)")
     ap.add_argument("--runs", type=int, default=10, help="timed runs per side and workload")
     ap.add_argument("--seconds", type=float, default=30.0, help="--seconds of each run")
-    ap.add_argument("--seed", type=int, default=1, help="seed of the first run")
     ap.add_argument("--out", type=Path, required=True, help="JSON file to write")
     args = ap.parse_args(argv)
     if args.runs < 2:
@@ -71,32 +72,34 @@ def main(argv: list[str] | None = None) -> int:
     correct = True
     for workload in WORKLOADS:
         timed: dict[str, list[dict]] = {label: [] for label, _ in sides}
-        for i in range(args.runs):
-            for label, root in sides if i % 2 == 0 else sides[::-1]:
-                res = _bench(root, workload, args.seed + i, args.seconds, 0)
-                timed[label].append(res)
+        for seed in range(1, args.runs + 1):
+            for place, (label, root) in enumerate(sides if seed % 2 else sides[::-1]):
+                res = _bench(root, workload, seed, args.seconds, 0)
+                timed[label].append({**res, "seed": seed, "place": place})
                 correct &= res["correct"]
-                print(f"{workload} {label} seed {args.seed + i}: "
+                print(f"{workload} {label} seed {seed}: "
                       + "  ".join(f"{k}={m['value']:.6g}" for k, m in res["metrics"].items()),
                       flush=True)
         for label, root in sides:
             base = {"side": label, "commit": _commit(root), "workload": workload, **host}
             runs = timed[label]
             for name, m in runs[0]["metrics"].items():
-                q1, med, q3 = statistics.quantiles(
-                    [r["metrics"][name]["value"] for r in runs], n=4)
+                values = [r["metrics"][name]["value"] for r in runs]
+                q1, med, q3 = statistics.quantiles(values, n=4)
                 rows.append({**base, "kind": "end_to_end", "metric": name, "unit": m["unit"],
-                             "median": med, "q1": q1, "q3": q3, "iqr": q3 - q1, "n": len(runs)})
+                             "median": med, "q1": q1, "q3": q3, "iqr": q3 - q1, "n": len(runs),
+                             "runs": [{"seed": r["seed"], "place": r["place"], "value": v}
+                                      for r, v in zip(runs, values)]})
             rows.append({**base, "kind": "outcome", "failed": sum(r["failed"] for r in runs),
                          "attempted": sum(r["attempted"] for r in runs), "n": len(runs)})
-            traced = _bench(root, workload, args.seed, args.seconds, 1)
+            traced = _bench(root, workload, 1, args.seconds, 1)
             correct &= traced["correct"]
             for name, m in traced["metrics"].items():
                 rows.append({**base, "kind": "per_layer", "metric": name, "unit": m["unit"],
                              "value": m["value"], "n": 1})
 
     record = {"runs": args.runs, "seconds": args.seconds,
-              "seeds": [args.seed, args.seed + args.runs - 1], **host, "correct": correct,
+              "seeds": [1, args.runs], **host, "correct": correct,
               "rows": rows}
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")

@@ -273,12 +273,25 @@ def test_quantized_case_deep_well(capsys):
     assert len(d["quantized_route"]["levels"]) == 150
 
 
-def test_quantized_case_at_a_large_depth_is_quick(capsys):
+def test_quantized_case_at_a_large_depth_builds_no_factorial_per_level(capsys, monkeypatch):
     # the normalizations pass exact integers from level to level instead of
-    # building four factorials of up to 2l per level (9 s here before)
-    t0 = time.perf_counter()
+    # building four factorials of up to 2l per level (9 s at l = 3000 before)
+    calls = {"factorial": 0, "coeffs": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(math, "factorial", counted("factorial", math.factorial))
+    monkeypatch.setattr(
+        oscillator, "_jafarov_coeffs", counted("coeffs", oscillator._jafarov_coeffs)
+    )
     rc, out, _ = run_cli(capsys, "jafarov", "--omega0", "1", "--l", "3000")
-    assert time.perf_counter() - t0 < 1.0
+    assert calls["coeffs"] >= 1
+    assert calls["factorial"] <= 2 * calls["coeffs"]
     assert rc == 0
     assert len(json.loads(out)["quantized_route"]["levels"]) == 2999
 
