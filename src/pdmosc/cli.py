@@ -11,9 +11,11 @@ division).  Every error the program finds goes to stderr as a one-line
 JSON object; argparse's own failures (a missing required option, a value
 that is not a number or not an integer, an unknown option) print usage and
 a message to stderr instead, and also exit 2.  Payloads go
-to stdout or the ``--out`` path.  JSON payloads come from ``json.dumps``: a
-float prints as its shortest round-trip repr, and NaN and +-inf print as
-null.  CSV cells carry 17 significant digits.
+to stdout or the ``--out`` path; an ``--out`` path that cannot be written is
+a configuration error.  JSON payloads come from one small emitter that
+prints the bytes ``json.dumps(payload, indent=2)`` would: a float prints as
+its shortest round-trip repr, and NaN and +-inf print as null.  CSV cells
+carry 17 significant digits.
 
 Work is bounded: a model with more than MAX_LEVELS levels (a ``solve`` or
 ``verify`` model, a ``scan`` row, or ``jafarov --l`` above MAX_LEVELS + 1)
@@ -27,6 +29,7 @@ import argparse
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -41,20 +44,38 @@ MAX_LEVELS = 10_000
 MAX_SCAN_ROWS = 10_000
 
 
-def _null_nonfinite(value: object) -> object:
-    # JSON has no NaN or infinity: every non-finite float prints as null
+def _json_payload(value: object, indent: str = "\n") -> str:
+    # the text of json.dumps(value, indent=2) in one recursion, since indent sends
+    # json.dumps to its pure-Python encoder.  A float prints as float.__repr__, the
+    # shortest text that round-trips bit for bit (repr of an np.float64 is not JSON);
+    # NaN and +-inf print as null, since JSON has neither; a dict key must be a str.
     if isinstance(value, float):
-        return value if math.isfinite(value) else None
+        return float.__repr__(value) if math.isfinite(value) else "null"
+    inner = indent + "  "
     if isinstance(value, dict):
-        return {k: _null_nonfinite(v) for k, v in value.items()}
+        if not value:
+            return "{}"
+        parts = []
+        for k, v in value.items():
+            if not isinstance(k, str):
+                raise TypeError(f"JSON keys must be str, not {type(k).__name__}")
+            parts.append(inner + _json_str(k) + ": " + _json_payload(v, inner))
+        return "{" + ",".join(parts) + indent + "}"
     if isinstance(value, (list, tuple)):
-        return [_null_nonfinite(v) for v in value]
-    return value
-
-
-def _json_payload(payload: dict) -> str:
-    # floats print as repr, the shortest text that round-trips bit for bit
-    return json.dumps(_null_nonfinite(payload), indent=2, allow_nan=False)
+        if not value:
+            return "[]"
+        return "[" + ",".join([inner + _json_payload(v, inner) for v in value]) + indent + "]"
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _csv_cell(v: object) -> str:
@@ -72,8 +93,12 @@ def _csv_text(rows: list[list[object]]) -> str:
 
 def _emit(ns: argparse.Namespace, text: str) -> None:
     if ns.out is not None:
-        with open(ns.out, "w", encoding="ascii") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(ns.out, "w", encoding="ascii") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            # a missing directory, a directory as the path, no permission: a bad --out
+            raise ParameterError(f"cannot write --out {ns.out!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text + "\n")
 

@@ -202,6 +202,21 @@ def test_out_file_writing(capsys, tmp_path):
     assert json.loads(text)["spectrum"]["num_states"] == 1
 
 
+@pytest.mark.parametrize("target", ["missing/levels.json", "."], ids=["no-directory", "a-directory"])
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "--omega0", "1", "--A", "3"], ["verify", "--omega0", "1", "--A", "3", "--grid", "64"]],
+    ids=["solve", "verify"],
+)
+def test_unwritable_out_is_a_config_error(capsys, tmp_path, argv, target):
+    path = str(tmp_path / target)
+    rc, out, err = run_cli(capsys, *argv, "--out", path)
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1
+    msg = json.loads(err)
+    assert msg["error"] == "config" and repr(path) in msg["message"]
+
+
 # --- verify ---
 
 

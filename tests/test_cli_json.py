@@ -1,0 +1,111 @@
+"""The CLI's JSON emitter: the bytes of ``json.dumps(indent=2)``, with NaN and +-inf as null.
+
+``cli._json_payload`` writes every JSON payload without the ``json`` module's
+encoder.  The reference here is ``json.dumps`` over a copy of the value in
+which each non-finite float is replaced by None.
+"""
+
+import contextlib
+import io
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pdmosc import cli
+
+
+def _null_nonfinite(value: object) -> object:
+    # the reference copy: JSON has no NaN or infinity, so each non-finite float becomes None
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _null_nonfinite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_null_nonfinite(v) for v in value]
+    return value
+
+
+def _reference(value: object) -> str:
+    return json.dumps(_null_nonfinite(value), indent=2, allow_nan=False)
+
+
+# float repr switches to exponent form at 1e16 and below 1e-4: values on both sides
+_SWITCH_POINTS = [
+    x
+    for edge in (1e16, 1e-4)
+    for x in (edge, np.nextafter(edge, 0.0), np.nextafter(edge, math.inf))
+]
+_FLOATS = st.one_of(
+    st.floats(),
+    st.floats(allow_subnormal=True, min_value=-1e-307, max_value=1e-307),
+    st.sampled_from(
+        [math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.2250738585072014e-308]
+        + [float(x) for x in _SWITCH_POINTS]
+        + [-float(x) for x in _SWITCH_POINTS]
+    ),
+)
+_TEXT = st.one_of(
+    st.text(),
+    st.text(alphabet='"\\/\x00\x01\x1f\x7f\n\r\t\b\fé \ud800\U0001f600a '),
+)
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**200), 2**200),
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    _TEXT,
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_VALUES)
+def test_emitter_prints_the_bytes_of_json_dumps(value):
+    assert cli._json_payload(value) == _reference(value)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, np.int64(3), {1: 2.0}, [{"x": {(1,): 0}}], np.float32(1.5)])
+def test_emitter_refuses_what_it_cannot_print(value):
+    with pytest.raises(TypeError):
+        cli._json_payload(value)
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+_PAYLOAD_ARGV = [
+    ["solve", "--omega0", "1", "--A", "4.5", "--samples", "5"],
+    ["solve", "--omega0", "1", "--A", "3", "--b", "0.1"],
+    ["verify", "--omega0", "1", "--A", "3", "--grid", "64"],
+    ["jafarov", "--omega0", "1", "--l", "3"],
+]
+
+
+def test_payloads_do_not_go_through_the_json_encoder(monkeypatch):
+    expected = [_run(argv) for argv in _PAYLOAD_ARGV]
+
+    def refuse(self, o, _one_shot=False):
+        raise AssertionError("a payload went through json.JSONEncoder")
+
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", refuse)
+    for argv, (rc, out, err) in zip(_PAYLOAD_ARGV, expected):
+        assert out.startswith("{\n") and err == ""
+        assert _run(argv) == (rc, out, err)
