@@ -21,6 +21,7 @@ from .oscillator import (
 )
 from .oracle import (
     Grid1D,
+    SineGrid,
     SpectrumReport,
     TridiagonalOperator,
     discretize_bdd,
@@ -65,6 +66,7 @@ __all__ = [
     "ParameterError",
     "PctMap",
     "RosenMorseParams",
+    "SineGrid",
     "SpectrumReport",
     "TridiagonalOperator",
     "bound_states",

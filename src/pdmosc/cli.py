@@ -18,9 +18,10 @@ its shortest round-trip repr, and NaN and +-inf print as null.  CSV cells
 carry 17 significant digits.
 
 Work is bounded: a model with more than MAX_LEVELS levels (a ``solve`` or
-``verify`` model, a ``scan`` row, or ``jafarov --l`` above MAX_LEVELS + 1)
-and a scan of more than MAX_SCAN_ROWS rows are refused with exit 2 before
-any level is computed.
+``verify`` model, a ``scan`` row, or ``jafarov --l`` above MAX_LEVELS + 1),
+a scan of more than MAX_SCAN_ROWS rows and a ``verify`` whose levels times
+``--grid`` exceed MAX_VERIFY_WORK are refused with exit 2 before any level
+is computed.
 """
 
 from __future__ import annotations
@@ -39,9 +40,17 @@ from .oscillator import OscillatorParams
 
 VERIFY_TOL = 1e-5
 JAFAROV_TOL = 1e-12
-# work limits: levels of one model, and rows of one scan
+# work limits: levels of one model, rows of one scan, and levels times --grid of one
+# verify, which admits the default grid up to about A = 209 (2.5 s at A = 200.5)
 MAX_LEVELS = 10_000
 MAX_SCAN_ROWS = 10_000
+MAX_VERIFY_WORK = 700_000
+# verify's default --grid is max(VERIFY_GRID_MIN, VERIFY_GRID_PER_A * A), rounded up.  It
+# scales with the depth, not the level count: a shift b leaves fewer levels than A - 1
+# but no wider states.  Over a sweep of A up to 210 and |b| up to 0.99 of its bound it
+# held every level within 1.4e-6 of the closed forms
+VERIFY_GRID_MIN = 500
+VERIFY_GRID_PER_A = 16
 
 
 def _json_payload(value: object, indent: str = "\n") -> str:
@@ -124,13 +133,13 @@ def _admit(p: OscillatorParams) -> tuple:
     return derived
 
 
-def _spectrum(derived: tuple) -> dict:
+def _spectrum(p: OscillatorParams, derived: tuple) -> dict:
     # a and the energies of an admitted derivation; no level's wavefunction is resolved
-    a, pmap, rm, count = derived
+    a, _, _, count = derived
     return {
         "a": a,
         "num_states": count,
-        "levels": [{"n": n, "energy": oscillator._level_energy(pmap, rm, n)} for n in range(count)],
+        "levels": [{"n": n, "energy": oscillator._level_energy(p, a, n)} for n in range(count)],
     }
 
 
@@ -159,7 +168,7 @@ def _sample_block(derived: tuple, ns: argparse.Namespace) -> list[dict]:
         out.append(
             {
                 "n": n,
-                "norm": oracle.overlap(psi, psi, -a, a, ns.quad),
+                "norm": oracle.overlap(psi, psi, -a, a, ns.quad, graded=True),
                 "samples": [{"x": x, "psi": v} for x, v in zip(xs, psi(points).tolist())],
             }
         )
@@ -173,7 +182,7 @@ def cmd_solve(ns: argparse.Namespace) -> int:
         raise ParameterError(f"--quad must be >= 1, got {ns.quad}")
     p = OscillatorParams(ns.omega0, ns.A, ns.b)
     derived = _admit(p)
-    spectrum = _spectrum(derived)
+    spectrum = _spectrum(p, derived)
     samples = _sample_block(derived, ns) if ns.samples > 0 else []
     if ns.format == "csv":
         rows = _spectrum_rows([p.A], [spectrum])
@@ -199,13 +208,21 @@ def cmd_solve(ns: argparse.Namespace) -> int:
 def cmd_verify(ns: argparse.Namespace) -> int:
     p = OscillatorParams(ns.omega0, ns.A, ns.b)
     k = _admit(p)[3]
-    if ns.grid // 2 < k:
+    grid = ns.grid
+    if grid is None:
+        grid = max(VERIFY_GRID_MIN, math.ceil(VERIFY_GRID_PER_A * p.A))
+    if k * grid > MAX_VERIFY_WORK:
+        raise ParameterError(
+            f"verify of {k} levels on --grid {grid} is {k * grid} level-points of work, "
+            f"above the limit of {MAX_VERIFY_WORK}"
+        )
+    if grid // 2 < k:
         # the oracle estimates each level's order on a third grid of --grid // 2 points
         raise ParameterError(
-            f"--grid {ns.grid} cannot hold the {k} levels: its order-estimate grid has "
-            f"--grid // 2 = {ns.grid // 2} points; use --grid {2 * k} or more"
+            f"--grid {grid} cannot hold the {k} levels: its order-estimate grid has "
+            f"--grid // 2 = {grid // 2} points; use --grid {2 * k} or more"
         )
-    report = oracle.solve_pdm_numeric(p, k, ns.grid, estimate_order=True)
+    report = oracle.solve_pdm_numeric(p, k, grid, estimate_order=True)
     levels = []
     for i in range(k):
         levels.append(
@@ -222,7 +239,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     payload = {
         "command": "verify",
         "params": _params_block(p),
-        "grid": ns.grid,
+        "grid": grid,
         "report": {
             "grid_sizes": list(report.grid_sizes),
             "spacings": list(report.spacings),
@@ -242,7 +259,8 @@ def cmd_jafarov(ns: argparse.Namespace) -> int:
             f"--l {ns.l} gives {ns.l - 1} levels, above the limit of {MAX_LEVELS}"
         )
     a_l, quant = oscillator._jafarov_levels(ns.omega0, ns.l)
-    spectrum = _spectrum(_admit(OscillatorParams(ns.omega0, float(ns.l), 0.0)))
+    p = OscillatorParams(ns.omega0, float(ns.l), 0.0)
+    spectrum = _spectrum(p, _admit(p))
     devs = [abs(a_l - spectrum["a"]) / abs(spectrum["a"])]
     for lv, (e, _) in zip(spectrum["levels"], quant):
         devs.append(abs(e - lv["energy"]) / max(abs(lv["energy"]), 1e-300))
@@ -301,7 +319,7 @@ def cmd_scan(ns: argparse.Namespace) -> int:
         params = [OscillatorParams(ns.omega0, ns.A, v) for v in _range_values(b_range)]
         col = [p.b for p in params]
     models = [_admit(p) for p in params]
-    _emit(ns, _csv_text(_spectrum_rows(col, [_spectrum(m) for m in models])))
+    _emit(ns, _csv_text(_spectrum_rows(col, [_spectrum(p, m) for p, m in zip(params, models)])))
     return 0
 
 
@@ -353,8 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = command("verify", cmd_verify, "cross-check against the grid solver")
     well(sp)
-    sp.add_argument("--grid", type=int, default=2000,
-                    help="base grid size (also solved at twice this)")
+    sp.add_argument("--grid", type=int,
+                    help="base grid size, also solved at half and twice this "
+                    f"(default: max({VERIFY_GRID_MIN}, {VERIFY_GRID_PER_A} A) rounded up)")
 
     sp = command("jafarov", cmd_jafarov, "integer-l quantized-length case")
     sp.add_argument("--l", type=int, required=True,

@@ -2,7 +2,13 @@
 
 A symmetric second-order discretization of -d/dx (1/M) d/dx + V with
 Dirichlet ends, eigenvalues from Sturm counts, eigenvectors by shifted
-inverse iteration, and Gauss-Legendre overlaps.  The eigenvalue solver
+inverse iteration, and Gauss-Legendre overlaps.  The confined model is
+solved on a grid uniform in s on (-1, 1) with x = a sin(pi s/2), the
+sin-type substitution of Sidi (1993): its states behave like powers of the
+distance to a wall, which a grid uniform in x resolves only at an order
+near that power, while in s the stencil converges at h^2 for every level.
+The map uses only the half-width a.  The same map grades the quadrature
+rule of the norm column.  The eigenvalue solver
 shares one set of brackets among all levels (each count narrows every
 level's bracket, as LAPACK dstebz does), finishes each isolated level with
 Newton steps on the characteristic polynomial, and returns the midpoint of
@@ -36,6 +42,7 @@ _CERT = 0.49 * _RTOL
 
 __all__ = [
     "Grid1D",
+    "SineGrid",
     "SpectrumReport",
     "TridiagonalOperator",
     "discretize_bdd",
@@ -71,6 +78,58 @@ class Grid1D:
     def half_nodes(self) -> np.ndarray:
         """Midpoints x_{i +- 1/2}, from lo + h/2 to hi - h/2."""
         return self.lo + self.h * (np.arange(0, self.n + 1) + 0.5)
+
+    def jacobian(self) -> np.ndarray:
+        """dx/ds at the nodes: 1 on a grid uniform in x."""
+        return np.ones(self.n)
+
+    def half_jacobian(self) -> np.ndarray:
+        """dx/ds at the midpoints: 1 on a grid uniform in x."""
+        return np.ones(self.n + 1)
+
+
+def _sine_map(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # t = sin(pi s/2) and dt/ds on (-1, 1): the one map behind SineGrid and the graded rule
+    q = (0.5 * math.pi) * s
+    return np.sin(q), (0.5 * math.pi) * np.cos(q)
+
+
+@dataclass(frozen=True)
+class SineGrid:
+    """n interior points uniform in s on (-1, 1), at x = a sin(pi s/2); Dirichlet ends at -+a.
+
+    h is the spacing in s.  The nodes crowd toward the walls, where the
+    states of the confined model behave like powers of the distance to the
+    wall; in s that power is smooth enough for the stencil to converge at h^2.
+    """
+
+    a: float
+    n: int
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.a) or self.a <= 0.0:
+            raise ParameterError(f"need a finite half-width a > 0, got {self.a!r}")
+        if not is_int(self.n) or self.n < 3:
+            raise ParameterError(f"need at least 3 interior points, got {self.n!r}")
+
+    @property
+    def h(self) -> float:
+        return 2.0 / (self.n + 1)
+
+    def _s(self, offset: float, count: int) -> np.ndarray:
+        return -1.0 + self.h * (np.arange(count) + offset)
+
+    def nodes(self) -> np.ndarray:
+        return self.a * _sine_map(self._s(1.0, self.n))[0]
+
+    def half_nodes(self) -> np.ndarray:
+        return self.a * _sine_map(self._s(0.5, self.n + 1))[0]
+
+    def jacobian(self) -> np.ndarray:
+        return self.a * _sine_map(self._s(1.0, self.n))[1]
+
+    def half_jacobian(self) -> np.ndarray:
+        return self.a * _sine_map(self._s(0.5, self.n + 1))[1]
 
 
 @dataclass(frozen=True)
@@ -109,14 +168,18 @@ class TridiagonalOperator:
 def discretize_bdd(
     mass_fn: Callable[[np.ndarray], np.ndarray],
     potential_fn: Callable[[np.ndarray], np.ndarray],
-    grid: Grid1D,
+    grid: Grid1D | SineGrid,
 ) -> TridiagonalOperator:
-    """Assemble -d/dx (1/M) d/dx + V on the grid.
+    """Assemble -d/dx (1/M) d/dx + V on the grid, in the grid's coordinate s.
 
-    1/M is sampled at half-grid points, which keeps the matrix symmetric
-    and second-order consistent:
-        diag_i = [(1/M)_{i-1/2} + (1/M)_{i+1/2}]/h^2 + V(x_i)
-        off_i  = -(1/M)_{i+1/2}/h^2
+    With x = g(s) and J = g' the operator is G^-1/2 K G^-1/2, where
+    K = -d/ds (1/(M J)) d/ds + J V and G holds J at the nodes, so that
+    its eigenvalues are those of the x-space problem.  w = 1/(M J) is
+    sampled at half-grid points, which keeps the matrix symmetric and
+    second-order consistent:
+        diag_i = [w_{i-1/2} + w_{i+1/2}]/(h^2 J_i) + V(x_i)
+        off_i  = -w_{i+1/2}/(h^2 sqrt(J_i J_{i+1}))
+    On a Grid1D, J = 1 and this is the plain x-space stencil, bit for bit.
     mass_fn is called once, on the array of half-grid points, and
     potential_fn once, on the array of nodes.  Each returns the array of
     its values there, as pct.mass and rosen_morse.rm_potential do, or one
@@ -124,13 +187,15 @@ def discretize_bdd(
     """
     xs = grid.nodes()
     xh = grid.half_nodes()
-    w = np.broadcast_to(1.0 / np.asarray(mass_fn(xh), dtype=float), xh.shape)
+    jac = grid.jacobian()
+    w = np.asarray(mass_fn(xh), dtype=float) * grid.half_jacobian()
+    w = np.broadcast_to(1.0 / w, xh.shape)
     v = np.broadcast_to(np.asarray(potential_fn(xs), dtype=float), xs.shape)
     if not (np.all(np.isfinite(w)) and np.all(np.isfinite(v))):
         raise DomainError("mass or potential sampled to a non-finite value")
     h2 = grid.h * grid.h
-    diag = (w[:-1] + w[1:]) / h2 + v
-    off = -w[1:-1] / h2
+    diag = (w[:-1] + w[1:]) / (h2 * jac) + v
+    off = -w[1:-1] / (h2 * np.sqrt(jac[:-1] * jac[1:]))
     return TridiagonalOperator(diag=diag, off=off)
 
 
@@ -377,22 +442,38 @@ def _rule_arrays(rule_size: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+@lru_cache(maxsize=64)
+def _graded_rule_arrays(rule_size: int) -> tuple[np.ndarray, np.ndarray]:
+    # the Gauss-Legendre rule in s, at t = sin(pi s/2) with dt/ds folded into the weights
+    s, weights = _rule_arrays(rule_size)
+    nodes, dt = _sine_map(s)
+    weights = weights * dt
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def overlap(
     f: Callable[[np.ndarray], np.ndarray],
     g: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
     rule_size: int,
+    graded: bool = False,
 ) -> float:
     """Gauss-Legendre approximation of the integral of f*g over (lo, hi).
 
     f and g each take the whole array of nodes and return the array of
     their values there, as the states' wavefunctions do.  Each is called
     once, and f alone when g is f.
+
+    graded=True integrates over s instead, with x on the sine map of
+    SineGrid: the rule_size nodes crowd toward lo and hi, where a product
+    that behaves like a power of the distance to an end becomes smooth in
+    s.  That is the shape of the confined model's states at the walls.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         raise ParameterError(f"need finite lo < hi, got ({lo!r}, {hi!r})")
-    nodes, weights = _rule_arrays(rule_size)
+    nodes, weights = (_graded_rule_arrays if graded else _rule_arrays)(rule_size)
     half = 0.5 * (hi - lo)
     x = 0.5 * (lo + hi) + half * nodes
     fx = f(x)
@@ -407,7 +488,9 @@ class SpectrumReport:
     numeric holds the Richardson-extrapolated eigenvalues from the two
     finest grids; rel_err is measured against the analytic values; order
     holds per-level convergence-order estimates from a third, coarser grid
-    when one was requested (None otherwise).
+    when one was requested (None otherwise).  grid_sizes counts interior
+    points, and spacings are the grids' h in their own coordinate: in s on
+    solve_pdm_numeric's sine-mapped grids, in x on the constant-mass box.
     """
 
     analytic: tuple[float, ...]
@@ -443,22 +526,21 @@ def _order_estimates(
 def _two_grid_report(
     mass_fn: Callable[[np.ndarray], np.ndarray],
     potential_fn: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
+    make_grid: Callable[[int], Grid1D | SineGrid],
     analytic: list[float],
     n_grid: int,
     estimate_order: bool,
 ) -> SpectrumReport:
     k = len(analytic)
     sizes = ([n_grid // 2] if estimate_order else []) + [n_grid, 2 * n_grid]
-    grids = [Grid1D(lo, hi, n) for n in sizes]
+    grids = [make_grid(n) for n in sizes]
     # an unreported pre-grid of sizes[0] // 8 points, when it holds the k
     # levels, gives the first grid its starts; every later grid starts on
     # the h^2 line, at the exact spacings, through the two grids before it.
     # The starts come only from these grids, never from the analytic
     # values, which would break the independence
     pre = sizes[0] // 8
-    solved = ([Grid1D(lo, hi, pre)] if pre >= max(k, 3) else []) + grids
+    solved = ([make_grid(pre)] if pre >= max(k, 3) else []) + grids
     eigs: list[list[float]] = []
     for i, g in enumerate(solved):
         if i < 2:
@@ -494,15 +576,27 @@ def solve_pdm_numeric(
 ) -> SpectrumReport:
     """Numeric spectrum of the confined model on (-a, a), paired with closed forms.
 
-    Solves on grids (n_grid, 2 n_grid) and Richardson-extrapolates; a third
-    grid of n_grid // 2 points feeds the order estimate when requested.  A
-    pre-grid of an eighth of the coarsest grid's points, when it holds the
-    k levels, only gives that grid its first iterates and is not reported.
-    Grids of 500+ points are where the 1e-6 comparison contract holds;
-    smaller grids are accepted for quick looks.
+    Solves on SineGrids (n_grid, 2 n_grid), uniform in s with
+    x = a sin(pi s/2), and Richardson-extrapolates in h^2; a third grid of
+    n_grid // 2 points feeds the order estimate when requested.  A pre-grid
+    of an eighth of the coarsest grid's points, when it holds the k levels,
+    only gives that grid its first iterates and is not reported.  Every
+    level converges at order 2 on these grids; the CLI's default n_grid,
+    max(500, 16 A), held each level within 1.4e-6 of the closed forms over
+    a sweep of A up to 210 at any admitted b.  Smaller grids are accepted
+    for quick looks.  An n_grid whose
+    finest grid would place points within pct.BOUNDARY_MARGIN a of a wall,
+    where the mass is not sampled, is refused.
     """
     if not is_int(n_grid) or n_grid < 8:
         raise ParameterError(f"need an integer n_grid >= 8, got {n_grid!r}")
+    # the finest grid's first midpoint lies a (1 - cos(pi h/4)) = 2a sin(pi h/8)^2 from a
+    # wall, less up to 2 eps a of rounding in the map and in pct.mass's own test
+    if 2.0 * math.sin(math.pi / (4 * (2 * n_grid + 1))) ** 2 - 4.5e-16 <= pct.BOUNDARY_MARGIN:
+        raise ParameterError(
+            f"n_grid {n_grid} is too fine: its grid of {2 * n_grid} points would sample the "
+            f"mass within {pct.BOUNDARY_MARGIN} a of the walls"
+        )
     count = oscillator.num_bound_states(p)
     if not is_int(k) or k < 1 or k > count:
         raise ParameterError(f"need 1 <= k <= {count} admitted levels, got {k!r}")
@@ -513,8 +607,7 @@ def solve_pdm_numeric(
     return _two_grid_report(
         partial(pct.mass, profile),
         lambda x: 0.25 * p.omega0**2 * (x - x0) ** 2,
-        -a,
-        a,
+        partial(SineGrid, a),
         analytic,
         n_grid,
         estimate_order,
@@ -553,8 +646,7 @@ def solve_constant_mass_numeric(
     return _two_grid_report(
         lambda x: 1.0,
         partial(rm_potential, p),
-        -box,
-        box,
+        partial(Grid1D, -box, box),
         analytic,
         n_grid,
         estimate_order,

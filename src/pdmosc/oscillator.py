@@ -19,7 +19,7 @@ import numpy as np
 from . import pct
 from .errors import DomainError, ParameterError
 from .pct import shift_bound
-from .rosen_morse import RosenMorseParams, _check_level, _evaluate, _Level, _resolve, rm_energy
+from .rosen_morse import RosenMorseParams, _check_level, _evaluate, _Level, _resolve
 from .special_fn import _check_finite, _largest_abs, gegenbauer_poly, is_int
 
 __all__ = [
@@ -81,15 +81,25 @@ def num_bound_states(p: OscillatorParams) -> int:
     return _derived(p)[3]
 
 
-def _level_energy(pmap: pct.PctMap, rm: RosenMorseParams, n: int) -> float:
-    return pct.transform_energy(pmap, rm_energy(rm, n))
+def _level_energy(p: OscillatorParams, a: float, n: int) -> float:
+    # a_bar^2 eps_n + c_bar, summed before it is rounded: its terms -(A-n)^2/a^2 and
+    # omega0^2 a^2/4 are each O(A) and cancel to O(n + 1/2), and omega0^2 a^4/4 is
+    # exactly A(A+1) - 2, so E_n = P/a^2 - b^2 Q/(A-n)^2 with P = (2n+1)A - n^2 - 1
+    # and Q = P - 1, each formed from A and n with one rounding
+    m = p.A - n
+    lead = (2 * n + 1) * p.A
+    return (lead - (n * n + 1)) / (a * a) - p.b * p.b * (lead - (n * n + 2)) / (m * m)
 
 
 def energy(p: OscillatorParams, n: int) -> float:
-    """Level energy from the transform route a_bar^2 eps_n + c_bar."""
+    """Level energy from the transform route a_bar^2 eps_n + c_bar.
+
+    eps_n is rosen_morse.rm_energy of the derived well and (a_bar, c_bar)
+    the pct.PctMap; the sum is carried out in closed form before rounding,
+    so the result keeps its relative accuracy at any depth.
+    """
     _check_level(n, num_bound_states(p), p)
-    _, pmap, rm, _ = _derived(p)
-    return _level_energy(pmap, rm, n)
+    return _level_energy(p, _derived(p)[0], n)
 
 
 def _half_integer_form(omega0: float, a: float, n: int) -> float:
@@ -196,8 +206,8 @@ def bound_states(p: OscillatorParams) -> list[BoundState]:
     evaluating state.wavefunction(x) only does the per-point work, on a float
     or on an ndarray of x; it gives the same values as wavefunction(p, n, x).
     """
-    a, pmap, rm, count = _derived(p)
-    return [BoundState(n, _level_energy(pmap, rm, n), _level_psi(a, rm, n)) for n in range(count)]
+    a, _, rm, count = _derived(p)
+    return [BoundState(n, _level_energy(p, a, n), _level_psi(a, rm, n)) for n in range(count)]
 
 
 def _jafarov_coeffs(l: int, a: float) -> list[float]:

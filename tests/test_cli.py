@@ -157,6 +157,17 @@ def test_solve_sample_values(capsys):
             )
 
 
+@pytest.mark.parametrize("A, b", [("3.1", "0"), ("20.5", "0"), ("60.3", "0"), ("59.3", "0.5")])
+def test_norm_column_resolves_states_rough_at_the_walls(capsys, A, b):
+    # the top levels behave like (1 - |x|/a)^((A-n-1)/2) at the walls; the rule on the
+    # sine map resolves them at the default --quad, where plain Gauss-Legendre nodes in x
+    # missed 1 by up to 7.4e-4 (A = 60.3)
+    rc, out, _ = run_cli(capsys, "solve", "--omega0", "1", "--A", A, "--b", b, "--samples", "1")
+    assert rc == 0
+    for block in json.loads(out)["wavefunctions"]:
+        assert abs(block["norm"] - 1.0) <= 1e-8
+
+
 def test_solve_csv_table(capsys):
     rc, out, _ = run_cli(
         capsys, "solve", "--omega0", "1", "--A", "3", "--format", "csv", "--samples", "3"
@@ -243,12 +254,58 @@ def test_verify_shifted(capsys):
 
 def test_verify_coarse_grid_fails(capsys):
     # the report is still emitted in full so the failure can be read off
-    rc, out, _ = run_cli(capsys, "verify", "--omega0", "1", "--A", "2", "--grid", "50")
+    rc, out, _ = run_cli(capsys, "verify", "--omega0", "1", "--A", "2", "--grid", "8")
     assert rc == 3
     rep = json.loads(out)["report"]
     assert rep["passed"] is False
     assert rep["max_rel_err"] > 1e-5
     assert isinstance(rep["levels"][0]["order"], float)
+
+
+@pytest.mark.parametrize("A", ["3.005", "3.1", "3.25", "6.25", "12.25", "30.5"])
+def test_verify_default_grid_resolves_the_top_level(capsys, A):
+    # the top level has A - n just above 1, so it is rough at the walls
+    rc, out, _ = run_cli(capsys, "verify", "--omega0", "1", "--A", A)
+    assert rc == 0
+    d = json.loads(out)
+    assert d["grid"] == 500
+    assert d["report"]["passed"] is True
+    assert d["report"]["max_rel_err"] <= cli.VERIFY_TOL == 1e-5
+
+
+def test_verify_converges_at_second_order_near_a_shifted_threshold(capsys):
+    # the top level's smaller envelope exponent leaves an edge m - 1 - |B|/m = 0.448,
+    # where a grid uniform in x converged at order 1.39
+    p = OscillatorParams(1.0, 6.5, 0.104)
+    _, _, rm = pct.map_parameters(p.omega0, p.A, p.b)
+    m = rm.A - (oscillator.num_bound_states(p) - 1)
+    assert abs(m - 1.0 - abs(rm.B) / m - 0.448) < 1e-3
+    rc, out, _ = run_cli(capsys, "verify", "--omega0", "1", "--A", "6.5", "--b", "0.104")
+    assert rc == 0
+    levels = json.loads(out)["report"]["levels"]
+    assert len(levels) == 5
+    for lev in levels:
+        assert 1.9 <= lev["order"] <= 2.1
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "A, grid, levels", [("2", 500, 1), ("60.5", 968, 60), ("200.5", 3208, 200)]
+)
+def test_verify_default_grid_scales_with_the_depth(monkeypatch, capsys, A, grid, levels):
+    # the oracle is replaced, so only the grid it is asked for is checked; A = 200.5 is
+    # admitted under MAX_VERIFY_WORK
+    def asked(p, k, n_grid, estimate_order=False):
+        raise _Stop(k, n_grid)
+
+    monkeypatch.setattr(cli.oracle, "solve_pdm_numeric", asked)
+    with pytest.raises(_Stop) as stop:
+        cli.main(["verify", "--omega0", "1", "--A", A])
+    assert stop.value.args == (levels, grid)
+    assert levels * grid <= cli.MAX_VERIFY_WORK
 
 
 def test_verify_rejects_excess_shift(capsys):
@@ -326,6 +383,16 @@ def test_quantized_route_exact_norms(capsys, l):
         square = lead**2 * Fraction((l - n) * math.factorial(n), math.factorial(2 * l - n))
         want = math.sqrt(square / Fraction(a))
         assert math.isclose(lv["norm"], want, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("l", [2000, 10001])
+def test_quantized_case_matches_at_the_largest_depths(capsys, l):
+    # the transform route used to lose about A eps to cancellation (1.34e-12 at l = 2000)
+    rc, out, _ = run_cli(capsys, "jafarov", "--omega0", "1", "--l", str(l))
+    assert rc == 0
+    comparison = json.loads(out)["comparison"]
+    assert comparison["matches"] is True
+    assert comparison["max_rel_diff"] <= 1e-14
 
 
 def test_quantized_case_rejects_small_l(capsys):
@@ -471,7 +538,7 @@ def test_spectrum_rows_derive_once_and_resolve_no_state(monkeypatch, capsys, arg
 def test_samples_reuse_the_spectrum_derivation(monkeypatch, capsys):
     # the states come from the derivation that admitted the model, and each
     # level's energy is computed once, for the spectrum
-    calls = {"map_parameters": 0, "rm_energy": 0}
+    calls = {"map_parameters": 0, "_level_energy": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -481,12 +548,14 @@ def test_samples_reuse_the_spectrum_derivation(monkeypatch, capsys):
         return wrapper
 
     monkeypatch.setattr(pct, "map_parameters", counted("map_parameters", pct.map_parameters))
-    monkeypatch.setattr(oscillator, "rm_energy", counted("rm_energy", oscillator.rm_energy))
+    monkeypatch.setattr(
+        oscillator, "_level_energy", counted("_level_energy", oscillator._level_energy)
+    )
     rc, out, _ = run_cli(capsys, "solve", "--omega0", "1", "--A", "6.5", "--b", "0.1",
                          "--samples", "4")
     assert rc == 0
     waves = json.loads(out)["wavefunctions"]
-    assert calls == {"map_parameters": 2, "rm_energy": len(waves)}
+    assert calls == {"map_parameters": 2, "_level_energy": len(waves)}
     states = oscillator.bound_states(OscillatorParams(1.0, 6.5, 0.1))
     assert [w["n"] for w in waves] == [s.n for s in states]
     for w, s in zip(waves, states):
@@ -617,6 +686,9 @@ def test_scan_rejects_nonfinite_range(capsys, bound, value):
          ["scan", "--omega0", "1", "--A-start", "3", "--A-stop", "20003", "--A-step", "10000"]),
         ("MAX_LEVELS", ["verify", "--omega0", "1", "--A", "1e15", "--grid", "2000"]),
         ("MAX_LEVELS", ["jafarov", "--omega0", "1", "--l", "1000000"]),
+        # 9 999 levels on the default grid of 160 000 points
+        ("MAX_VERIFY_WORK", ["verify", "--omega0", "1", "--A", "1e4"]),
+        ("MAX_VERIFY_WORK", ["verify", "--omega0", "1", "--A", "3", "--grid", "400000"]),
     ],
 )
 def test_work_over_a_limit_is_refused_before_any_level(monkeypatch, capsys, limit, argv):

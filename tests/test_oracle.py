@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from pdmosc import oracle, pct
+from pdmosc import cli, oracle, pct
 from pdmosc.errors import ConvergenceError, DomainError, ParameterError
 from pdmosc.oracle import (
     Grid1D,
+    SineGrid,
     TridiagonalOperator,
     _gershgorin,
     _sturm_count,
@@ -62,6 +63,21 @@ def test_grid_rejects_bad_shapes():
         Grid1D(1.0, 1.0, 10)
 
 
+def test_sine_grid_geometry():
+    g = SineGrid(2.0, 3)
+    assert g.h == 0.5
+    s = np.array([-0.5, 0.0, 0.5])
+    assert g.nodes().tolist() == (2.0 * np.sin(0.5 * math.pi * s)).tolist()
+    assert g.jacobian().tolist() == (2.0 * (0.5 * math.pi) * np.cos(0.5 * math.pi * s)).tolist()
+    sh = np.array([-0.75, -0.25, 0.25, 0.75])
+    assert g.half_nodes().tolist() == (2.0 * np.sin(0.5 * math.pi * sh)).tolist()
+    assert g.half_jacobian().tolist() == (math.pi * np.cos(0.5 * math.pi * sh)).tolist()
+    with pytest.raises(ParameterError):
+        SineGrid(0.0, 10)
+    with pytest.raises(ParameterError):
+        SineGrid(1.0, 2)
+
+
 # --- discretize_bdd ---
 
 
@@ -91,6 +107,34 @@ def test_each_callable_is_called_once_on_the_node_arrays():
     h2 = g.h * g.h
     assert op.diag.tolist() == ((w[:-1] + w[1:]) / h2 + 3.0 * g.nodes()).tolist()
     assert op.off.tolist() == (-w[1:-1] / h2).tolist()
+
+
+def test_uniform_grid_and_constant_mass_report_keep_the_x_stencil_bit_for_bit():
+    # pin: on a Grid1D the Jacobian is 1 and the assembly is the plain stencil
+    # (1/M_{i-1/2} + 1/M_{i+1/2})/h^2 + V_i and -1/M_{i+1/2}/h^2, and the
+    # constant-mass report, which runs on Grid1Ds, keeps its bits
+    g = Grid1D(-3.0, 2.0, 57)
+    mass_fn = lambda x: 1.0 + 0.3 * np.cos(x)
+    op = discretize_bdd(mass_fn, lambda x: x * x, g)
+    w = 1.0 / mass_fn(g.half_nodes())
+    h2 = g.h * g.h
+    assert op.diag.tolist() == ((w[:-1] + w[1:]) / h2 + g.nodes() ** 2).tolist()
+    assert op.off.tolist() == (-w[1:-1] / h2).tolist()
+    rep = solve_constant_mass_numeric(RosenMorseParams(2.5, 1.5), 25.0, 2, 600, estimate_order=True)
+    assert [v.hex() for v in rep.numeric] == ["-0x1.a70a39c19183fp+2", "-0x1.9fffe3e595157p+1"]
+    assert [v.hex() for v in rep.order] == ["0x1.00fe58dc8d02dp+1", "0x1.03705792d4d30p+1"]
+    assert rep.spacings == (50.0 / 301.0, 50.0 / 601.0, 50.0 / 1201.0)
+
+
+def test_sine_grid_operator_is_the_weighted_stencil():
+    # G^-1/2 K G^-1/2 with K = -d/ds (1/(M J)) d/ds + J V and G = diag(J)
+    g = SineGrid(1.5, 40)
+    mass_fn = lambda x: 1.0 + x * x
+    op = discretize_bdd(mass_fn, lambda x: 2.0 * x, g)
+    J, w = g.jacobian(), 1.0 / (mass_fn(g.half_nodes()) * g.half_jacobian())
+    h2 = g.h * g.h
+    assert np.allclose(op.diag, (w[:-1] + w[1:]) / (h2 * J) + 2.0 * g.nodes(), rtol=1e-15)
+    assert np.allclose(op.off, -w[1:-1] / (h2 * np.sqrt(J[:-1] * J[1:])), rtol=1e-15)
 
 
 def test_box_ground_energy():
@@ -194,6 +238,17 @@ def test_against_scipy_tridiagonal():
         assert abs(got - w) < 1e-10 * scale
 
 
+@pytest.mark.parametrize("p", [OscillatorParams(1.0, 3.25), OscillatorParams(0.7, 12.6, -0.3)])
+def test_sine_grid_operator_against_scipy(p):
+    a, mass_fn, pot = pdm_mass_and_potential(p)
+    op = discretize_bdd(mass_fn, pot, SineGrid(a, 500))
+    k = num_bound_states(p)
+    mine = eigenvalues_sturm(op, k)
+    ref = scipy.linalg.eigvalsh_tridiagonal(op.diag, op.off, select="i", select_range=(0, k - 1))
+    for got, w in zip(mine, ref):
+        assert abs(got - w) <= 1e-11 * max(1.0, abs(w))
+
+
 def test_wilkinson_w21_plus_against_scipy():
     # diag |10 - i|, unit off-diagonal: the top pairs agree to ~1e-14
     op = TridiagonalOperator([abs(10.0 - i) for i in range(21)], [1.0] * 20)
@@ -277,6 +332,22 @@ def test_start_chain_cuts_the_sturm_rows(monkeypatch):
         monkeypatch.setattr(oracle, name, counted)
     solve_pdm_numeric(OscillatorParams(1.0, 12.25), 12, 2000, estimate_order=True)
     assert rows[0] <= 450_000
+
+
+def test_default_verify_grid_cuts_the_sturm_rows(monkeypatch, capsys):
+    # 425 500 rows on the --grid 2000 that verify used by default on a grid uniform in x
+    rows = [0]
+    for name in ("_sturm_count", "_sturm_newton"):
+        fn = getattr(oracle, name)
+
+        def counted(d, *args, fn=fn):
+            rows[0] += len(d)
+            return fn(d, *args)
+
+        monkeypatch.setattr(oracle, name, counted)
+    assert cli.main(["verify", "--omega0", "1", "--A", "12.25"]) == 0
+    assert 0 < rows[0] <= 110_000
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("p", [OscillatorParams(1.0, 6.5, 0.2), OscillatorParams(1.0, 6.25)])
@@ -449,6 +520,9 @@ def test_pdm_rejects_bad_requests():
         solve_pdm_numeric(p, 2, 1000)
     with pytest.raises(ParameterError):
         solve_pdm_numeric(p, 1, 7)
+    # a grid of 1.2 million points would put midpoints within 1e-12 a of the walls
+    with pytest.raises(ParameterError, match="too fine"):
+        solve_pdm_numeric(p, 1, 600_000)
 
 
 def min_envelope_exponent(p, n):

@@ -212,6 +212,32 @@ def test_energy_two_forms_agree():
             assert abs(e1 - e2) <= 1e-12 * max(abs(e1), abs(e2))
 
 
+def mp_energy(omega0, A, b, n):
+    """E_n at 50 digits: (-(A-n)^2 - B^2/(A-n)^2)/a^2 + omega0^2 a^2/4 + 1/a^2 + b^2."""
+    with mp.workdps(50):
+        w, A, b = mp.mpf(omega0), mp.mpf(A), mp.mpf(b)
+        a2 = 2 / w * mp.sqrt(A * (A + 1) - 2)
+        B2 = w**2 * a2**3 * b**2 / 4
+        m = A - n
+        return (-(m**2) - B2 / m**2) / a2 + w**2 * a2 / 4 + 1 / a2 + b**2
+
+
+@pytest.mark.parametrize("omega0", [0.3, 1.0, 7.0])
+def test_energies_against_mpmath_at_any_depth(omega0):
+    # the transform route's O(A) terms cancel to O(n + 1/2); summed in floats they lost
+    # about A eps (6.8e-12 at A = 1e4).  The (n + 1/2) form is held to the same bound
+    # at b = 0; its shift term b^2 g/f keeps that cancellation
+    for A in (1.5, 2.7, 12.25, 60.0, 333.3, 2000.0, 1e4):
+        for frac in (0.0, 0.3, -0.6, 0.9):
+            p = OscillatorParams(omega0, A, frac * shift_bound(omega0, A))
+            k = num_bound_states(p)
+            for n in sorted({0, 1, k // 2, k - 1} & set(range(k))):
+                want = mp_energy(omega0, A, p.b, n)
+                assert abs(energy(p, n) - want) <= 1e-14 * abs(want)
+                if p.b == 0.0:
+                    assert abs(energy_harmonic_form(p, n) - want) <= 1e-14 * abs(want)
+
+
 @pytest.mark.parametrize("omega0", [1e155, 1e200])
 def test_energy_two_forms_agree_at_large_frequency(omega0):
     # omega0^2 overflows a float here; omega0 a^2 = 2 sqrt(A(A+1) - 2) does not
