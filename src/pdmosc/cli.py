@@ -125,9 +125,9 @@ def _params_block(p: OscillatorParams) -> dict:
 def _admit(p: OscillatorParams) -> tuple:
     # one derivation; a model over the level limit is refused before any level is computed
     derived = oscillator._derived(p)
-    if derived[3] > MAX_LEVELS:
+    if derived[2] > MAX_LEVELS:
         raise ParameterError(
-            f"omega0={p.omega0!r}, A={p.A!r}, b={p.b!r} holds {derived[3]} levels, "
+            f"omega0={p.omega0!r}, A={p.A!r}, b={p.b!r} holds {derived[2]} levels, "
             f"above the limit of {MAX_LEVELS}"
         )
     return derived
@@ -135,7 +135,7 @@ def _admit(p: OscillatorParams) -> tuple:
 
 def _spectrum(p: OscillatorParams, derived: tuple) -> dict:
     # a and the energies of an admitted derivation; no level's wavefunction is resolved
-    a, _, _, count = derived
+    a, _, count = derived
     return {
         "a": a,
         "num_states": count,
@@ -159,7 +159,7 @@ def _spectrum_rows(params: list[float], spectra: list[dict]) -> list[list[object
 
 def _sample_block(derived: tuple, ns: argparse.Namespace) -> list[dict]:
     # the states of an admitted derivation; their energies are the spectrum's, not recomputed
-    a, _, rm, count = derived
+    a, rm, count = derived
     xs = [-a + 2.0 * a * (j + 1) / (ns.samples + 1) for j in range(ns.samples)]
     points = np.array(xs)
     out = []
@@ -207,7 +207,7 @@ def cmd_solve(ns: argparse.Namespace) -> int:
 
 def cmd_verify(ns: argparse.Namespace) -> int:
     p = OscillatorParams(ns.omega0, ns.A, ns.b)
-    k = _admit(p)[3]
+    k = _admit(p)[2]
     grid = ns.grid
     if grid is None:
         grid = max(VERIFY_GRID_MIN, math.ceil(VERIFY_GRID_PER_A * p.A))

@@ -174,7 +174,8 @@ def discretize_bdd(
 
     With x = g(s) and J = g' the operator is G^-1/2 K G^-1/2, where
     K = -d/ds (1/(M J)) d/ds + J V and G holds J at the nodes, so that
-    its eigenvalues are those of the x-space problem.  w = 1/(M J) is
+    its eigenvalues are those of the x-space problem and its eigenvectors
+    hold sqrt(J_i) psi(x_i).  w = 1/(M J) is
     sampled at half-grid points, which keeps the matrix symmetric and
     second-order consistent:
         diag_i = [w_{i-1/2} + w_{i+1/2}]/(h^2 J_i) + V(x_i)

@@ -52,10 +52,10 @@ class OscillatorParams:
         pct.map_parameters(self.omega0, self.A, self.b)
 
 
-def _derived(p: OscillatorParams) -> tuple[float, pct.PctMap, RosenMorseParams, int]:
-    # one parameter map: (a, PctMap, RosenMorseParams, level count)
-    a, pmap, rm = pct.map_parameters(p.omega0, p.A, p.b)
-    return a, pmap, rm, pct.level_count(rm.A, rm.B)
+def _derived(p: OscillatorParams) -> tuple[float, RosenMorseParams, int]:
+    # one parameter map: (a, RosenMorseParams, level count)
+    a, _, rm = pct.map_parameters(p.omega0, p.A, p.b)
+    return a, rm, pct.level_count(rm.A, rm.B)
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ def confinement_length(omega0: float, A: float) -> float:
 
 def num_bound_states(p: OscillatorParams) -> int:
     """Count of admitted levels: pct.level_count of the derived well, at least 1."""
-    return _derived(p)[3]
+    return _derived(p)[2]
 
 
 def _level_energy(p: OscillatorParams, a: float, n: int) -> float:
@@ -120,7 +120,7 @@ def energy_harmonic_form(p: OscillatorParams, n: int) -> float:
     plus b^2 g(n)/f(n) with f(n) = (A-n)^2 and g(n) = f(n) - omega0^2 a^4/4
     when the shift is present.
     """
-    a, _, _, count = _derived(p)
+    a, _, count = _derived(p)
     _check_level(n, count, p)
     e = _half_integer_form(p.omega0, a, n)
     if p.b != 0.0:
@@ -187,7 +187,7 @@ def wavefunction(
     alone.  Within 1e-12 a of the interval ends the value is exactly 0.0;
     one entry that is not finite or lies beyond them raises DomainError.
     """
-    a, _, rm, count = _derived(p)
+    a, rm, count = _derived(p)
     _check_level(n, count, p)
     return _psi(_x_level(rm, n, form, a), a, x)
 
@@ -206,7 +206,7 @@ def bound_states(p: OscillatorParams) -> list[BoundState]:
     evaluating state.wavefunction(x) only does the per-point work, on a float
     or on an ndarray of x; it gives the same values as wavefunction(p, n, x).
     """
-    a, _, rm, count = _derived(p)
+    a, rm, count = _derived(p)
     return [BoundState(n, _level_energy(p, a, n), _level_psi(a, rm, n)) for n in range(count)]
 
 
