@@ -21,7 +21,6 @@ from .oscillator import (
 )
 from .oracle import (
     Grid1D,
-    SineGrid,
     SpectrumReport,
     TridiagonalOperator,
     discretize_bdd,
@@ -66,7 +65,6 @@ __all__ = [
     "ParameterError",
     "PctMap",
     "RosenMorseParams",
-    "SineGrid",
     "SpectrumReport",
     "TridiagonalOperator",
     "bound_states",

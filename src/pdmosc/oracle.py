@@ -591,18 +591,19 @@ def solve_pdm_numeric(
     """
     if not is_int(n_grid) or n_grid < 8:
         raise ParameterError(f"need an integer n_grid >= 8, got {n_grid!r}")
-    # the finest grid's first midpoint lies a (1 - cos(pi h/4)) = 2a sin(pi h/8)^2 from a
-    # wall, less up to 2 eps a of rounding in the map and in pct.mass's own test
-    if 2.0 * math.sin(math.pi / (4 * (2 * n_grid + 1))) ** 2 - 4.5e-16 <= pct.BOUNDARY_MARGIN:
+    a, _, _ = pct.map_parameters(p.omega0, p.A, p.b)
+    profile = pct.MassProfile(a)
+    # the finest grid's midpoints, where the mass is sampled, put to pct.mass's own test
+    try:
+        pct._check_x(profile, SineGrid(a, 2 * n_grid).half_nodes())
+    except DomainError:
         raise ParameterError(
             f"n_grid {n_grid} is too fine: its grid of {2 * n_grid} points would sample the "
             f"mass within {pct.BOUNDARY_MARGIN} a of the walls"
-        )
+        ) from None
     count = oscillator.num_bound_states(p)
     if not is_int(k) or k < 1 or k > count:
         raise ParameterError(f"need 1 <= k <= {count} admitted levels, got {k!r}")
-    a, _, _ = pct.map_parameters(p.omega0, p.A, p.b)
-    profile = pct.MassProfile(a)
     x0 = 2.0 * p.b / p.omega0
     analytic = [oscillator.energy(p, n) for n in range(k)]
     return _two_grid_report(

@@ -19,7 +19,7 @@ import numpy as np
 from . import pct
 from .errors import DomainError, ParameterError
 from .pct import shift_bound
-from .rosen_morse import RosenMorseParams, _check_level, _evaluate, _Level, _resolve
+from .rosen_morse import RosenMorseParams, _check_level, _evaluate, _Level, _resolve, rm_energy
 from .special_fn import _check_finite, _largest_abs, gegenbauer_poly, is_int
 
 __all__ = [
@@ -82,21 +82,23 @@ def num_bound_states(p: OscillatorParams) -> int:
 
 
 def _level_energy(p: OscillatorParams, a: float, n: int) -> float:
-    # a_bar^2 eps_n + c_bar, summed before it is rounded: its terms -(A-n)^2/a^2 and
-    # omega0^2 a^2/4 are each O(A) and cancel to O(n + 1/2), and omega0^2 a^4/4 is
-    # exactly A(A+1) - 2, so E_n = P/a^2 - b^2 Q/(A-n)^2 with P = (2n+1)A - n^2 - 1
-    # and Q = P - 1, each formed from A and n with one rounding
+    # a_bar^2 eps_n + c_bar, summed before it is rounded.  At b = 0 its terms
+    # -(A-n)^2/a^2 and omega0^2 a^2/4 are each O(A) and cancel to O(n + 1/2); as
+    # omega0^2 a^4/4 is exactly A(A+1) - 2, the sum is (D - 1)/a^2 with D the unshifted
+    # well's level above its floor.  The shift adds -b^2 (D - 2)/(A-n)^2, whose own
+    # O(A^2) terms cancel the same way.
+    d = rm_energy(RosenMorseParams(p.A), n, from_floor=True)
     m = p.A - n
-    lead = (2 * n + 1) * p.A
-    return (lead - (n * n + 1)) / (a * a) - p.b * p.b * (lead - (n * n + 2)) / (m * m)
+    return (d - 1.0) / (a * a) - p.b * p.b * (d - 2.0) / (m * m)
 
 
 def energy(p: OscillatorParams, n: int) -> float:
     """Level energy from the transform route a_bar^2 eps_n + c_bar.
 
-    eps_n is rosen_morse.rm_energy of the derived well and (a_bar, c_bar)
-    the pct.PctMap; the sum is carried out in closed form before rounding,
-    so the result keeps its relative accuracy at any depth.
+    eps_n is rosen_morse.rm_energy, taken from the floor of the unshifted
+    well, and (a_bar, c_bar) the pct.PctMap; the sum is carried out in
+    closed form before rounding, so the result keeps its relative accuracy
+    at any depth.
     """
     _check_level(n, num_bound_states(p), p)
     return _level_energy(p, _derived(p)[0], n)

@@ -114,11 +114,20 @@ def _check_level(n: int, count: int, model: object) -> None:
         )
 
 
-def rm_energy(p: RosenMorseParams, n: int) -> float:
-    """Bound-state energy -(A-n)^2 - B^2/(A-n)^2."""
+def rm_energy(p: RosenMorseParams, n: int, *, from_floor: bool = False) -> float:
+    """Bound-state energy -(A-n)^2 - B^2/(A-n)^2.
+
+    With from_floor the energy is measured from the floor -A(A+1) of the
+    sech^2 term: (2n+1)A - n^2 - B^2/(A-n)^2.  Its first part is formed
+    from A and n, so at B = 0 the value keeps its relative accuracy at any
+    depth, where eps_n + A(A+1) summed in floats loses about A eps.
+    """
     _check_level(n, rm_nmax(p) + 1, p)
     m = p.A - n
-    return -m * m - (p.B * p.B) / (m * m)
+    tilt = (p.B * p.B) / (m * m)
+    if from_floor:
+        return (2 * n + 1) * p.A - n * n - tilt
+    return -m * m - tilt
 
 
 def _ln_norm_jacobi(A: float, n: int, m: float, beta: float) -> float:

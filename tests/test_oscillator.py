@@ -238,6 +238,23 @@ def test_energies_against_mpmath_at_any_depth(omega0):
                     assert abs(energy_harmonic_form(p, n) - want) <= 1e-14 * abs(want)
 
 
+def test_energy_takes_each_level_from_rm_energy_once(monkeypatch):
+    # pin: the transform route reads the reference well's level once per energy
+    calls = []
+
+    def counted(p, n, **kw):
+        calls.append(n)
+        return rosen_morse.rm_energy(p, n, **kw)
+
+    monkeypatch.setattr(oscillator, "rm_energy", counted)
+    p = OscillatorParams(1.0, 5.3, 0.2)
+    energy(p, 2)
+    assert calls == [2]
+    calls.clear()
+    states = bound_states(p)
+    assert calls == [s.n for s in states]
+
+
 @pytest.mark.parametrize("omega0", [1e155, 1e200])
 def test_energy_two_forms_agree_at_large_frequency(omega0):
     # omega0^2 overflows a float here; omega0 a^2 = 2 sqrt(A(A+1) - 2) does not

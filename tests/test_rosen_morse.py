@@ -147,6 +147,26 @@ def test_energy_increasing_in_n():
         assert all(lo < hi for lo, hi in zip(eps, eps[1:]))
 
 
+def test_energy_from_floor_keeps_its_digits_at_depth():
+    import mpmath as mp
+
+    # eps_n + A(A+1) summed in floats loses about A eps; the floor form is formed from A and
+    # n.  A tilt as large as the level spacing times A cancels it again, so B stays small here
+    for A, B in [(1.5, 0.0), (12.25, -3.0), (2000.0, 0.0), (1e4, 0.0), (1e4 + 0.3, 900.0)]:
+        p = RosenMorseParams(A, B)
+        for n in sorted({0, 1, rm_nmax(p) // 2, rm_nmax(p)}):
+            with mp.workdps(50):
+                m = mp.mpf(A) - n
+                want = mp.mpf(A) * (mp.mpf(A) + 1) - m**2 - mp.mpf(B) ** 2 / m**2
+            got = rm_energy(p, n, from_floor=True)
+            assert abs(got - want) <= 1e-15 * abs(want)
+            # the plain energy agrees up to its own rounding, a few eps of A^2 + B^2/m^2
+            scale = A * (A + 1.0) + B * B / float(m * m)
+            assert abs(got - (rm_energy(p, n) + A * (A + 1.0))) <= 4e-16 * scale
+    with pytest.raises(NoSuchStateError):
+        rm_energy(RosenMorseParams(2.0, 0.0), 2, from_floor=True)
+
+
 def test_energy_rejects_out_of_window():
     p = RosenMorseParams(2.0, 0.0)
     with pytest.raises(NoSuchStateError):
