@@ -139,7 +139,9 @@ def _spectrum(p: OscillatorParams, derived: tuple) -> dict:
     return {
         "a": a,
         "num_states": count,
-        "levels": [{"n": n, "energy": oscillator._level_energy(p, a, n)} for n in range(count)],
+        "levels": [
+            {"n": n, "energy": e} for n, e in enumerate(oscillator._level_energies(p, a, count))
+        ],
     }
 
 

@@ -538,24 +538,22 @@ def test_spectrum_rows_derive_once_and_resolve_no_state(monkeypatch, capsys, arg
 def test_samples_reuse_the_spectrum_derivation(monkeypatch, capsys):
     # the states come from the derivation that admitted the model, and each
     # level's energy is computed once, for the spectrum
-    calls = {"map_parameters": 0, "_level_energy": 0}
+    calls = {"map_parameters": 0, "rm_energy": 0}
 
     def counted(name, fn):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
 
         return wrapper
 
     monkeypatch.setattr(pct, "map_parameters", counted("map_parameters", pct.map_parameters))
-    monkeypatch.setattr(
-        oscillator, "_level_energy", counted("_level_energy", oscillator._level_energy)
-    )
+    monkeypatch.setattr(oscillator, "rm_energy", counted("rm_energy", oscillator.rm_energy))
     rc, out, _ = run_cli(capsys, "solve", "--omega0", "1", "--A", "6.5", "--b", "0.1",
                          "--samples", "4")
     assert rc == 0
     waves = json.loads(out)["wavefunctions"]
-    assert calls == {"map_parameters": 2, "_level_energy": len(waves)}
+    assert calls == {"map_parameters": 2, "rm_energy": len(waves)}
     states = oscillator.bound_states(OscillatorParams(1.0, 6.5, 0.1))
     assert [w["n"] for w in waves] == [s.n for s in states]
     for w, s in zip(waves, states):
