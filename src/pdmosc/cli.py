@@ -135,13 +135,12 @@ def _admit(p: OscillatorParams) -> tuple:
 
 def _spectrum(p: OscillatorParams, derived: tuple) -> dict:
     # a and the energies of an admitted derivation; no level's wavefunction is resolved
-    a, _, count = derived
+    a, rm, count = derived
+    energies = oscillator._level_energies(p, a, rm, range(count))
     return {
         "a": a,
         "num_states": count,
-        "levels": [
-            {"n": n, "energy": e} for n, e in enumerate(oscillator._level_energies(p, a, count))
-        ],
+        "levels": [{"n": n, "energy": e} for n, e in enumerate(energies)],
     }
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -81,21 +81,23 @@ def num_bound_states(p: OscillatorParams) -> int:
     return _derived(p)[2]
 
 
-def _level_energy(p: OscillatorParams, a: float, well: RosenMorseParams, n: int) -> float:
-    # a_bar^2 eps_n + c_bar, summed before it is rounded.  At b = 0 its terms
-    # -(A-n)^2/a^2 and omega0^2 a^2/4 are each O(A) and cancel to O(n + 1/2); as
-    # omega0^2 a^4/4 is exactly A(A+1) - 2, the sum is (D - 1)/a^2 with D the level of
-    # the unshifted well RosenMorseParams(A) above its floor.  The shift adds
+def _level_energies(
+    p: OscillatorParams, a: float, rm: RosenMorseParams, levels: Iterable[int]
+) -> list[float]:
+    # a_bar^2 eps_n + c_bar of the derivation (a, rm), summed before it is rounded.  At
+    # b = 0 its terms -(A-n)^2/a^2 and omega0^2 a^2/4 are each O(A) and cancel to
+    # O(n + 1/2); as omega0^2 a^4/4 is exactly A(A+1) - 2, the sum is (D - 1)/a^2 with D
+    # the level of the unshifted well above its floor.  The shift adds
     # -b^2 (D - 2)/(A-n)^2, whose own O(A^2) terms cancel the same way.
-    d = rm_energy(well, n, from_floor=True)
-    m = p.A - n
-    return (d - 1.0) / (a * a) - p.b * p.b * (d - 2.0) / (m * m)
-
-
-def _level_energies(p: OscillatorParams, a: float, count: int) -> list[float]:
-    # levels 0..count-1 of an admitted derivation, with one unshifted well for all
-    well = RosenMorseParams(p.A)
-    return [_level_energy(p, a, well, n) for n in range(count)]
+    well = rm if p.b == 0.0 else RosenMorseParams(p.A)
+    a2 = a * a
+    b2 = p.b * p.b
+    out = []
+    for n in levels:
+        d = rm_energy(well, n, from_floor=True)
+        m = p.A - n
+        out.append((d - 1.0) / a2 - b2 * (d - 2.0) / (m * m))
+    return out
 
 
 def energy(p: OscillatorParams, n: int) -> float:
@@ -107,7 +109,8 @@ def energy(p: OscillatorParams, n: int) -> float:
     at any depth.
     """
     _check_level(n, num_bound_states(p), p)
-    return _level_energy(p, _derived(p)[0], RosenMorseParams(p.A), n)
+    a, rm, _ = _derived(p)
+    return _level_energies(p, a, rm, (n,))[0]
 
 
 def _half_integer_form(omega0: float, a: float, n: int) -> float:
@@ -215,7 +218,7 @@ def bound_states(p: OscillatorParams) -> list[BoundState]:
     or on an ndarray of x; it gives the same values as wavefunction(p, n, x).
     """
     a, rm, count = _derived(p)
-    energies = _level_energies(p, a, count)
+    energies = _level_energies(p, a, rm, range(count))
     return [BoundState(n, e, _level_psi(a, rm, n)) for n, e in enumerate(energies)]
 
 

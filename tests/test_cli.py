@@ -693,7 +693,7 @@ def test_work_over_a_limit_is_refused_before_any_level(monkeypatch, capsys, limi
     def no_level(*args):
         raise AssertionError("a level was computed")
 
-    monkeypatch.setattr(oscillator, "_level_energy", no_level)
+    monkeypatch.setattr(oscillator, "_level_energies", no_level)
     monkeypatch.setattr(oscillator, "_jafarov_levels", no_level)
     t0 = time.perf_counter()
     rc, out, err = run_cli(capsys, *argv)
