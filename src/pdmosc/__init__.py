@@ -36,7 +36,6 @@ from .pct import (
     map_parameters,
     mass,
     mass_correction,
-    transform_energy,
     transform_potential,
     u_of_x,
     v_of_x,
@@ -88,7 +87,6 @@ __all__ = [
     "shift_bound",
     "solve_constant_mass_numeric",
     "solve_pdm_numeric",
-    "transform_energy",
     "transform_potential",
     "u_of_x",
     "v_of_x",

@@ -14,14 +14,18 @@ a message to stderr instead, and also exit 2.  Payloads go
 to stdout or the ``--out`` path; an ``--out`` path that cannot be written is
 a configuration error.  JSON payloads come from one small emitter that
 prints the bytes ``json.dumps(payload, indent=2)`` would: a float prints as
-its shortest round-trip repr, and NaN and +-inf print as null.  CSV cells
-carry 17 significant digits.
+its shortest round-trip repr, and NaN and +-inf print as null.  ``solve``
+holds each level's samples table as two columns, the x points shared by
+every level and the level's psi values, and prints it in the same bytes as
+its ``[{"x": x, "psi": psi}, ...]`` form, with the x texts formatted once per
+solve.  CSV cells carry 17 significant digits.
 
 Work is bounded: a model with more than MAX_LEVELS levels (a ``solve`` or
 ``verify`` model, a ``scan`` row, or ``jafarov --l`` above MAX_LEVELS + 1),
-a scan of more than MAX_SCAN_ROWS rows and a ``verify`` whose levels times
-``--grid`` exceed MAX_VERIFY_WORK are refused with exit 2 before any level
-is computed.
+a scan of more than MAX_SCAN_ROWS rows, a ``verify`` whose levels times
+``--grid`` exceed MAX_VERIFY_WORK, and a ``solve --samples`` over k levels
+whose (samples + quad) k(k+1)/2 + SOLVE_SAMPLE_WORK samples k exceeds
+MAX_SOLVE_WORK are refused with exit 2 before any level is computed.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
@@ -45,12 +50,42 @@ JAFAROV_TOL = 1e-12
 MAX_LEVELS = 10_000
 MAX_SCAN_ROWS = 10_000
 MAX_VERIFY_WORK = 700_000
+# solve --samples evaluates level n's degree-n polynomial at --samples + --quad points,
+# (samples + quad) k(k+1)/2 steps over k levels, and prints k samples tables; one printed
+# sample costs about SOLVE_SAMPLE_WORK steps (2.5e-8 s a step, 3e-6 s a printed sample on
+# 2 cores, Python 3.11).  Runs at the limit took 2.0 s (A = 499 at --samples 1), 2.6 s
+# (A = 3 at --samples 245 000) and 3.2 s (A = 2 at --samples 495 000)
+MAX_SOLVE_WORK = 50_000_000
+SOLVE_SAMPLE_WORK = 100
 # verify's default --grid is max(VERIFY_GRID_MIN, VERIFY_GRID_PER_A * A), rounded up.  It
 # scales with the depth, not the level count: a shift b leaves fewer levels than A - 1
 # but no wider states.  Over a sweep of A up to 210 and |b| up to 0.99 of its bound it
 # held every level within 1.4e-6 of the closed forms
 VERIFY_GRID_MIN = 500
 VERIFY_GRID_PER_A = 16
+
+
+@dataclass(frozen=True)
+class _SampleTable:
+    # one level's samples as two columns, printed as [{"x": x, "psi": psi}, ...].  x and
+    # x_json, the JSON texts of x, are the same lists for every level of one solve
+    x: list[float]
+    x_json: list[str]
+    psi: list[float]
+
+
+def _sample_json(table: _SampleTable, indent: str) -> str:
+    # the bytes the recursion below prints for the table's dict form, in one join with no
+    # recursion per point.  A non-finite psi prints as null; a table holds at least one sample
+    inner = indent + "  "
+    head = inner + "{" + inner + '  "x": '
+    mid = "," + inner + '  "psi": '
+    tail = inner + "}"
+    text, finite = float.__repr__, math.isfinite
+    return "[" + ",".join([
+        f"{head}{x}{mid}{text(v) if finite(v) else 'null'}{tail}"
+        for x, v in zip(table.x_json, table.psi)
+    ]) + indent + "]"
 
 
 def _json_payload(value: object, indent: str = "\n") -> str:
@@ -84,6 +119,8 @@ def _json_payload(value: object, indent: str = "\n") -> str:
         return "false"
     if isinstance(value, int):
         return int.__repr__(value)
+    if isinstance(value, _SampleTable):
+        return _sample_json(value, indent)
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
@@ -162,6 +199,7 @@ def _sample_block(derived: tuple, ns: argparse.Namespace) -> list[dict]:
     # the states of an admitted derivation; their energies are the spectrum's, not recomputed
     a, rm, count = derived
     xs = [-a + 2.0 * a * (j + 1) / (ns.samples + 1) for j in range(ns.samples)]
+    x_json = [float.__repr__(x) for x in xs]
     points = np.array(xs)
     out = []
     for n in range(count):
@@ -170,7 +208,7 @@ def _sample_block(derived: tuple, ns: argparse.Namespace) -> list[dict]:
             {
                 "n": n,
                 "norm": oracle.overlap(psi, psi, -a, a, ns.quad, graded=True),
-                "samples": [{"x": x, "psi": v} for x, v in zip(xs, psi(points).tolist())],
+                "samples": _SampleTable(xs, x_json, psi(points).tolist()),
             }
         )
     return out
@@ -183,6 +221,13 @@ def cmd_solve(ns: argparse.Namespace) -> int:
         raise ParameterError(f"--quad must be >= 1, got {ns.quad}")
     p = OscillatorParams(ns.omega0, ns.A, ns.b)
     derived = _admit(p)
+    k = derived[2]
+    work = (ns.samples + ns.quad) * k * (k + 1) // 2 + SOLVE_SAMPLE_WORK * ns.samples * k
+    if ns.samples > 0 and work > MAX_SOLVE_WORK:
+        raise ParameterError(
+            f"solve of {k} levels at --samples {ns.samples} and --quad {ns.quad} is {work} "
+            f"steps of work, above the limit of {MAX_SOLVE_WORK}"
+        )
     spectrum = _spectrum(p, derived)
     samples = _sample_block(derived, ns) if ns.samples > 0 else []
     if ns.format == "csv":
@@ -191,8 +236,8 @@ def cmd_solve(ns: argparse.Namespace) -> int:
             rows.append([])
             rows.append(["n", "x", "psi"])
             for entry in samples:
-                for pt in entry["samples"]:
-                    rows.append([entry["n"], pt["x"], pt["psi"]])
+                table = entry["samples"]
+                rows += [[entry["n"], x, v] for x, v in zip(table.x, table.psi)]
         _emit(ns, _csv_text(rows))
         return 0
     payload = {

@@ -31,7 +31,6 @@ __all__ = [
     "mass_correction",
     "shift_bound",
     "transform_potential",
-    "transform_energy",
     "u_of_x",
     "v_of_x",
 ]
@@ -119,11 +118,6 @@ def transform_potential(
     """Target-space potential a_bar^2 U(u(x)) + mass correction + c_bar."""
     u = u_of_x(profile, pmap, x)
     return pmap.a_bar**2 * source_potential(u) + mass_correction(profile, x) + pmap.c_bar
-
-
-def transform_energy(pmap: PctMap, epsilon: float) -> float:
-    """Affine energy map E = a_bar^2 * epsilon + c_bar."""
-    return pmap.a_bar**2 * epsilon + pmap.c_bar
 
 
 def shift_bound(omega0: float, A: float) -> float:

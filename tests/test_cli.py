@@ -190,6 +190,41 @@ def test_solve_csv_table(capsys):
         )
 
 
+# solve --A 3 --b 0.1 --samples 2 --format csv as printed before the samples table was
+# held by columns
+_CSV_PIN = """\
+param,a,num_states,E0,E1
+3,2.514866859365871,2,0.31511665490572682,1.0917971810589329
+
+n,x,psi
+0,-0.83828895312195706,0.48824563620951356
+0,0.83828895312195684,0.58673025727801198
+1,-0.83828895312195706,-0.44779732005996464
+1,0.83828895312195684,0.25424197168616003
+"""
+
+
+def test_solve_csv_rows_are_the_json_samples(capsys):
+    argv = ["solve", "--omega0", "1", "--A", "3", "--b", "0.1", "--samples", "2"]
+    rc, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert rc == 0
+    got = [row.split(",") for row in out.splitlines()]
+    want = [row.split(",") for row in _CSV_PIN.splitlines()]
+    assert [len(row) for row in got] == [len(row) for row in want]
+    for g, w in zip(got, want):
+        for cell, pinned in zip(g, w):
+            # psi and the energies go through libm: the pin holds them to a few ulp
+            assert cell == pinned or math.isclose(float(cell), float(pinned), rel_tol=1e-15)
+    # exactly the rows of the JSON payload's samples, in its order
+    _, js, _ = run_cli(capsys, *argv)
+    table = [
+        [str(w["n"]), format(pt["x"], ".17g"), format(pt["psi"], ".17g")]
+        for w in json.loads(js)["wavefunctions"]
+        for pt in w["samples"]
+    ]
+    assert got[got.index(["n", "x", "psi"]) + 1:] == table
+
+
 def test_solve_csv_header_minimal(capsys):
     rc, out, _ = run_cli(capsys, "solve", "--omega0", "1", "--A", "2", "--format", "csv")
     assert out.splitlines()[0] == "param,a,num_states,E0"
@@ -687,6 +722,9 @@ def test_scan_rejects_nonfinite_range(capsys, bound, value):
         # 9 999 levels on the default grid of 160 000 points
         ("MAX_VERIFY_WORK", ["verify", "--omega0", "1", "--A", "1e4"]),
         ("MAX_VERIFY_WORK", ["verify", "--omega0", "1", "--A", "3", "--grid", "400000"]),
+        # 9 999 levels, each evaluated on 403 points
+        ("MAX_SOLVE_WORK", ["solve", "--omega0", "1", "--A", "1e4", "--samples", "3"]),
+        ("MAX_SOLVE_WORK", ["solve", "--omega0", "1", "--A", "3", "--samples", "100000000"]),
     ],
 )
 def test_work_over_a_limit_is_refused_before_any_level(monkeypatch, capsys, limit, argv):
@@ -712,6 +750,24 @@ def test_level_limit_boundary(capsys, A, rc, count):
     else:
         spectrum = json.loads(out)["spectrum"]
         assert spectrum["num_states"] == len(spectrum["levels"]) == count
+
+
+@pytest.mark.parametrize("over, rc", [(0, 0), (1, 2)])
+def test_solve_work_limit_boundary(monkeypatch, capsys, over, rc):
+    # A = 3 holds 2 levels: (2 + 400) * 3 polynomial steps and 2 * 2 printed samples
+    work = (2 + 400) * 3 + cli.SOLVE_SAMPLE_WORK * 2 * 2
+    monkeypatch.setattr(cli, "MAX_SOLVE_WORK", work - over)
+    got, out, err = run_cli(capsys, "solve", "--omega0", "1", "--A", "3", "--samples", "2")
+    assert got == rc
+    if rc:
+        assert f"is {work} steps" in json.loads(err)["message"]
+    else:
+        assert len(json.loads(out)["wavefunctions"]) == 2
+
+
+def test_solve_at_depth_300_is_admitted(capsys):
+    rc, out, _ = run_cli(capsys, "solve", "--omega0", "1", "--A", "300", "--samples", "1")
+    assert rc == 0 and len(json.loads(out)["wavefunctions"]) == 299
 
 
 def test_verify_refuses_a_grid_too_small_for_its_levels(capsys):

@@ -109,3 +109,22 @@ def test_payloads_do_not_go_through_the_json_encoder(monkeypatch):
     for argv, (rc, out, err) in zip(_PAYLOAD_ARGV, expected):
         assert out.startswith("{\n") and err == ""
         assert _run(argv) == (rc, out, err)
+
+
+@pytest.mark.parametrize("samples", ["1", "40"])
+@pytest.mark.parametrize("A, b", [("4", "0"), ("4.5", "0"), ("3.5", "0.2")])
+def test_solve_samples_print_the_bytes_of_json_dumps(A, b, samples):
+    # b = 0 on both polynomial routes (integer and non-integer A), and b != 0
+    rc, out, err = _run(["solve", "--omega0", "1", "--A", A, "--b", b, "--samples", samples])
+    assert rc == 0 and err == ""
+    payload = json.loads(out)
+    assert out == json.dumps(payload, indent=2) + "\n"
+    assert all(len(w["samples"]) == int(samples) for w in payload["wavefunctions"])
+
+
+def test_sample_table_prints_nonfinite_psi_as_null():
+    xs = [-0.75, -0.25, 0.25, 0.75]
+    table = cli._SampleTable(xs, [float.__repr__(x) for x in xs], [math.nan, math.inf, -math.inf, 0.5])
+    dict_form = [{"x": x, "psi": v} for x, v in zip(xs, [None, None, None, 0.5])]
+    got = cli._json_payload({"wavefunctions": [{"n": 0, "samples": table}]})
+    assert got == json.dumps({"wavefunctions": [{"n": 0, "samples": dict_form}]}, indent=2)

@@ -20,12 +20,11 @@ from pdmosc.pct import (
     map_parameters,
     mass,
     mass_correction,
-    transform_energy,
     transform_potential,
     u_of_x,
     v_of_x,
 )
-from pdmosc.rosen_morse import rm_energy, rm_potential, rm_wavefunction
+from pdmosc.rosen_morse import rm_potential, rm_wavefunction
 
 
 # --- mass profile ---
@@ -234,17 +233,6 @@ def test_transform_identities_random_parameters():
             assert abs(mass_correction(prof, x) - fd) < 1e-6
 
 
-def test_transform_energy_values():
-    pmap = PctMap(a_bar=0.5, c_bar=1.25)
-    assert math.isclose(transform_energy(pmap, -4.0), 0.25, rel_tol=1e-14)
-    assert transform_energy(pmap, 0.0) == 1.25
-
-
-def test_transform_energy_ground_state_depth_three():
-    _, pmap, _ = map_parameters(1.0, 3.0)
-    assert math.isclose(transform_energy(pmap, -9.0), 0.3162278, rel_tol=1e-6)
-
-
 # --- map_parameters ---
 
 
@@ -336,18 +324,6 @@ def test_quarter_power_change_of_function(omega0, A, b, form):
             via_u = math.sqrt(pmap.a_bar) * mass(prof, x) ** 0.25 * phi
             direct = oscillator.wavefunction(p, n, x, form)
             assert abs(via_u - direct) <= 1e-9 * max(abs(direct), 1e-6)
-
-
-def test_transform_energy_reproduces_oscillator_route():
-    for omega0, A, b in [(1.0, 2.0, 0.0), (1.0, 3.0, 0.1), (2.0, 4.5, -0.2)]:
-        _, pmap, rm = map_parameters(omega0, A, b)
-        p = oscillator.OscillatorParams(omega0, A, b)
-        for n in range(oscillator.num_bound_states(p)):
-            assert math.isclose(
-                transform_energy(pmap, rm_energy(rm, n)),
-                oscillator.energy(p, n),
-                rel_tol=1e-14,
-            )
 
 
 def test_domain_guard_near_boundary():
