@@ -22,9 +22,10 @@ solve.  CSV cells carry 17 significant digits.
 
 Work is bounded: a model with more than MAX_LEVELS levels (a ``solve`` or
 ``verify`` model, a ``scan`` row, or ``jafarov --l`` above MAX_LEVELS + 1),
-a scan of more than MAX_SCAN_ROWS rows, a ``verify`` whose levels times
-``--grid`` exceed MAX_VERIFY_WORK, and a ``solve --samples`` over k levels
-whose (samples + quad) k(k+1)/2 + SOLVE_SAMPLE_WORK samples k exceeds
+a scan of more than MAX_SCAN_ROWS rows, a scan whose rows hold more than
+MAX_SCAN_WORK levels in all, a ``verify`` whose levels times ``--grid``
+exceed MAX_VERIFY_WORK, and a ``solve --samples`` over k levels whose
+(samples + quad) k(k+1)/2 + SOLVE_SAMPLE_WORK samples k exceeds
 MAX_SOLVE_WORK are refused with exit 2 before any level is computed.
 """
 
@@ -50,6 +51,10 @@ JAFAROV_TOL = 1e-12
 MAX_LEVELS = 10_000
 MAX_SCAN_ROWS = 10_000
 MAX_VERIFY_WORK = 700_000
+# the levels of all a scan's rows together.  Scans near the limit took 1.6-1.9 s and
+# 318 MB (A from 2 to 1414 by 1, 20 MB of CSV), 1.6 s (91 rows of about 9 950 levels)
+# and 2.1 s (10 000 rows of about 100 levels) on 2 cores, Python 3.11
+MAX_SCAN_WORK = 1_000_000
 # solve --samples evaluates level n's degree-n polynomial at --samples + --quad points,
 # (samples + quad) k(k+1)/2 steps over k levels, and prints k samples tables; one printed
 # sample costs about SOLVE_SAMPLE_WORK steps (2.5e-8 s a step, 3e-6 s a printed sample on
@@ -159,24 +164,23 @@ def _params_block(p: OscillatorParams) -> dict:
     return {"omega0": p.omega0, "A": p.A, "b": p.b}
 
 
-def _admit(p: OscillatorParams) -> tuple:
+def _admit(p: OscillatorParams) -> oscillator._Model:
     # one derivation; a model over the level limit is refused before any level is computed
-    derived = oscillator._derived(p)
-    if derived[2] > MAX_LEVELS:
+    model = oscillator._model(p)
+    if model.count > MAX_LEVELS:
         raise ParameterError(
-            f"omega0={p.omega0!r}, A={p.A!r}, b={p.b!r} holds {derived[2]} levels, "
+            f"omega0={p.omega0!r}, A={p.A!r}, b={p.b!r} holds {model.count} levels, "
             f"above the limit of {MAX_LEVELS}"
         )
-    return derived
+    return model
 
 
-def _spectrum(p: OscillatorParams, derived: tuple) -> dict:
-    # a and the energies of an admitted derivation; no level's wavefunction is resolved
-    a, rm, count = derived
-    energies = oscillator._level_energies(p, a, rm, range(count))
+def _spectrum(model: oscillator._Model) -> dict:
+    # a and the energies of an admitted model; no level's wavefunction is resolved
+    energies = model.energies(range(model.count))
     return {
-        "a": a,
-        "num_states": count,
+        "a": model.a,
+        "num_states": model.count,
         "levels": [{"n": n, "energy": e} for n, e in enumerate(energies)],
     }
 
@@ -195,15 +199,15 @@ def _spectrum_rows(params: list[float], spectra: list[dict]) -> list[list[object
     return rows
 
 
-def _sample_block(derived: tuple, ns: argparse.Namespace) -> list[dict]:
-    # the states of an admitted derivation; their energies are the spectrum's, not recomputed
-    a, rm, count = derived
+def _sample_block(model: oscillator._Model, ns: argparse.Namespace) -> list[dict]:
+    # the states of an admitted model; their energies are the spectrum's, not recomputed
+    a = model.a
     xs = [-a + 2.0 * a * (j + 1) / (ns.samples + 1) for j in range(ns.samples)]
     x_json = [float.__repr__(x) for x in xs]
     points = np.array(xs)
     out = []
-    for n in range(count):
-        psi = oscillator._level_psi(a, rm, n)
+    for n in range(model.count):
+        psi = model.psi(n)
         out.append(
             {
                 "n": n,
@@ -220,16 +224,16 @@ def cmd_solve(ns: argparse.Namespace) -> int:
     if ns.quad < 1:
         raise ParameterError(f"--quad must be >= 1, got {ns.quad}")
     p = OscillatorParams(ns.omega0, ns.A, ns.b)
-    derived = _admit(p)
-    k = derived[2]
+    model = _admit(p)
+    k = model.count
     work = (ns.samples + ns.quad) * k * (k + 1) // 2 + SOLVE_SAMPLE_WORK * ns.samples * k
     if ns.samples > 0 and work > MAX_SOLVE_WORK:
         raise ParameterError(
             f"solve of {k} levels at --samples {ns.samples} and --quad {ns.quad} is {work} "
             f"steps of work, above the limit of {MAX_SOLVE_WORK}"
         )
-    spectrum = _spectrum(p, derived)
-    samples = _sample_block(derived, ns) if ns.samples > 0 else []
+    spectrum = _spectrum(model)
+    samples = _sample_block(model, ns) if ns.samples > 0 else []
     if ns.format == "csv":
         rows = _spectrum_rows([p.A], [spectrum])
         if samples:
@@ -253,7 +257,7 @@ def cmd_solve(ns: argparse.Namespace) -> int:
 
 def cmd_verify(ns: argparse.Namespace) -> int:
     p = OscillatorParams(ns.omega0, ns.A, ns.b)
-    k = _admit(p)[2]
+    k = _admit(p).count
     grid = ns.grid
     if grid is None:
         grid = max(VERIFY_GRID_MIN, math.ceil(VERIFY_GRID_PER_A * p.A))
@@ -305,8 +309,7 @@ def cmd_jafarov(ns: argparse.Namespace) -> int:
             f"--l {ns.l} gives {ns.l - 1} levels, above the limit of {MAX_LEVELS}"
         )
     a_l, quant = oscillator._jafarov_levels(ns.omega0, ns.l)
-    p = OscillatorParams(ns.omega0, float(ns.l), 0.0)
-    spectrum = _spectrum(p, _admit(p))
+    spectrum = _spectrum(_admit(OscillatorParams(ns.omega0, float(ns.l), 0.0)))
     devs = [abs(a_l - spectrum["a"]) / abs(spectrum["a"])]
     for lv, (e, _) in zip(spectrum["levels"], quant):
         devs.append(abs(e - lv["energy"]) / max(abs(lv["energy"]), 1e-300))
@@ -365,7 +368,13 @@ def cmd_scan(ns: argparse.Namespace) -> int:
         params = [OscillatorParams(ns.omega0, ns.A, v) for v in _range_values(b_range)]
         col = [p.b for p in params]
     models = [_admit(p) for p in params]
-    _emit(ns, _csv_text(_spectrum_rows(col, [_spectrum(p, m) for p, m in zip(params, models)])))
+    work = sum(m.count for m in models)
+    if work > MAX_SCAN_WORK:
+        raise ParameterError(
+            f"scan of {len(models)} rows holds {work} levels in all, above the limit of "
+            f"{MAX_SCAN_WORK}"
+        )
+    _emit(ns, _csv_text(_spectrum_rows(col, [_spectrum(m) for m in models])))
     return 0
 
 

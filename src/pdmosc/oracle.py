@@ -591,25 +591,24 @@ def solve_pdm_numeric(
     """
     if not is_int(n_grid) or n_grid < 8:
         raise ParameterError(f"need an integer n_grid >= 8, got {n_grid!r}")
-    a, _, _ = pct.map_parameters(p.omega0, p.A, p.b)
-    profile = pct.MassProfile(a)
+    model = oscillator._model(p)
+    profile = pct.MassProfile(model.a)
     # the finest grid's midpoints, where the mass is sampled, put to pct.mass's own test
     try:
-        pct._check_x(profile, SineGrid(a, 2 * n_grid).half_nodes())
+        pct._check_x(profile, SineGrid(model.a, 2 * n_grid).half_nodes())
     except DomainError:
         raise ParameterError(
             f"n_grid {n_grid} is too fine: its grid of {2 * n_grid} points would sample the "
             f"mass within {pct.BOUNDARY_MARGIN} a of the walls"
         ) from None
-    count = oscillator.num_bound_states(p)
-    if not is_int(k) or k < 1 or k > count:
-        raise ParameterError(f"need 1 <= k <= {count} admitted levels, got {k!r}")
+    if not is_int(k) or k < 1 or k > model.count:
+        raise ParameterError(f"need 1 <= k <= {model.count} admitted levels, got {k!r}")
     x0 = 2.0 * p.b / p.omega0
-    analytic = [oscillator.energy(p, n) for n in range(k)]
+    analytic = model.energies(range(k))
     return _two_grid_report(
         partial(pct.mass, profile),
         lambda x: 0.25 * p.omega0**2 * (x - x0) ** 2,
-        partial(SineGrid, a),
+        partial(SineGrid, model.a),
         analytic,
         n_grid,
         estimate_order,
@@ -636,7 +635,7 @@ def solve_constant_mass_numeric(
     if not is_int(k) or k < 1 or k > count:
         raise ParameterError(f"need 1 <= k <= {count} admitted levels, got {k!r}")
     for j in range(k):
-        edge = max(abs(rm_wavefunction(p, j, -box)), abs(rm_wavefunction(p, j, box)))
+        edge = np.abs(rm_wavefunction(p, j, np.array([-box, box]))).max()
         # Dirichlet truncation shifts an eigenvalue by roughly the boundary
         # density, so that is the quantity gated here
         if edge * edge >= 1e-10:

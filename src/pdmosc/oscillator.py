@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -52,12 +52,6 @@ class OscillatorParams:
         pct.map_parameters(self.omega0, self.A, self.b)
 
 
-def _derived(p: OscillatorParams) -> tuple[float, RosenMorseParams, int]:
-    # one parameter map: (a, RosenMorseParams, level count)
-    a, _, rm = pct.map_parameters(p.omega0, p.A, p.b)
-    return a, rm, pct.level_count(rm.A, rm.B)
-
-
 @dataclass(frozen=True)
 class BoundState:
     """One bound level: quantum number, energy, normalized wavefunction of x.
@@ -70,6 +64,44 @@ class BoundState:
     wavefunction: Callable[[float | np.ndarray], float | np.ndarray]
 
 
+class _Model(NamedTuple):
+    """One derivation of p: the half-width a, the derived well rm and its level count."""
+
+    p: OscillatorParams
+    a: float
+    rm: RosenMorseParams
+    count: int
+
+    def energies(self, levels: Iterable[int]) -> list[float]:
+        # a_bar^2 eps_n + c_bar of the derivation (a, rm), summed before it is rounded.  At
+        # b = 0 its terms -(A-n)^2/a^2 and omega0^2 a^2/4 are each O(A) and cancel to
+        # O(n + 1/2); as omega0^2 a^4/4 is exactly A(A+1) - 2, the sum is (D - 1)/a^2 with D
+        # the level of the unshifted well above its floor.  The shift adds
+        # -b^2 (D - 2)/(A-n)^2, whose own O(A^2) terms cancel the same way.
+        p, a, rm, _ = self
+        well = rm if p.b == 0.0 else RosenMorseParams(p.A)
+        a2 = a * a
+        b2 = p.b * p.b
+        out = []
+        for n in levels:
+            d = rm_energy(well, n, from_floor=True)
+            m = p.A - n
+            out.append((d - 1.0) / a2 - b2 * (d - 2.0) / (m * m))
+        return out
+
+    def psi(self, n: int, form: str = "auto") -> Callable[[float | np.ndarray], float | np.ndarray]:
+        # level n's wavefunction of x with its constants resolved, only the per-point work
+        # left: the well's level times the transform's prefactor a^(-1/2) (1 - t^2)^(-1/2)
+        s = _resolve(self.rm, n, form, lower=0.5, ln_scale=-0.5 * math.log(self.a))
+        return partial(_psi, s, self.a)
+
+
+def _model(p: OscillatorParams) -> _Model:
+    # one parameter map
+    a, _, rm = pct.map_parameters(p.omega0, p.A, p.b)
+    return _Model(p, a, rm, pct.level_count(rm.A, rm.B))
+
+
 def confinement_length(omega0: float, A: float) -> float:
     """Half-width a = sqrt(2/omega0) * (A(A+1) - 2)^(1/4)."""
     a, _, _ = pct.map_parameters(omega0, A, 0.0)
@@ -78,26 +110,7 @@ def confinement_length(omega0: float, A: float) -> float:
 
 def num_bound_states(p: OscillatorParams) -> int:
     """Count of admitted levels: pct.level_count of the derived well, at least 1."""
-    return _derived(p)[2]
-
-
-def _level_energies(
-    p: OscillatorParams, a: float, rm: RosenMorseParams, levels: Iterable[int]
-) -> list[float]:
-    # a_bar^2 eps_n + c_bar of the derivation (a, rm), summed before it is rounded.  At
-    # b = 0 its terms -(A-n)^2/a^2 and omega0^2 a^2/4 are each O(A) and cancel to
-    # O(n + 1/2); as omega0^2 a^4/4 is exactly A(A+1) - 2, the sum is (D - 1)/a^2 with D
-    # the level of the unshifted well above its floor.  The shift adds
-    # -b^2 (D - 2)/(A-n)^2, whose own O(A^2) terms cancel the same way.
-    well = rm if p.b == 0.0 else RosenMorseParams(p.A)
-    a2 = a * a
-    b2 = p.b * p.b
-    out = []
-    for n in levels:
-        d = rm_energy(well, n, from_floor=True)
-        m = p.A - n
-        out.append((d - 1.0) / a2 - b2 * (d - 2.0) / (m * m))
-    return out
+    return _model(p).count
 
 
 def energy(p: OscillatorParams, n: int) -> float:
@@ -108,9 +121,11 @@ def energy(p: OscillatorParams, n: int) -> float:
     closed form before rounding, so the result keeps its relative accuracy
     at any depth.
     """
+    # two derivations, one for the level check and one for the energy:
+    # bench/test_bench.py::test_tracer_counts_and_self_time pins this path's count of
+    # parameter maps, so deriving once waits on a change to that benchmark test
     _check_level(n, num_bound_states(p), p)
-    a, rm, _ = _derived(p)
-    return _level_energies(p, a, rm, (n,))[0]
+    return _model(p).energies((n,))[0]
 
 
 def _half_integer_form(omega0: float, a: float, n: int) -> float:
@@ -131,19 +146,14 @@ def energy_harmonic_form(p: OscillatorParams, n: int) -> float:
     plus b^2 g(n)/f(n) with f(n) = (A-n)^2 and g(n) = f(n) - omega0^2 a^4/4
     when the shift is present.
     """
-    a, _, count = _derived(p)
-    _check_level(n, count, p)
-    e = _half_integer_form(p.omega0, a, n)
+    model = _model(p)
+    _check_level(n, model.count, p)
+    e = _half_integer_form(p.omega0, model.a, n)
     if p.b != 0.0:
         f = (p.A - n) ** 2
-        g = f - 0.25 * (p.omega0 * a * a) ** 2
+        g = f - 0.25 * (p.omega0 * model.a * model.a) ** 2
         e += p.b * p.b * g / f
     return e
-
-
-def _x_level(rm: RosenMorseParams, n: int, form: str, a: float) -> _Level:
-    # the well's level times the transform's prefactor a^(-1/2) (1 - t^2)^(-1/2)
-    return _resolve(rm, n, form, lower=0.5, ln_scale=-0.5 * math.log(a))
 
 
 def _interior(a: float, x: float | np.ndarray) -> bool | np.ndarray:
@@ -198,16 +208,9 @@ def wavefunction(
     alone.  Within 1e-12 a of the interval ends the value is exactly 0.0;
     one entry that is not finite or lies beyond them raises DomainError.
     """
-    a, rm, count = _derived(p)
-    _check_level(n, count, p)
-    return _psi(_x_level(rm, n, form, a), a, x)
-
-
-def _level_psi(
-    a: float, rm: RosenMorseParams, n: int
-) -> Callable[[float | np.ndarray], float | np.ndarray]:
-    # level n's wavefunction of x with its constants resolved; only the per-point work is left
-    return partial(_psi, _x_level(rm, n, "auto", a), a)
+    model = _model(p)
+    _check_level(n, model.count, p)
+    return model.psi(n, form)(x)
 
 
 def bound_states(p: OscillatorParams) -> list[BoundState]:
@@ -217,9 +220,9 @@ def bound_states(p: OscillatorParams) -> list[BoundState]:
     evaluating state.wavefunction(x) only does the per-point work, on a float
     or on an ndarray of x; it gives the same values as wavefunction(p, n, x).
     """
-    a, rm, count = _derived(p)
-    energies = _level_energies(p, a, rm, range(count))
-    return [BoundState(n, e, _level_psi(a, rm, n)) for n, e in enumerate(energies)]
+    model = _model(p)
+    energies = model.energies(range(model.count))
+    return [BoundState(n, e, model.psi(n)) for n, e in enumerate(energies)]
 
 
 def _jafarov_coeffs(l: int, a: float) -> list[float]:

@@ -596,6 +596,22 @@ def test_samples_reuse_the_spectrum_derivation(monkeypatch, capsys):
         assert [pt["psi"] for pt in points] == [s.wavefunction(pt["x"]) for pt in points]
 
 
+def test_verify_derives_each_model_once(monkeypatch, capsys):
+    # the constructor validates, _admit derives the model that sets the work, and the
+    # oracle derives its own for a, the level count and every analytic energy
+    calls = {"map_parameters": 0}
+
+    def counted(*args):
+        calls["map_parameters"] += 1
+        return original(*args)
+
+    original = pct.map_parameters
+    monkeypatch.setattr(pct, "map_parameters", counted)
+    rc, out, _ = run_cli(capsys, "verify", "--omega0", "1", "--A", "6.5", "--b", "0.1")
+    assert rc == 0 and len(json.loads(out)["report"]["levels"]) == 5
+    assert calls == {"map_parameters": 3}
+
+
 # --- error channel ---
 
 
@@ -725,13 +741,16 @@ def test_scan_rejects_nonfinite_range(capsys, bound, value):
         # 9 999 levels, each evaluated on 403 points
         ("MAX_SOLVE_WORK", ["solve", "--omega0", "1", "--A", "1e4", "--samples", "3"]),
         ("MAX_SOLVE_WORK", ["solve", "--omega0", "1", "--A", "3", "--samples", "100000000"]),
+        # 10 000 admitted rows of 1 to 10 000 levels, 50 005 000 in all
+        ("MAX_SCAN_WORK",
+         ["scan", "--omega0", "1", "--A-start", "2", "--A-stop", "10001", "--A-step", "1"]),
     ],
 )
 def test_work_over_a_limit_is_refused_before_any_level(monkeypatch, capsys, limit, argv):
     def no_level(*args):
         raise AssertionError("a level was computed")
 
-    monkeypatch.setattr(oscillator, "_level_energies", no_level)
+    monkeypatch.setattr(oscillator._Model, "energies", no_level)
     monkeypatch.setattr(oscillator, "_jafarov_levels", no_level)
     t0 = time.perf_counter()
     rc, out, err = run_cli(capsys, *argv)
@@ -763,6 +782,19 @@ def test_solve_work_limit_boundary(monkeypatch, capsys, over, rc):
         assert f"is {work} steps" in json.loads(err)["message"]
     else:
         assert len(json.loads(out)["wavefunctions"]) == 2
+
+
+@pytest.mark.parametrize("over, rc", [(0, 0), (1, 2)])
+def test_scan_work_limit_boundary(monkeypatch, capsys, over, rc):
+    # A = 3, 4 and 5 hold 2, 3 and 4 levels
+    monkeypatch.setattr(cli, "MAX_SCAN_WORK", 9 - over)
+    got, out, err = run_cli(capsys, "scan", "--omega0", "1", "--A-start", "3", "--A-stop", "5",
+                            "--A-step", "1")
+    assert got == rc
+    if rc:
+        assert "3 rows holds 9 levels" in json.loads(err)["message"]
+    else:
+        assert len(out.splitlines()) == 4
 
 
 def test_solve_at_depth_300_is_admitted(capsys):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from pdmosc import cli, oracle, pct
+from pdmosc import cli, oracle, oscillator, pct
 from pdmosc.errors import ConvergenceError, DomainError, ParameterError
 from pdmosc.oracle import (
     Grid1D,
@@ -29,6 +29,7 @@ from pdmosc.oracle import (
 from pdmosc.oscillator import (
     OscillatorParams,
     confinement_length,
+    energy,
     num_bound_states,
     wavefunction,
 )
@@ -526,6 +527,31 @@ def test_pdm_rejects_bad_requests():
         solve_pdm_numeric(p, 1, 600_000)
 
 
+def test_pdm_report_derives_the_model_once(monkeypatch):
+    # one parameter map gives a, the level count and every analytic energy: the
+    # library's per-level entry points, which each derive the model again, are not called
+    p = OscillatorParams(0.9, 7.4, 0.2)
+    k = num_bound_states(p)
+    want = [energy(p, n) for n in range(k)]
+    calls = {"map_parameters": 0, "energy": 0, "num_bound_states": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(pct, "map_parameters")
+    counted(oscillator, "energy")
+    counted(oscillator, "num_bound_states")
+    rep = solve_pdm_numeric(p, k, 500)
+    assert calls == {"map_parameters": 1, "energy": 0, "num_bound_states": 0}
+    assert list(rep.analytic) == want
+
+
 def min_envelope_exponent(p, n):
     _, _, rm = pct.map_parameters(p.omega0, p.A, p.b)
     m = rm.A - n
@@ -566,6 +592,20 @@ def test_constant_mass_asymmetric_well():
     rep = solve_constant_mass_numeric(RosenMorseParams(2.5, 1.5), 25.0, 2, 3000)
     for got, want in zip(rep.numeric, (-6.61, -3.25)):
         assert abs(got - want) / abs(want) < 1e-6
+
+
+def test_constant_mass_box_check_evaluates_each_level_once(monkeypatch):
+    # both ends of the box in one array call per level
+    calls = []
+
+    def counted(p, n, u):
+        calls.append(n)
+        return original(p, n, u)
+
+    original = oracle.rm_wavefunction
+    monkeypatch.setattr(oracle, "rm_wavefunction", counted)
+    solve_constant_mass_numeric(RosenMorseParams(2.0, 0.0), 25.0, 2, 200)
+    assert calls == [0, 1]
 
 
 def test_constant_mass_box_adequacy():
