@@ -25,7 +25,7 @@ Work is bounded: a model with more than MAX_LEVELS levels (a ``solve`` or
 a scan of more than MAX_SCAN_ROWS rows, a scan whose rows hold more than
 MAX_SCAN_WORK levels in all, a ``verify`` whose levels times ``--grid``
 exceed MAX_VERIFY_WORK, and a ``solve --samples`` over k levels whose
-(samples + quad) k(k+1)/2 + SOLVE_SAMPLE_WORK samples k exceeds
+(samples + quad) k(k+1)/2 + SOLVE_SAMPLE_WORK samples k + quad^2/2 exceeds
 MAX_SOLVE_WORK are refused with exit 2 before any level is computed.
 """
 
@@ -37,6 +37,7 @@ import math
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -51,15 +52,18 @@ JAFAROV_TOL = 1e-12
 MAX_LEVELS = 10_000
 MAX_SCAN_ROWS = 10_000
 MAX_VERIFY_WORK = 700_000
-# the levels of all a scan's rows together.  Scans near the limit took 1.6-1.9 s and
-# 318 MB (A from 2 to 1414 by 1, 20 MB of CSV), 1.6 s (91 rows of about 9 950 levels)
-# and 2.1 s (10 000 rows of about 100 levels) on 2 cores, Python 3.11
+# the levels of all a scan's rows together.  Scans near the limit took 2.2-2.5 s and
+# 71 MB (A from 2 to 1414 by 1, 20 MB of CSV), 1.9-3.0 s and 64 MB (91 rows of about
+# 9 950 levels) and 3.2-3.3 s and 70 MB (10 000 rows of about 100 levels) on 2 cores
+# shared with other load, Python 3.11
 MAX_SCAN_WORK = 1_000_000
 # solve --samples evaluates level n's degree-n polynomial at --samples + --quad points,
 # (samples + quad) k(k+1)/2 steps over k levels, and prints k samples tables; one printed
 # sample costs about SOLVE_SAMPLE_WORK steps (2.5e-8 s a step, 3e-6 s a printed sample on
-# 2 cores, Python 3.11).  Runs at the limit took 2.0 s (A = 499 at --samples 1), 2.6 s
-# (A = 3 at --samples 245 000) and 3.2 s (A = 2 at --samples 495 000)
+# 2 cores, Python 3.11).  The norm column's rule is found by Newton iteration at O(quad^2)
+# cost, about quad^2/2 steps (0.72 s at --quad 8 000, 2.7 s at 16 000).  Runs at the limit
+# took 2.0 s (A = 499 at --samples 1), 1.9 s (A = 3 at --samples 245 000), 2.2 s (A = 2
+# at --samples 494 000) and 1.3 s (A = 2 at --quad 9 990)
 MAX_SOLVE_WORK = 50_000_000
 SOLVE_SAMPLE_WORK = 100
 # verify's default --grid is max(VERIFY_GRID_MIN, VERIFY_GRID_PER_A * A), rounded up.  It
@@ -138,20 +142,23 @@ def _csv_cell(v: object) -> str:
     return str(v)
 
 
-def _csv_text(rows: list[list[object]]) -> str:
+def _csv_text(rows: Iterable[list[object]]) -> str:
     return "\n".join(",".join(_csv_cell(c) for c in row) for row in rows)
 
 
 def _emit(ns: argparse.Namespace, text: str) -> None:
+    # text and its newline in two writes, so a payload of many MB is not copied once more
     if ns.out is not None:
         try:
             with open(ns.out, "w", encoding="ascii") as fh:
-                fh.write(text + "\n")
+                fh.write(text)
+                fh.write("\n")
         except OSError as exc:
             # a missing directory, a directory as the path, no permission: a bad --out
             raise ParameterError(f"cannot write --out {ns.out!r}: {exc.strerror}") from exc
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
+        sys.stdout.write("\n")
 
 
 def _error(kind: str, message: str) -> None:
@@ -176,7 +183,7 @@ def _admit(p: OscillatorParams) -> oscillator._Model:
 
 
 def _spectrum(model: oscillator._Model) -> dict:
-    # a and the energies of an admitted model; no level's wavefunction is resolved
+    # the JSON spectrum block of an admitted model; no level's wavefunction is resolved
     energies = model.energies(range(model.count))
     return {
         "a": model.a,
@@ -185,18 +192,13 @@ def _spectrum(model: oscillator._Model) -> dict:
     }
 
 
-def _spectrum_rows(params: list[float], spectra: list[dict]) -> list[list[object]]:
-    # one CSV row per spectrum; columns past a row's last level stay empty
-    kmax = max(s["num_states"] for s in spectra)
-    rows: list[list[object]] = [
-        ["param", "a", "num_states"] + [f"E{i}" for i in range(kmax)]
-    ]
-    for v, s in zip(params, spectra):
-        row: list[object] = [v, s["a"], s["num_states"]]
-        row += [lv["energy"] for lv in s["levels"]]
-        row += [""] * (kmax - s["num_states"])
-        rows.append(row)
-    return rows
+def _spectrum_rows(params: list[float], models: list[oscillator._Model]) -> Iterator[list[object]]:
+    # one CSV row per admitted model, each made as it is joined; columns past a row's last
+    # level stay empty.  No level's wavefunction is resolved
+    kmax = max(m.count for m in models)
+    yield ["param", "a", "num_states"] + [f"E{i}" for i in range(kmax)]
+    for v, m in zip(params, models):
+        yield [v, m.a, m.count, *m.energies(range(m.count))] + [""] * (kmax - m.count)
 
 
 def _sample_block(model: oscillator._Model, ns: argparse.Namespace) -> list[dict]:
@@ -227,19 +229,17 @@ def cmd_solve(ns: argparse.Namespace) -> int:
     model = _admit(p)
     k = model.count
     work = (ns.samples + ns.quad) * k * (k + 1) // 2 + SOLVE_SAMPLE_WORK * ns.samples * k
+    work += ns.quad * ns.quad // 2
     if ns.samples > 0 and work > MAX_SOLVE_WORK:
         raise ParameterError(
             f"solve of {k} levels at --samples {ns.samples} and --quad {ns.quad} is {work} "
             f"steps of work, above the limit of {MAX_SOLVE_WORK}"
         )
-    spectrum = _spectrum(model)
-    samples = _sample_block(model, ns) if ns.samples > 0 else []
     if ns.format == "csv":
-        rows = _spectrum_rows([p.A], [spectrum])
-        if samples:
-            rows.append([])
-            rows.append(["n", "x", "psi"])
-            for entry in samples:
+        rows = list(_spectrum_rows([p.A], [model]))
+        if ns.samples > 0:
+            rows += [[], ["n", "x", "psi"]]
+            for entry in _sample_block(model, ns):
                 table = entry["samples"]
                 rows += [[entry["n"], x, v] for x, v in zip(table.x, table.psi)]
         _emit(ns, _csv_text(rows))
@@ -247,10 +247,10 @@ def cmd_solve(ns: argparse.Namespace) -> int:
     payload = {
         "command": "solve",
         "params": _params_block(p),
-        "spectrum": spectrum,
+        "spectrum": _spectrum(model),
     }
-    if samples:
-        payload["wavefunctions"] = samples
+    if ns.samples > 0:
+        payload["wavefunctions"] = _sample_block(model, ns)
     _emit(ns, _json_payload(payload))
     return 0
 
@@ -374,7 +374,7 @@ def cmd_scan(ns: argparse.Namespace) -> int:
             f"scan of {len(models)} rows holds {work} levels in all, above the limit of "
             f"{MAX_SCAN_WORK}"
         )
-    _emit(ns, _csv_text(_spectrum_rows(col, [_spectrum(m) for m in models])))
+    _emit(ns, _csv_text(_spectrum_rows(col, models)))
     return 0
 
 

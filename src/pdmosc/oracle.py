@@ -436,17 +436,9 @@ def eigenvector(op: TridiagonalOperator, lam: float, h: float = 1.0) -> np.ndarr
 
 
 @lru_cache(maxsize=64)
-def _rule_arrays(rule_size: int) -> tuple[np.ndarray, np.ndarray]:
-    rule = gauss_legendre(rule_size)
-    nodes, weights = np.array(rule.nodes), np.array(rule.weights)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
-
-
-@lru_cache(maxsize=64)
 def _graded_rule_arrays(rule_size: int) -> tuple[np.ndarray, np.ndarray]:
     # the Gauss-Legendre rule in s, at t = sin(pi s/2) with dt/ds folded into the weights
-    s, weights = _rule_arrays(rule_size)
+    s, weights = gauss_legendre(rule_size)
     nodes, dt = _sine_map(s)
     weights = weights * dt
     nodes.flags.writeable = weights.flags.writeable = False
@@ -474,7 +466,7 @@ def overlap(
     """
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         raise ParameterError(f"need finite lo < hi, got ({lo!r}, {hi!r})")
-    nodes, weights = (_graded_rule_arrays if graded else _rule_arrays)(rule_size)
+    nodes, weights = (_graded_rule_arrays if graded else gauss_legendre)(rule_size)
     half = 0.5 * (hi - lo)
     x = 0.5 * (lo + hi) + half * nodes
     fx = f(x)

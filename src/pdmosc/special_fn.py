@@ -10,7 +10,6 @@ by Newton iteration on the Legendre recurrence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -18,7 +17,6 @@ import numpy as np
 from .errors import DomainError, ParameterError
 
 __all__ = [
-    "QuadratureRule",
     "gauss_legendre",
     "gegenbauer_poly",
     "jacobi_poly",
@@ -119,22 +117,6 @@ def ln_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and weights of a quadrature rule on [-1, 1]."""
-
-    nodes: tuple[float, ...]
-    weights: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.nodes) != len(self.weights) or not self.nodes:
-            raise ParameterError("nodes and weights must be non-empty and aligned")
-
-    @property
-    def size(self) -> int:
-        return len(self.nodes)
-
-
 def _legendre_pair(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Return (P_{n-1}(x), P_n(x)) by the forward Legendre recurrence."""
     p0 = np.ones_like(x)
@@ -145,13 +127,14 @@ def _legendre_pair(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=64)
-def gauss_legendre(n: int) -> QuadratureRule:
-    """Gauss-Legendre rule with n points on [-1, 1].
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule with n points on [-1, 1]: its nodes, ascending, and weights.
 
     Roots of P_n are found by Newton iteration from the Chebyshev-angle
     initial guesses, to a step tolerance of 1e-15.  Only the positive
     half is computed; mirroring makes the symmetry exact in floating
-    point and puts the odd-n center node at exactly 0.
+    point and puts the odd-n center node at exactly 0.  The two arrays
+    are read-only and cached, so a repeat call returns the same objects.
     """
     _check_degree(n)
     if n == 0:
@@ -178,4 +161,5 @@ def gauss_legendre(n: int) -> QuadratureRule:
     else:
         nodes = np.concatenate([-x, x[::-1]])
         weights = np.concatenate([w, w[::-1]])
-    return QuadratureRule(nodes=tuple(nodes.tolist()), weights=tuple(weights.tolist()))
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights

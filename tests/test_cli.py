@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -744,6 +745,9 @@ def test_scan_rejects_nonfinite_range(capsys, bound, value):
         # 10 000 admitted rows of 1 to 10 000 levels, 50 005 000 in all
         ("MAX_SCAN_WORK",
          ["scan", "--omega0", "1", "--A-start", "2", "--A-stop", "10001", "--A-step", "1"]),
+        # one level, but a rule of 10^6 nodes: about 5e11 steps of Newton iteration
+        ("MAX_SOLVE_WORK",
+         ["solve", "--omega0", "1", "--A", "2", "--samples", "1", "--quad", "1000000"]),
     ],
 )
 def test_work_over_a_limit_is_refused_before_any_level(monkeypatch, capsys, limit, argv):
@@ -773,8 +777,9 @@ def test_level_limit_boundary(capsys, A, rc, count):
 
 @pytest.mark.parametrize("over, rc", [(0, 0), (1, 2)])
 def test_solve_work_limit_boundary(monkeypatch, capsys, over, rc):
-    # A = 3 holds 2 levels: (2 + 400) * 3 polynomial steps and 2 * 2 printed samples
-    work = (2 + 400) * 3 + cli.SOLVE_SAMPLE_WORK * 2 * 2
+    # A = 3 holds 2 levels: (2 + 400) * 3 polynomial steps, 2 * 2 printed samples and
+    # 400^2 / 2 steps to build the norm column's rule
+    work = (2 + 400) * 3 + cli.SOLVE_SAMPLE_WORK * 2 * 2 + 400 * 400 // 2
     monkeypatch.setattr(cli, "MAX_SOLVE_WORK", work - over)
     got, out, err = run_cli(capsys, "solve", "--omega0", "1", "--A", "3", "--samples", "2")
     assert got == rc
@@ -795,6 +800,22 @@ def test_scan_work_limit_boundary(monkeypatch, capsys, over, rc):
         assert "3 rows holds 9 levels" in json.loads(err)["message"]
     else:
         assert len(out.splitlines()) == 4
+
+
+def test_scan_holds_about_one_copy_of_its_table(capsys, tmp_path):
+    # 299 rows, 44 850 energies: each row is joined into text as it is made, so the peak
+    # is the row texts and their join, about twice the output (2.2 times when measured)
+    run_cli(capsys, "scan", "--omega0", "1", "--A-start", "2", "--A-stop", "3", "--A-step", "1")
+    out = tmp_path / "scan.csv"
+    tracemalloc.start()
+    try:
+        rc = cli.main(["scan", "--omega0", "1", "--A-start", "2", "--A-stop", "300",
+                       "--A-step", "1", "--out", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < 3 * out.stat().st_size
 
 
 def test_solve_at_depth_300_is_admitted(capsys):

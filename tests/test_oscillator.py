@@ -33,8 +33,7 @@ from pdmosc.special_fn import gauss_legendre
 
 
 def quad_x(f, g, a, size=400):
-    rule = gauss_legendre(size)
-    return sum(w * a * f(a * z) * g(a * z) for z, w in zip(rule.nodes, rule.weights))
+    return sum(w * a * f(a * z) * g(a * z) for z, w in zip(*gauss_legendre(size)))
 
 
 def mp_psi(a, A, B, n, x):

@@ -24,9 +24,8 @@ from pdmosc.special_fn import gauss_legendre
 
 
 def quad_u(f, g, half_width=30.0, size=400):
-    rule = gauss_legendre(size)
     total = 0.0
-    for z, w in zip(rule.nodes, rule.weights):
+    for z, w in zip(*gauss_legendre(size)):
         u = half_width * z
         total += w * half_width * f(u) * g(u)
     return total

@@ -235,61 +235,76 @@ def test_ln_gamma_rejects_nonpositive():
 
 
 def test_rule_one_point():
-    rule = gauss_legendre(1)
-    assert rule.nodes == (0.0,)
-    assert rule.weights == (2.0,)
+    nodes, weights = gauss_legendre(1)
+    assert nodes.tolist() == [0.0]
+    assert weights.tolist() == [2.0]
 
 
 def test_rule_two_point():
-    rule = gauss_legendre(2)
-    assert math.isclose(rule.nodes[1], 1.0 / math.sqrt(3.0), rel_tol=1e-15)
-    assert rule.nodes[0] == -rule.nodes[1]
-    assert math.isclose(rule.weights[0], 1.0, rel_tol=1e-15)
-    assert rule.weights[0] == rule.weights[1]
+    nodes, weights = gauss_legendre(2)
+    assert math.isclose(nodes[1], 1.0 / math.sqrt(3.0), rel_tol=1e-15)
+    assert nodes[0] == -nodes[1]
+    assert math.isclose(weights[0], 1.0, rel_tol=1e-15)
+    assert weights[0] == weights[1]
 
 
 def test_rule_sixteen_even_monomial():
-    rule = gauss_legendre(16)
-    val = sum(w * z**10 for z, w in zip(rule.nodes, rule.weights))
+    nodes, weights = gauss_legendre(16)
+    val = sum(w * z**10 for z, w in zip(nodes, weights))
     assert abs(val - 2.0 / 11.0) < 1e-14
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 21, 40])
 def test_rule_invariants(n):
-    rule = gauss_legendre(n)
-    assert rule.size == n
-    assert abs(sum(rule.weights) - 2.0) < 1e-13
-    assert all(w > 0.0 for w in rule.weights)
-    assert all(-1.0 < z < 1.0 for z in rule.nodes)
-    assert all(a < b for a, b in zip(rule.nodes, rule.nodes[1:]))
+    nodes, weights = gauss_legendre(n)
+    assert nodes.shape == weights.shape == (n,)
+    assert abs(sum(weights) - 2.0) < 1e-13
+    assert all(w > 0.0 for w in weights)
+    assert all(-1.0 < z < 1.0 for z in nodes)
+    assert all(a < b for a, b in zip(nodes, nodes[1:]))
     # exact symmetry, not just approximate
     assert all(
-        lo == -hi for lo, hi in zip(rule.nodes, reversed(rule.nodes))
+        lo == -hi for lo, hi in zip(nodes, reversed(nodes))
     )
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 400])
+def test_rule_arrays_are_cached_and_read_only(n):
+    # the rule is shared by every caller, so none may change it
+    nodes, weights = gauss_legendre(n)
+    again = gauss_legendre(n)
+    assert again[0] is nodes and again[1] is weights
+    for arr in (nodes, weights):
+        before = arr.copy()
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+        with pytest.raises(ValueError):
+            arr *= 2.0
+        assert np.array_equal(arr, before)
 
 
 @pytest.mark.parametrize("n", [2, 4, 7, 12, 20])
 def test_rule_monomial_exactness(n):
-    rule = gauss_legendre(n)
+    nodes, weights = gauss_legendre(n)
     for k in range(2 * n):
-        val = sum(w * z**k for z, w in zip(rule.nodes, rule.weights))
+        val = sum(w * z**k for z, w in zip(nodes, weights))
         exact = 0.0 if k % 2 else 2.0 / (k + 1)
         assert abs(val - exact) < 1e-12 * max(1.0, abs(exact))
 
 
 def test_rule_against_scipy():
-    nodes, weights = sps.roots_legendre(64)
-    rule = gauss_legendre(64)
+    want_nodes, want_weights = sps.roots_legendre(64)
+    nodes, weights = gauss_legendre(64)
     for i in range(64):
-        assert abs(rule.nodes[i] - nodes[i]) < 1e-13
-        assert abs(rule.weights[i] - weights[i]) < 1e-13
+        assert abs(nodes[i] - want_nodes[i]) < 1e-13
+        assert abs(weights[i] - want_weights[i]) < 1e-13
 
 
 def test_rule_400_against_polished_mpmath():
     # the default --quad size; each node is polished by Newton steps on the
     # Legendre recurrence at 40 digits, and its weight recomputed there
     n = 400
-    rule = gauss_legendre(n)
+    nodes, weights = gauss_legendre(n)
 
     def legendre_pair(x):
         p0, p1 = mp.mpf(1), x
@@ -299,15 +314,15 @@ def test_rule_400_against_polished_mpmath():
 
     with mp.workdps(40):
         for i in (0, 1, 2, 3, 50, 100, 150, 199, 200, 250, 300, 396, 397, 398, 399):
-            x = mp.mpf(rule.nodes[i])
+            x = mp.mpf(float(nodes[i]))
             for _ in range(3):
                 pm1, p = legendre_pair(x)
                 x -= p / (n * (x * p - pm1) / (x * x - 1))
             pm1, p = legendre_pair(x)
             dp = n * (x * p - pm1) / (x * x - 1)
             w = 2 / ((1 - x * x) * dp * dp)
-            assert abs(rule.nodes[i] - x) < 1e-15
-            assert abs(rule.weights[i] / w - 1) < 1e-11
+            assert abs(float(nodes[i]) - x) < 1e-15
+            assert abs(float(weights[i]) / w - 1) < 1e-11
 
 
 def test_rule_rejects_nonpositive_size():
