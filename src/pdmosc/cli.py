@@ -37,7 +37,8 @@ import math
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Iterable, Iterator
+from itertools import chain
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -57,13 +58,14 @@ MAX_VERIFY_WORK = 700_000
 # 9 950 levels) and 3.2-3.3 s and 70 MB (10 000 rows of about 100 levels) on 2 cores
 # shared with other load, Python 3.11
 MAX_SCAN_WORK = 1_000_000
-# solve --samples evaluates level n's degree-n polynomial at --samples + --quad points,
-# (samples + quad) k(k+1)/2 steps over k levels, and prints k samples tables; one printed
-# sample costs about SOLVE_SAMPLE_WORK steps (2.5e-8 s a step, 3e-6 s a printed sample on
-# 2 cores, Python 3.11).  The norm column's rule is found by Newton iteration at O(quad^2)
-# cost, about quad^2/2 steps (0.72 s at --quad 8 000, 2.7 s at 16 000).  Runs at the limit
-# took 2.0 s (A = 499 at --samples 1), 1.9 s (A = 3 at --samples 245 000), 2.2 s (A = 2
-# at --samples 494 000) and 1.3 s (A = 2 at --quad 9 990)
+# solve --samples evaluates level n's degree-n polynomial at --samples + --quad points in
+# one array call, (samples + quad) k(k+1)/2 steps over k levels, and prints k samples
+# tables; one printed sample costs about SOLVE_SAMPLE_WORK steps (2.5e-8 s a step, 3e-6 s a
+# printed sample on 2 cores, Python 3.11).  The norm column's rule is found by Newton
+# iteration at O(quad^2) cost, about quad^2/2 steps (0.72 s at --quad 8 000, 2.7 s at
+# 16 000).  Runs at the limit took 1.2-1.3 s (A = 499 at --samples 1), 2.3-2.6 s (A = 3 at
+# --samples 245 000), 2.6-3.4 s (A = 2 at --samples 494 000; 2.6-2.8 s as CSV) and
+# 1.3-1.4 s (A = 2 at --quad 9 990) on 2 cores shared with other load
 MAX_SOLVE_WORK = 50_000_000
 SOLVE_SAMPLE_WORK = 100
 # verify's default --grid is max(VERIFY_GRID_MIN, VERIFY_GRID_PER_A * A), rounded up.  It
@@ -76,9 +78,8 @@ VERIFY_GRID_PER_A = 16
 
 @dataclass(frozen=True)
 class _SampleTable:
-    # one level's samples as two columns, printed as [{"x": x, "psi": psi}, ...].  x and
-    # x_json, the JSON texts of x, are the same lists for every level of one solve
-    x: list[float]
+    # one level's samples as two columns, printed as [{"x": x, "psi": psi}, ...].  x_json,
+    # the JSON texts of the sample points, is the same list for every level of one solve
     x_json: list[str]
     psi: list[float]
 
@@ -201,23 +202,43 @@ def _spectrum_rows(params: list[float], models: list[oscillator._Model]) -> Iter
         yield [v, m.a, m.count, *m.energies(range(m.count))] + [""] * (kmax - m.count)
 
 
-def _sample_block(model: oscillator._Model, ns: argparse.Namespace) -> list[dict]:
-    # the states of an admitted model; their energies are the spectrum's, not recomputed
+def _sample_points(model: oscillator._Model, samples: int) -> list[float]:
     a = model.a
-    xs = [-a + 2.0 * a * (j + 1) / (ns.samples + 1) for j in range(ns.samples)]
-    x_json = [float.__repr__(x) for x in xs]
+    return [-a + 2.0 * a * (j + 1) / (samples + 1) for j in range(samples)]
+
+
+def _norm_and_samples(
+    psi: Callable[[np.ndarray], np.ndarray], a: float, quad: int, points: np.ndarray
+) -> tuple[float, list[float]]:
+    # one evaluation of psi on the norm rule's nodes joined with the sample points: overlap
+    # sums the nodes' part and the rest is psi at the points.  Each entry is bit for bit its
+    # one-point value, so both are those of two separate evaluations
+    at_points = []
+
+    def joined(x: np.ndarray) -> np.ndarray:
+        values = psi(np.concatenate((x, points)))
+        at_points.append(values[x.size:])
+        return values[: x.size]
+
+    norm = oracle.overlap(joined, joined, -a, a, quad, graded=True)
+    return norm, at_points[0].tolist()
+
+
+def _states(
+    model: oscillator._Model, xs: list[float], quad: int
+) -> Iterator[tuple[int, float, list[float]]]:
+    # level by level, each level's n, norm and psi at xs; the energies are the spectrum's
     points = np.array(xs)
-    out = []
     for n in range(model.count):
-        psi = model.psi(n)
-        out.append(
-            {
-                "n": n,
-                "norm": oracle.overlap(psi, psi, -a, a, ns.quad, graded=True),
-                "samples": _SampleTable(xs, x_json, psi(points).tolist()),
-            }
-        )
-    return out
+        yield (n, *_norm_and_samples(model.psi(n), model.a, quad, points))
+
+
+def _sample_rows(model: oscillator._Model, ns: argparse.Namespace) -> Iterator[list[object]]:
+    # the CSV samples table, each row made as it is joined and each level's psi as it is reached
+    xs = _sample_points(model, ns.samples)
+    for n, _, psi in _states(model, xs, ns.quad):
+        for x, v in zip(xs, psi):
+            yield [n, x, v]
 
 
 def cmd_solve(ns: argparse.Namespace) -> int:
@@ -236,12 +257,9 @@ def cmd_solve(ns: argparse.Namespace) -> int:
             f"steps of work, above the limit of {MAX_SOLVE_WORK}"
         )
     if ns.format == "csv":
-        rows = list(_spectrum_rows([p.A], [model]))
+        rows = _spectrum_rows([p.A], [model])
         if ns.samples > 0:
-            rows += [[], ["n", "x", "psi"]]
-            for entry in _sample_block(model, ns):
-                table = entry["samples"]
-                rows += [[entry["n"], x, v] for x, v in zip(table.x, table.psi)]
+            rows = chain(rows, [[], ["n", "x", "psi"]], _sample_rows(model, ns))
         _emit(ns, _csv_text(rows))
         return 0
     payload = {
@@ -250,7 +268,12 @@ def cmd_solve(ns: argparse.Namespace) -> int:
         "spectrum": _spectrum(model),
     }
     if ns.samples > 0:
-        payload["wavefunctions"] = _sample_block(model, ns)
+        xs = _sample_points(model, ns.samples)
+        x_json = [float.__repr__(x) for x in xs]
+        payload["wavefunctions"] = [
+            {"n": n, "norm": norm, "samples": _SampleTable(x_json, psi)}
+            for n, norm, psi in _states(model, xs, ns.quad)
+        ]
     _emit(ns, _json_payload(payload))
     return 0
 

@@ -369,17 +369,20 @@ def _solve_shifted(op: TridiagonalOperator, lam: float, rhs: np.ndarray) -> np.n
 
     Row swaps introduce a second superdiagonal; zero pivots (the shift is
     meant to sit at an eigenvalue) are replaced by a tiny norm-scaled value.
+    The elimination runs on Python floats, which round each operation as
+    float64 does, so the result is that of the same steps on numpy scalars.
     """
     n = op.size
-    d = (op.diag - lam).astype(float)
-    u1 = np.zeros(n)
-    u1[: n - 1] = op.off
-    u2 = np.zeros(n)
-    y = rhs.astype(float).copy()
-    scale = max(float(np.max(np.abs(d))), float(np.max(np.abs(op.off), initial=0.0)), 1e-300)
+    shifted = op.diag - lam
+    scale = max(float(np.max(np.abs(shifted))), float(np.max(np.abs(op.off), initial=0.0)), 1e-300)
     tiny = 2.3e-16 * scale
+    d = shifted.tolist()
+    off = op.off.tolist()
+    u1 = off + [0.0]
+    u2 = [0.0] * n
+    y = rhs.astype(float).tolist()
     for i in range(n - 1):
-        sub = float(op.off[i])
+        sub = off[i]
         if abs(d[i]) >= abs(sub):
             if d[i] == 0.0:
                 d[i] = tiny
@@ -397,13 +400,13 @@ def _solve_shifted(op: TridiagonalOperator, lam: float, rhs: np.ndarray) -> np.n
             y[i], y[i + 1] = y[i + 1], y[i] - m * y[i + 1]
     if d[n - 1] == 0.0:
         d[n - 1] = tiny
-    x = np.zeros(n)
+    x = [0.0] * n
     x[n - 1] = y[n - 1] / d[n - 1]
     if n >= 2:
         x[n - 2] = (y[n - 2] - u1[n - 2] * x[n - 1]) / d[n - 2]
     for i in range(n - 3, -1, -1):
         x[i] = (y[i] - u1[i] * x[i + 1] - u2[i] * x[i + 2]) / d[i]
-    return x
+    return np.array(x)
 
 
 def eigenvector(op: TridiagonalOperator, lam: float, h: float = 1.0) -> np.ndarray:

@@ -16,9 +16,10 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from pdmosc import cli, oscillator, pct, rosen_morse
+from pdmosc import cli, oracle, oscillator, pct, rosen_morse
 from pdmosc.errors import ParameterError
 from pdmosc.oscillator import (
     OscillatorParams,
@@ -597,6 +598,55 @@ def test_samples_reuse_the_spectrum_derivation(monkeypatch, capsys):
         assert [pt["psi"] for pt in points] == [s.wavefunction(pt["x"]) for pt in points]
 
 
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("b, used", [("0", "gegenbauer_poly"), ("0.1", "jacobi_poly")])
+def test_samples_evaluate_each_state_once(monkeypatch, capsys, b, used, fmt):
+    # one array call per level holds the norm rule's nodes and the sample points
+    calls = {"gegenbauer_poly": [], "jacobi_poly": []}
+
+    def counted(name, fn):
+        def wrapper(n, *args):
+            calls[name].append(n)
+            return fn(n, *args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(rosen_morse, name, counted(name, getattr(rosen_morse, name)))
+    rc, _, _ = run_cli(capsys, "solve", "--omega0", "1", "--A", "6.5", "--b", b,
+                       "--samples", "4", "--format", fmt)
+    assert rc == 0
+    k = oscillator.num_bound_states(OscillatorParams(1.0, 6.5, float(b)))
+    assert calls.pop(used) == list(range(k))
+    assert calls == {name: [] for name in calls}
+
+
+@pytest.mark.parametrize("b", ["0", "0.2"])
+def test_norms_and_samples_are_those_of_separate_evaluations(capsys, b):
+    # the joined evaluation gives, bit for bit, the norm of overlap on psi alone and psi
+    # at the sample points alone, in the JSON payload and the CSV table
+    argv = ["solve", "--omega0", "1", "--A", "5.5", "--b", b, "--samples", "7", "--quad", "123"]
+    rc, out, _ = run_cli(capsys, *argv)
+    rc_csv, csv_out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert rc == rc_csv == 0
+    model = oscillator._model(OscillatorParams(1.0, 5.5, float(b)))
+    waves = json.loads(out)["wavefunctions"]
+    assert len(waves) == model.count
+    rows = [row.split(",") for row in csv_out.split("\n\n")[1].splitlines()[1:]]
+    assert len(rows) == 7 * model.count
+    xs = [pt["x"] for pt in waves[0]["samples"]]
+    for w in waves:
+        psi = model.psi(w["n"])
+        assert w["norm"] == oracle.overlap(psi, psi, -model.a, model.a, 123, graded=True)
+        want = psi(np.array(xs)).tolist()
+        assert [pt["x"] for pt in w["samples"]] == xs
+        assert [pt["psi"] for pt in w["samples"]] == want
+        level_rows = rows[7 * w["n"]: 7 * (w["n"] + 1)]
+        assert [(int(n), float(x), float(v)) for n, x, v in level_rows] == [
+            (w["n"], x, v) for x, v in zip(xs, want)
+        ]
+
 def test_verify_derives_each_model_once(monkeypatch, capsys):
     # the constructor validates, _admit derives the model that sets the work, and the
     # oracle derives its own for a, the level count and every analytic energy
@@ -817,6 +867,24 @@ def test_scan_holds_about_one_copy_of_its_table(capsys, tmp_path):
     assert rc == 0
     assert peak < 3 * out.stat().st_size
 
+
+
+def test_solve_csv_holds_a_few_copies_of_its_table(capsys, tmp_path):
+    # 40 000 samples of one level, 1.7 MB of CSV: the rows are made and joined one at a
+    # time, so the peak is the joined row texts, the output text and the level's x and psi
+    # lists, about 4 times the output (4.1 times when measured; 8.8 times when every row
+    # was held as a list and every x also as JSON text)
+    run_cli(capsys, "solve", "--omega0", "1", "--A", "2", "--samples", "3", "--format", "csv")
+    out = tmp_path / "solve.csv"
+    tracemalloc.start()
+    try:
+        rc = cli.main(["solve", "--omega0", "1", "--A", "2", "--samples", "40000",
+                       "--format", "csv", "--out", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < 5 * out.stat().st_size
 
 def test_solve_at_depth_300_is_admitted(capsys):
     rc, out, _ = run_cli(capsys, "solve", "--omega0", "1", "--A", "300", "--samples", "1")

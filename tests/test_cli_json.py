@@ -124,7 +124,7 @@ def test_solve_samples_print_the_bytes_of_json_dumps(A, b, samples):
 
 def test_sample_table_prints_nonfinite_psi_as_null():
     xs = [-0.75, -0.25, 0.25, 0.75]
-    table = cli._SampleTable(xs, [float.__repr__(x) for x in xs], [math.nan, math.inf, -math.inf, 0.5])
+    table = cli._SampleTable([float.__repr__(x) for x in xs], [math.nan, math.inf, -math.inf, 0.5])
     dict_form = [{"x": x, "psi": v} for x, v in zip(xs, [None, None, None, 0.5])]
     got = cli._json_payload({"wavefunctions": [{"n": 0, "samples": table}]})
     assert got == json.dumps({"wavefunctions": [{"n": 0, "samples": dict_form}]}, indent=2)

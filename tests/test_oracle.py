@@ -455,6 +455,39 @@ def test_eigenvector_rejects_far_shift():
         eigenvector(op, -50.0, h=math.pi / 201.0)
 
 
+# (diag, off, shift, rhs) and the solution's hex as the elimination on numpy scalars gave
+# it.  Row swaps: case 0 (the off-diagonals dominate) and 3; a zero pivot replaced by the
+# tiny value: case 1 (the first row, whose off-diagonal is 0 too), 2 (the shift is an
+# eigenvalue, so the last pivot eliminates to 0) and 3 (after a swap)
+_SHIFTED_PINS = [
+    (([0.1, 2.0, -1.0, 0.5, 4.0], [1.0, 3.0, 0.25, -2.0], 0.3, [1.0, -2.0, 0.5, 3.0, -1.5]),
+     ["-0x1.7a2d6c0f15ecfp+1", "0x1.a2ea864e4351dp-2", "0x1.61aec7ab40371p-4",
+      "-0x1.3ae695cff7584p+1", "-0x1.bc378d33daf7ap+0"]),
+    (([2.0, 1.0, 3.0], [0.0, 1.0], 2.0, [1.0, 1.0, 1.0]),
+     ["0x1.ee4a64aea9bd4p+51", "-0x0.0p+0", "0x1.0000000000000p+0"]),
+    (([1.0, 1.0], [1.0], 0.0, [1.0, -0.5]),
+     ["0x1.72b7cb82ff4e0p+52", "-0x1.72b7cb82ff4dfp+52"]),
+    (([0.5, 3.0, 2.0], [2.0, 0.0], 2.0, [1.0, 2.0, -1.0]),
+     ["0x1.1745d1745d174p-1", "0x1.d1745d1745d17p-1", "-0x1.ee4a64aea9bd4p+50"]),
+]
+
+
+@pytest.mark.parametrize("case, want", _SHIFTED_PINS)
+def test_solve_shifted_pinned_bits(case, want):
+    diag, off, lam, rhs = case
+    op = TridiagonalOperator(np.array(diag), np.array(off))
+    x = oracle._solve_shifted(op, lam, np.array(rhs))
+    assert isinstance(x, np.ndarray) and x.dtype == np.float64
+    assert [v.hex() for v in x.tolist()] == want
+    t = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1) - lam * np.eye(len(diag))
+    if abs(np.linalg.det(t)) > 1e-12:
+        # a regular system: the solution of any stable elimination
+        assert np.max(np.abs(x - np.linalg.solve(t, rhs))) <= 1e-14 * np.max(np.abs(x))
+    else:
+        # singular: the tiny pivot leaves a huge vector along the null space
+        assert np.linalg.norm(t @ x) <= 1e-12 * np.linalg.norm(x)
+
+
 # --- overlap ---
 
 
