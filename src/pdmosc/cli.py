@@ -25,8 +25,10 @@ Work is bounded: a model with more than MAX_LEVELS levels (a ``solve`` or
 a scan of more than MAX_SCAN_ROWS rows, a scan whose rows hold more than
 MAX_SCAN_WORK levels in all, a ``verify`` whose levels times ``--grid``
 exceed MAX_VERIFY_WORK, and a ``solve --samples`` over k levels whose
-(samples + quad) k(k+1)/2 + SOLVE_SAMPLE_WORK samples k + quad^2/2 exceeds
-MAX_SOLVE_WORK are refused with exit 2 before any level is computed.
+(samples + rule) k(k+1)/2 + SOLVE_SAMPLE_WORK samples k exceeds MAX_SOLVE_WORK
+are refused with exit 2 before any level is computed.  The rule is the size of
+the norm column's graded rule, max(NORM_RULE_MIN, NORM_RULE_PER_A A) nodes
+rounded up, for either format.
 """
 
 from __future__ import annotations
@@ -58,16 +60,25 @@ MAX_VERIFY_WORK = 700_000
 # 9 950 levels) and 3.2-3.3 s and 70 MB (10 000 rows of about 100 levels) on 2 cores
 # shared with other load, Python 3.11
 MAX_SCAN_WORK = 1_000_000
-# solve --samples evaluates level n's degree-n polynomial at --samples + --quad points in
-# one array call, (samples + quad) k(k+1)/2 steps over k levels, and prints k samples
-# tables; one printed sample costs about SOLVE_SAMPLE_WORK steps (2.5e-8 s a step, 3e-6 s a
-# printed sample on 2 cores, Python 3.11).  The norm column's rule is found by Newton
-# iteration at O(quad^2) cost, about quad^2/2 steps (0.72 s at --quad 8 000, 2.7 s at
-# 16 000).  Runs at the limit took 1.2-1.3 s (A = 499 at --samples 1), 2.3-2.6 s (A = 3 at
-# --samples 245 000), 2.6-3.4 s (A = 2 at --samples 494 000; 2.6-2.8 s as CSV) and
-# 1.3-1.4 s (A = 2 at --quad 9 990) on 2 cores shared with other load
-MAX_SOLVE_WORK = 50_000_000
-SOLVE_SAMPLE_WORK = 100
+# solve --samples evaluates level n's degree-n polynomial at the samples and the norm rule's
+# nodes in one array call, (samples + rule) k(k+1)/2 steps over k levels, and prints k
+# samples tables; one printed sample costs about SOLVE_SAMPLE_WORK steps.  A step costs
+# less on large arrays, 0.8-1.1e-8 s on the 1 498 points of A = 499 at --samples 1 and
+# 1.5-2e-8 s on 401; a printed sample costs 4-6e-6 s.  Runs at the limit took 1.8-2.4 s
+# (A = 499 at --samples 1; 1.1-1.3 s as CSV), 1.5-2.2 s (A = 502, the deepest admitted at
+# --samples 1), 2.4-2.8 s (A = 3 at --samples 245 000) and 2.6-3.4 s (A = 2 at --samples
+# 494 000; 2.3-2.7 s as CSV) on 2 cores shared with other load, Python 3.11
+MAX_SOLVE_WORK = 190_000_000
+SOLVE_SAMPLE_WORK = 380
+# the norm column's graded rule has max(NORM_RULE_MIN, NORM_RULE_PER_A A) nodes, rounded
+# up.  The nodes a level needs grow with the depth, not with n: A = 100, 200 and 300 at
+# b = 0 need 200, 400 and 600 for every level to within 1e-10, and at A = 499 level 41
+# already needs 400.  Over 450 random models with A from 100 to 502 and |b| up to 0.95 of
+# its bound, every level whose smaller envelope exponent m - 1 - |B|/m is at least 0.5
+# came within 6e-11 of 1.  A top level closer to its threshold converges only
+# algebraically (2.5e-8 at 0.1)
+NORM_RULE_MIN = 400
+NORM_RULE_PER_A = 3
 # verify's default --grid is max(VERIFY_GRID_MIN, VERIFY_GRID_PER_A * A), rounded up.  It
 # scales with the depth, not the level count: a shift b leaves fewer levels than A - 1
 # but no wider states.  Over a sweep of A up to 210 and |b| up to 0.99 of its bound it
@@ -208,7 +219,7 @@ def _sample_points(model: oscillator._Model, samples: int) -> list[float]:
 
 
 def _norm_and_samples(
-    psi: Callable[[np.ndarray], np.ndarray], a: float, quad: int, points: np.ndarray
+    psi: Callable[[np.ndarray], np.ndarray], a: float, rule: int, points: np.ndarray
 ) -> tuple[float, list[float]]:
     # one evaluation of psi on the norm rule's nodes joined with the sample points: overlap
     # sums the nodes' part and the rest is psi at the points.  Each entry is bit for bit its
@@ -220,46 +231,39 @@ def _norm_and_samples(
         at_points.append(values[x.size:])
         return values[: x.size]
 
-    norm = oracle.overlap(joined, joined, -a, a, quad, graded=True)
+    norm = oracle.overlap(joined, joined, -a, a, rule, graded=True)
     return norm, at_points[0].tolist()
 
 
-def _states(
-    model: oscillator._Model, xs: list[float], quad: int
-) -> Iterator[tuple[int, float, list[float]]]:
-    # level by level, each level's n, norm and psi at xs; the energies are the spectrum's
+def _sample_rows(model: oscillator._Model, samples: int) -> Iterator[list[object]]:
+    # the CSV samples table, each row made as it is joined and each level's psi as it is
+    # reached.  It prints no norm, so each level is evaluated at the sample points alone
+    xs = _sample_points(model, samples)
     points = np.array(xs)
     for n in range(model.count):
-        yield (n, *_norm_and_samples(model.psi(n), model.a, quad, points))
-
-
-def _sample_rows(model: oscillator._Model, ns: argparse.Namespace) -> Iterator[list[object]]:
-    # the CSV samples table, each row made as it is joined and each level's psi as it is reached
-    xs = _sample_points(model, ns.samples)
-    for n, _, psi in _states(model, xs, ns.quad):
-        for x, v in zip(xs, psi):
+        for x, v in zip(xs, model.psi(n)(points).tolist()):
             yield [n, x, v]
 
 
 def cmd_solve(ns: argparse.Namespace) -> int:
     if ns.samples < 0:
         raise ParameterError(f"--samples must be >= 0, got {ns.samples}")
-    if ns.quad < 1:
-        raise ParameterError(f"--quad must be >= 1, got {ns.quad}")
     p = OscillatorParams(ns.omega0, ns.A, ns.b)
     model = _admit(p)
     k = model.count
-    work = (ns.samples + ns.quad) * k * (k + 1) // 2 + SOLVE_SAMPLE_WORK * ns.samples * k
-    work += ns.quad * ns.quad // 2
+    rule = max(NORM_RULE_MIN, math.ceil(NORM_RULE_PER_A * p.A))
+    # one estimate for both formats: the CSV table builds no rule, but its rule term keeps
+    # it to the depths where JSON's is admitted
+    work = (ns.samples + rule) * k * (k + 1) // 2 + SOLVE_SAMPLE_WORK * ns.samples * k
     if ns.samples > 0 and work > MAX_SOLVE_WORK:
         raise ParameterError(
-            f"solve of {k} levels at --samples {ns.samples} and --quad {ns.quad} is {work} "
-            f"steps of work, above the limit of {MAX_SOLVE_WORK}"
+            f"solve of {k} levels at --samples {ns.samples} with a {rule}-node norm rule is "
+            f"{work} steps of work, above the limit of {MAX_SOLVE_WORK}"
         )
     if ns.format == "csv":
         rows = _spectrum_rows([p.A], [model])
         if ns.samples > 0:
-            rows = chain(rows, [[], ["n", "x", "psi"]], _sample_rows(model, ns))
+            rows = chain(rows, [[], ["n", "x", "psi"]], _sample_rows(model, ns.samples))
         _emit(ns, _csv_text(rows))
         return 0
     payload = {
@@ -269,11 +273,12 @@ def cmd_solve(ns: argparse.Namespace) -> int:
     }
     if ns.samples > 0:
         xs = _sample_points(model, ns.samples)
+        points = np.array(xs)
         x_json = [float.__repr__(x) for x in xs]
-        payload["wavefunctions"] = [
-            {"n": n, "norm": norm, "samples": _SampleTable(x_json, psi)}
-            for n, norm, psi in _states(model, xs, ns.quad)
-        ]
+        waves = payload["wavefunctions"] = []
+        for n in range(model.count):
+            norm, psi = _norm_and_samples(model.psi(n), model.a, rule, points)
+            waves.append({"n": n, "norm": norm, "samples": _SampleTable(x_json, psi)})
     _emit(ns, _json_payload(payload))
     return 0
 
@@ -443,8 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     well(sp)
     sp.add_argument("--samples", type=int, default=0,
                     help="interior sample count per wavefunction")
-    sp.add_argument("--quad", type=int, default=400,
-                    help="quadrature size for the norm column")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
 
     sp = command("verify", cmd_verify, "cross-check against the grid solver")

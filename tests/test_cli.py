@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pdmosc import cli, oracle, oscillator, pct, rosen_morse
+from pdmosc import cli, oracle, oscillator, pct, rosen_morse, special_fn
 from pdmosc.errors import ParameterError
 from pdmosc.oscillator import (
     OscillatorParams,
@@ -142,8 +142,7 @@ def test_solve_large_frequency(capsys):
 
 def test_solve_sample_values(capsys):
     rc, out, _ = run_cli(
-        capsys, "solve", "--omega0", "1", "--A", "3", "--b", "0.1",
-        "--samples", "5", "--quad", "200",
+        capsys, "solve", "--omega0", "1", "--A", "3", "--b", "0.1", "--samples", "5"
     )
     d = json.loads(out)
     p = OscillatorParams(1.0, 3.0, 0.1)
@@ -235,8 +234,6 @@ def test_solve_csv_header_minimal(capsys):
 def test_solve_rejects_bad_sampling_args(capsys):
     rc, _, err = run_cli(capsys, "solve", "--omega0", "1", "--A", "2", "--samples", "-1")
     assert rc == 2 and json.loads(err)["error"] == "config"
-    rc, _, err = run_cli(capsys, "solve", "--omega0", "1", "--A", "2", "--quad", "0")
-    assert rc == 2
 
 
 def test_out_file_writing(capsys, tmp_path):
@@ -602,7 +599,8 @@ def test_samples_reuse_the_spectrum_derivation(monkeypatch, capsys):
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("b, used", [("0", "gegenbauer_poly"), ("0.1", "jacobi_poly")])
 def test_samples_evaluate_each_state_once(monkeypatch, capsys, b, used, fmt):
-    # one array call per level holds the norm rule's nodes and the sample points
+    # one array call per level: the norm rule's nodes and the sample points in JSON, the
+    # sample points alone in CSV
     calls = {"gegenbauer_poly": [], "jacobi_poly": []}
 
     def counted(name, fn):
@@ -622,15 +620,19 @@ def test_samples_evaluate_each_state_once(monkeypatch, capsys, b, used, fmt):
     assert calls == {name: [] for name in calls}
 
 
-@pytest.mark.parametrize("b", ["0", "0.2"])
-def test_norms_and_samples_are_those_of_separate_evaluations(capsys, b):
-    # the joined evaluation gives, bit for bit, the norm of overlap on psi alone and psi
-    # at the sample points alone, in the JSON payload and the CSV table
-    argv = ["solve", "--omega0", "1", "--A", "5.5", "--b", b, "--samples", "7", "--quad", "123"]
+@pytest.mark.parametrize(
+    "A, b, rule", [("5.5", "0", 400), ("5.5", "0.2", 400), ("150.5", "0", 452)],
+    ids=["0", "0.2", "150.5-0"],
+)
+def test_norms_and_samples_are_those_of_separate_evaluations(capsys, A, b, rule):
+    # the joined evaluation gives, bit for bit, the norm of overlap on psi alone on a rule
+    # of max(400, 3 A) nodes, rounded up, and psi at the sample points alone, in the JSON
+    # payload and the CSV table
+    argv = ["solve", "--omega0", "1", "--A", A, "--b", b, "--samples", "7"]
     rc, out, _ = run_cli(capsys, *argv)
     rc_csv, csv_out, _ = run_cli(capsys, *argv, "--format", "csv")
     assert rc == rc_csv == 0
-    model = oscillator._model(OscillatorParams(1.0, 5.5, float(b)))
+    model = oscillator._model(OscillatorParams(1.0, float(A), float(b)))
     waves = json.loads(out)["wavefunctions"]
     assert len(waves) == model.count
     rows = [row.split(",") for row in csv_out.split("\n\n")[1].splitlines()[1:]]
@@ -638,7 +640,7 @@ def test_norms_and_samples_are_those_of_separate_evaluations(capsys, b):
     xs = [pt["x"] for pt in waves[0]["samples"]]
     for w in waves:
         psi = model.psi(w["n"])
-        assert w["norm"] == oracle.overlap(psi, psi, -model.a, model.a, 123, graded=True)
+        assert w["norm"] == oracle.overlap(psi, psi, -model.a, model.a, rule, graded=True)
         want = psi(np.array(xs)).tolist()
         assert [pt["x"] for pt in w["samples"]] == xs
         assert [pt["psi"] for pt in w["samples"]] == want
@@ -646,6 +648,20 @@ def test_norms_and_samples_are_those_of_separate_evaluations(capsys, b):
         assert [(int(n), float(x), float(v)) for n, x, v in level_rows] == [
             (w["n"], x, v) for x, v in zip(xs, want)
         ]
+
+
+def test_csv_samples_build_no_norm_rule(monkeypatch, capsys):
+    # the CSV table prints no norm, so no rule is built and no overlap is summed
+    def no_rule(*args, **kwargs):
+        raise AssertionError("a norm rule was built")
+
+    for module, name in ((oracle, "overlap"), (oracle, "_graded_rule_arrays"),
+                         (oracle, "gauss_legendre"), (special_fn, "gauss_legendre")):
+        monkeypatch.setattr(module, name, no_rule)
+    rc, out, _ = run_cli(capsys, "solve", "--omega0", "1", "--A", "7.25", "--b", "0.1",
+                         "--samples", "3", "--format", "csv")
+    assert rc == 0
+    assert len(out.split("\n\n")[1].splitlines()) == 1 + 3 * 5
 
 def test_verify_derives_each_model_once(monkeypatch, capsys):
     # the constructor validates, _admit derives the model that sets the work, and the
@@ -789,15 +805,14 @@ def test_scan_rejects_nonfinite_range(capsys, bound, value):
         # 9 999 levels on the default grid of 160 000 points
         ("MAX_VERIFY_WORK", ["verify", "--omega0", "1", "--A", "1e4"]),
         ("MAX_VERIFY_WORK", ["verify", "--omega0", "1", "--A", "3", "--grid", "400000"]),
-        # 9 999 levels, each evaluated on 403 points
+        # 9 999 levels, each evaluated on 30 003 points
         ("MAX_SOLVE_WORK", ["solve", "--omega0", "1", "--A", "1e4", "--samples", "3"]),
         ("MAX_SOLVE_WORK", ["solve", "--omega0", "1", "--A", "3", "--samples", "100000000"]),
         # 10 000 admitted rows of 1 to 10 000 levels, 50 005 000 in all
         ("MAX_SCAN_WORK",
          ["scan", "--omega0", "1", "--A-start", "2", "--A-stop", "10001", "--A-step", "1"]),
-        # one level, but a rule of 10^6 nodes: about 5e11 steps of Newton iteration
-        ("MAX_SOLVE_WORK",
-         ["solve", "--omega0", "1", "--A", "2", "--samples", "1", "--quad", "1000000"]),
+        # the shallowest refused depth at --samples 1: 502 levels on 1 510 points
+        ("MAX_SOLVE_WORK", ["solve", "--omega0", "1", "--A", "503", "--samples", "1"]),
     ],
 )
 def test_work_over_a_limit_is_refused_before_any_level(monkeypatch, capsys, limit, argv):
@@ -825,18 +840,24 @@ def test_level_limit_boundary(capsys, A, rc, count):
         assert spectrum["num_states"] == len(spectrum["levels"]) == count
 
 
-@pytest.mark.parametrize("over, rc", [(0, 0), (1, 2)])
-def test_solve_work_limit_boundary(monkeypatch, capsys, over, rc):
-    # A = 3 holds 2 levels: (2 + 400) * 3 polynomial steps, 2 * 2 printed samples and
-    # 400^2 / 2 steps to build the norm column's rule
-    work = (2 + 400) * 3 + cli.SOLVE_SAMPLE_WORK * 2 * 2 + 400 * 400 // 2
+@pytest.mark.parametrize(
+    "A, k, rule, over, rc",
+    [("3", 2, 400, 0, 0), ("3", 2, 400, 1, 2),
+     ("150.5", 150, 452, 0, 0), ("150.5", 150, 452, 1, 2)],
+    ids=["0-0", "1-2", "150.5-0-0", "150.5-1-2"],
+)
+def test_solve_work_limit_boundary(monkeypatch, capsys, A, k, rule, over, rc):
+    # k levels on the 2 sample points and the norm rule's nodes, (2 + rule) k(k+1)/2
+    # polynomial steps, and 2 k printed samples; A = 3 has the 400-node floor, A = 150.5
+    # a rule of 3 A nodes, rounded up
+    work = (2 + rule) * k * (k + 1) // 2 + cli.SOLVE_SAMPLE_WORK * 2 * k
     monkeypatch.setattr(cli, "MAX_SOLVE_WORK", work - over)
-    got, out, err = run_cli(capsys, "solve", "--omega0", "1", "--A", "3", "--samples", "2")
+    got, out, err = run_cli(capsys, "solve", "--omega0", "1", "--A", A, "--samples", "2")
     assert got == rc
     if rc:
-        assert f"is {work} steps" in json.loads(err)["message"]
+        assert f"with a {rule}-node norm rule is {work} steps" in json.loads(err)["message"]
     else:
-        assert len(json.loads(out)["wavefunctions"]) == 2
+        assert len(json.loads(out)["wavefunctions"]) == k
 
 
 @pytest.mark.parametrize("over, rc", [(0, 0), (1, 2)])
@@ -886,9 +907,22 @@ def test_solve_csv_holds_a_few_copies_of_its_table(capsys, tmp_path):
     assert rc == 0
     assert peak < 5 * out.stat().st_size
 
-def test_solve_at_depth_300_is_admitted(capsys):
-    rc, out, _ = run_cli(capsys, "solve", "--omega0", "1", "--A", "300", "--samples", "1")
-    assert rc == 0 and len(json.loads(out)["wavefunctions"]) == 299
+
+@pytest.mark.parametrize(
+    "omega0, A, b_frac, count",
+    [(1.0, 250.0, 0.0, 249), (1.0, 300.0, 0.0, 299), (1.0, 499.0, 0.0, 498),
+     (0.5, 499.0, 0.3, 226)],
+)
+def test_solve_at_depth_is_admitted_with_resolved_norms(capsys, omega0, A, b_frac, count):
+    # the norm rule grows with the depth; a 400-node rule missed 1 by up to 7.5e-4, 0.11
+    # and 0.19 at A = 250, 300 and 499 (b = 0)
+    b = b_frac * oscillator.shift_bound(omega0, A)
+    rc, out, _ = run_cli(capsys, "solve", f"--omega0={omega0!r}", f"--A={A!r}", f"--b={b!r}",
+                         "--samples", "1")
+    assert rc == 0
+    waves = json.loads(out)["wavefunctions"]
+    assert len(waves) == count
+    assert max(abs(w["norm"] - 1.0) for w in waves) <= 1e-9
 
 
 def test_verify_refuses_a_grid_too_small_for_its_levels(capsys):
