@@ -20,15 +20,16 @@ every level and the level's psi values, and prints it in the same bytes as
 its ``[{"x": x, "psi": psi}, ...]`` form, with the x texts formatted once per
 solve.  CSV cells carry 17 significant digits.
 
-Work is bounded: a model with more than MAX_LEVELS levels (a ``solve`` or
-``verify`` model, a ``scan`` row, or ``jafarov --l`` above MAX_LEVELS + 1),
-a scan of more than MAX_SCAN_ROWS rows, a scan whose rows hold more than
-MAX_SCAN_WORK levels in all, a ``verify`` whose levels times ``--grid``
-exceed MAX_VERIFY_WORK, and a ``solve --samples`` over k levels whose
-(samples + rule) k(k+1)/2 + SOLVE_SAMPLE_WORK samples k exceeds MAX_SOLVE_WORK
-are refused with exit 2 before any level is computed.  The rule is the size of
-the norm column's graded rule, max(NORM_RULE_MIN, NORM_RULE_PER_A A) nodes
-rounded up, for either format.
+Work is bounded before any level is computed, with exit 2: a model with more
+than MAX_LEVELS levels (a ``solve`` or ``verify`` model, a ``scan`` row, or
+``jafarov --l`` above MAX_LEVELS + 1) and a scan of more than MAX_SCAN_ROWS
+rows are refused, and so is any run whose estimate exceeds MAX_WORK steps.
+Each estimate is in one unit, a polynomial step:
+``solve --samples`` over k levels is (samples + rule) k(k+1)/2 + SAMPLE_WORK
+samples k, where rule is the size of the norm column's graded rule,
+max(NORM_RULE_MIN, NORM_RULE_PER_A A) nodes rounded up, for either format;
+``verify`` is FD_WORK grid (k + 3); ``scan`` is LEVEL_WORK times the levels of
+all its rows.
 """
 
 from __future__ import annotations
@@ -50,26 +51,29 @@ from .oscillator import OscillatorParams
 
 VERIFY_TOL = 1e-5
 JAFAROV_TOL = 1e-12
-# work limits: levels of one model, rows of one scan, and levels times --grid of one
-# verify, which admits the default grid up to about A = 209 (2.5 s at A = 200.5)
+# work limits: levels of one model, and rows of one scan, which bounds the list a range
+# makes before any row is made (admitting 10 000 rows takes about 0.2 s)
 MAX_LEVELS = 10_000
 MAX_SCAN_ROWS = 10_000
-MAX_VERIFY_WORK = 700_000
-# the levels of all a scan's rows together.  Scans near the limit took 2.2-2.5 s and
-# 71 MB (A from 2 to 1414 by 1, 20 MB of CSV), 1.9-3.0 s and 64 MB (91 rows of about
-# 9 950 levels) and 3.2-3.3 s and 70 MB (10 000 rows of about 100 levels) on 2 cores
-# shared with other load, Python 3.11
-MAX_SCAN_WORK = 1_000_000
-# solve --samples evaluates level n's degree-n polynomial at the samples and the norm rule's
-# nodes in one array call, (samples + rule) k(k+1)/2 steps over k levels, and prints k
-# samples tables; one printed sample costs about SOLVE_SAMPLE_WORK steps.  A step costs
-# less on large arrays, 0.8-1.1e-8 s on the 1 498 points of A = 499 at --samples 1 and
-# 1.5-2e-8 s on 401; a printed sample costs 4-6e-6 s.  Runs at the limit took 1.8-2.4 s
-# (A = 499 at --samples 1; 1.1-1.3 s as CSV), 1.5-2.2 s (A = 502, the deepest admitted at
-# --samples 1), 2.4-2.8 s (A = 3 at --samples 245 000) and 2.6-3.4 s (A = 2 at --samples
-# 494 000; 2.3-2.7 s as CSV) on 2 cores shared with other load, Python 3.11
-MAX_SOLVE_WORK = 190_000_000
-SOLVE_SAMPLE_WORK = 380
+# every other cost is counted in one unit, a polynomial step of about 1e-8 s, and a run
+# whose estimate exceeds MAX_WORK steps is refused before any level is computed.  The
+# weights are fitted from timed runs:
+# - SAMPLE_WORK, one printed sample of solve --samples.  A sample costs about 4e-6 s; the
+#   weight is set above that so that the JSON table's peak RSS stays near 250 MB (A = 2 at
+#   490 847 samples);
+# - FD_WORK, one level on one point of verify's grids, counted over grid (k + 3): a run of
+#   few levels pays for a bisection per level from the pre-grid's Gershgorin bounds, so a
+#   level-point cost 7-8e-6 s at k = 2, 3.6-4e-6 s at k = 10 and 3-3.6e-6 s on the default
+#   grid at A = 208, and 2.8-3.6e-6 s over grid (k + 3) in each case;
+# - LEVEL_WORK, one level of one scan row.
+# The deepest admitted runs took 2.0-2.4 s (solve --A 581 --samples 1), 2.0-2.4 s (--A 2
+# --samples 490 847), 2.1-2.7 s (verify --A 208), 2.2-2.5 s (--A 3 --grid 140 476),
+# 2.2-2.4 s (--A 3.5 --grid 117 063), 2.2-2.3 s (--A 11 --grid 54 029) and 2.1-2.6 s (scan
+# of A from 2 to 1426 by 1), 3 runs each on 2 cores shared with other load, Python 3.11
+MAX_WORK = 295_000_000
+SAMPLE_WORK = 600
+FD_WORK = 420
+LEVEL_WORK = 290
 # the norm column's graded rule has max(NORM_RULE_MIN, NORM_RULE_PER_A A) nodes, rounded
 # up.  The nodes a level needs grow with the depth, not with n: A = 100, 200 and 300 at
 # b = 0 need 200, 400 and 600 for every level to within 1e-10, and at A = 499 level 41
@@ -194,6 +198,12 @@ def _admit(p: OscillatorParams) -> oscillator._Model:
     return model
 
 
+def _refuse_over(work: int, what: str) -> None:
+    # the one work check: every command's estimate is in polynomial steps
+    if work > MAX_WORK:
+        raise ParameterError(f"{what} is {work} steps of work, above the limit of {MAX_WORK}")
+
+
 def _spectrum(model: oscillator._Model) -> dict:
     # the JSON spectrum block of an admitted model; no level's wavefunction is resolved
     energies = model.energies(range(model.count))
@@ -252,13 +262,13 @@ def cmd_solve(ns: argparse.Namespace) -> int:
     model = _admit(p)
     k = model.count
     rule = max(NORM_RULE_MIN, math.ceil(NORM_RULE_PER_A * p.A))
-    # one estimate for both formats: the CSV table builds no rule, but its rule term keeps
-    # it to the depths where JSON's is admitted
-    work = (ns.samples + rule) * k * (k + 1) // 2 + SOLVE_SAMPLE_WORK * ns.samples * k
-    if ns.samples > 0 and work > MAX_SOLVE_WORK:
-        raise ParameterError(
-            f"solve of {k} levels at --samples {ns.samples} with a {rule}-node norm rule is "
-            f"{work} steps of work, above the limit of {MAX_SOLVE_WORK}"
+    if ns.samples > 0:
+        # level n's degree-n polynomial on the samples and the rule's nodes, and k printed
+        # tables.  One estimate for both formats: the CSV table builds no rule, but its rule
+        # term keeps it to the depths where JSON's is admitted
+        _refuse_over(
+            (ns.samples + rule) * k * (k + 1) // 2 + SAMPLE_WORK * ns.samples * k,
+            f"solve of {k} levels at --samples {ns.samples} with a {rule}-node norm rule",
         )
     if ns.format == "csv":
         rows = _spectrum_rows([p.A], [model])
@@ -289,11 +299,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     grid = ns.grid
     if grid is None:
         grid = max(VERIFY_GRID_MIN, math.ceil(VERIFY_GRID_PER_A * p.A))
-    if k * grid > MAX_VERIFY_WORK:
-        raise ParameterError(
-            f"verify of {k} levels on --grid {grid} is {k * grid} level-points of work, "
-            f"above the limit of {MAX_VERIFY_WORK}"
-        )
+    _refuse_over(FD_WORK * grid * (k + 3), f"verify of {k} levels on --grid {grid}")
     if grid // 2 < k:
         # the oracle estimates each level's order on a third grid of --grid // 2 points
         raise ParameterError(
@@ -396,12 +402,8 @@ def cmd_scan(ns: argparse.Namespace) -> int:
         params = [OscillatorParams(ns.omega0, ns.A, v) for v in _range_values(b_range)]
         col = [p.b for p in params]
     models = [_admit(p) for p in params]
-    work = sum(m.count for m in models)
-    if work > MAX_SCAN_WORK:
-        raise ParameterError(
-            f"scan of {len(models)} rows holds {work} levels in all, above the limit of "
-            f"{MAX_SCAN_WORK}"
-        )
+    levels = sum(m.count for m in models)
+    _refuse_over(LEVEL_WORK * levels, f"scan of {len(models)} rows holding {levels} levels")
     _emit(ns, _csv_text(_spectrum_rows(col, models)))
     return 0
 

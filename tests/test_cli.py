@@ -331,7 +331,7 @@ class _Stop(Exception):
 )
 def test_verify_default_grid_scales_with_the_depth(monkeypatch, capsys, A, grid, levels):
     # the oracle is replaced, so only the grid it is asked for is checked; A = 200.5 is
-    # admitted under MAX_VERIFY_WORK
+    # admitted under MAX_WORK
     def asked(p, k, n_grid, estimate_order=False):
         raise _Stop(k, n_grid)
 
@@ -339,7 +339,7 @@ def test_verify_default_grid_scales_with_the_depth(monkeypatch, capsys, A, grid,
     with pytest.raises(_Stop) as stop:
         cli.main(["verify", "--omega0", "1", "--A", A])
     assert stop.value.args == (levels, grid)
-    assert levels * grid <= cli.MAX_VERIFY_WORK
+    assert cli.FD_WORK * grid * (levels + 3) <= cli.MAX_WORK
 
 
 def test_verify_rejects_excess_shift(capsys):
@@ -803,16 +803,21 @@ def test_scan_rejects_nonfinite_range(capsys, bound, value):
         ("MAX_LEVELS", ["verify", "--omega0", "1", "--A", "1e15", "--grid", "2000"]),
         ("MAX_LEVELS", ["jafarov", "--omega0", "1", "--l", "1000000"]),
         # 9 999 levels on the default grid of 160 000 points
-        ("MAX_VERIFY_WORK", ["verify", "--omega0", "1", "--A", "1e4"]),
-        ("MAX_VERIFY_WORK", ["verify", "--omega0", "1", "--A", "3", "--grid", "400000"]),
+        ("MAX_WORK", ["verify", "--omega0", "1", "--A", "1e4"]),
+        ("MAX_WORK", ["verify", "--omega0", "1", "--A", "3", "--grid", "400000"]),
         # 9 999 levels, each evaluated on 30 003 points
-        ("MAX_SOLVE_WORK", ["solve", "--omega0", "1", "--A", "1e4", "--samples", "3"]),
-        ("MAX_SOLVE_WORK", ["solve", "--omega0", "1", "--A", "3", "--samples", "100000000"]),
+        ("MAX_WORK", ["solve", "--omega0", "1", "--A", "1e4", "--samples", "3"]),
+        ("MAX_WORK", ["solve", "--omega0", "1", "--A", "3", "--samples", "100000000"]),
         # 10 000 admitted rows of 1 to 10 000 levels, 50 005 000 in all
-        ("MAX_SCAN_WORK",
+        ("MAX_WORK",
          ["scan", "--omega0", "1", "--A-start", "2", "--A-stop", "10001", "--A-step", "1"]),
-        # the shallowest refused depth at --samples 1: 502 levels on 1 510 points
-        ("MAX_SOLVE_WORK", ["solve", "--omega0", "1", "--A", "503", "--samples", "1"]),
+        # the shallowest refused depth at --samples 1: any A above 581 holds 581 levels,
+        # here each on 1 746 points
+        ("MAX_WORK", ["solve", "--omega0", "1", "--A", "581.5", "--samples", "1"]),
+        # few levels on a large grid: each level bisects from the pre-grid's bounds, so
+        # these took 6.3-7.9 s and 4.7-6.6 s where levels times --grid was the estimate
+        ("MAX_WORK", ["verify", "--omega0", "1", "--A", "3", "--grid", "350000"]),
+        ("MAX_WORK", ["verify", "--omega0", "1", "--A", "3.5", "--grid", "200000"]),
     ],
 )
 def test_work_over_a_limit_is_refused_before_any_level(monkeypatch, capsys, limit, argv):
@@ -841,36 +846,36 @@ def test_level_limit_boundary(capsys, A, rc, count):
 
 
 @pytest.mark.parametrize(
-    "A, k, rule, over, rc",
-    [("3", 2, 400, 0, 0), ("3", 2, 400, 1, 2),
-     ("150.5", 150, 452, 0, 0), ("150.5", 150, 452, 1, 2)],
-    ids=["0-0", "1-2", "150.5-0-0", "150.5-1-2"],
+    "argv, work, what",
+    [
+        # k levels on the 2 sample points and the norm rule's nodes, (2 + rule) k(k+1)/2
+        # polynomial steps, and 2 k printed samples; A = 3 has the 400-node floor,
+        # A = 150.5 a rule of 3 A nodes, rounded up
+        (["solve", "--A", "3", "--samples", "2"], 402 * 3 + cli.SAMPLE_WORK * 4,
+         "solve of 2 levels at --samples 2 with a 400-node norm rule"),
+        (["solve", "--A", "150.5", "--samples", "2"], 454 * 150 * 151 // 2 + cli.SAMPLE_WORK * 300,
+         "solve of 150 levels at --samples 2 with a 452-node norm rule"),
+        # 2 levels on --grid 64, counted as 64 (2 + 3) level-points
+        (["verify", "--A", "3", "--grid", "64"], cli.FD_WORK * 64 * 5,
+         "verify of 2 levels on --grid 64"),
+        # A = 3, 4 and 5 hold 2, 3 and 4 levels
+        (["scan", "--A-start", "3", "--A-stop", "5", "--A-step", "1"], cli.LEVEL_WORK * 9,
+         "scan of 3 rows holding 9 levels"),
+    ],
+    ids=["solve", "solve-150.5", "verify", "scan"],
 )
-def test_solve_work_limit_boundary(monkeypatch, capsys, A, k, rule, over, rc):
-    # k levels on the 2 sample points and the norm rule's nodes, (2 + rule) k(k+1)/2
-    # polynomial steps, and 2 k printed samples; A = 3 has the 400-node floor, A = 150.5
-    # a rule of 3 A nodes, rounded up
-    work = (2 + rule) * k * (k + 1) // 2 + cli.SOLVE_SAMPLE_WORK * 2 * k
-    monkeypatch.setattr(cli, "MAX_SOLVE_WORK", work - over)
-    got, out, err = run_cli(capsys, "solve", "--omega0", "1", "--A", A, "--samples", "2")
-    assert got == rc
-    if rc:
-        assert f"with a {rule}-node norm rule is {work} steps" in json.loads(err)["message"]
+@pytest.mark.parametrize("over", [0, 1])
+def test_work_limit_boundary(monkeypatch, capsys, argv, work, what, over):
+    # each estimate exactly: admitted at the limit, refused one step below it
+    monkeypatch.setattr(cli, "MAX_WORK", work - over)
+    rc, out, err = run_cli(capsys, *argv, "--omega0", "1")
+    if over:
+        assert rc == 2 and out == ""
+        assert json.loads(err)["message"] == (
+            f"{what} is {work} steps of work, above the limit of {work - 1}"
+        )
     else:
-        assert len(json.loads(out)["wavefunctions"]) == k
-
-
-@pytest.mark.parametrize("over, rc", [(0, 0), (1, 2)])
-def test_scan_work_limit_boundary(monkeypatch, capsys, over, rc):
-    # A = 3, 4 and 5 hold 2, 3 and 4 levels
-    monkeypatch.setattr(cli, "MAX_SCAN_WORK", 9 - over)
-    got, out, err = run_cli(capsys, "scan", "--omega0", "1", "--A-start", "3", "--A-stop", "5",
-                            "--A-step", "1")
-    assert got == rc
-    if rc:
-        assert "3 rows holds 9 levels" in json.loads(err)["message"]
-    else:
-        assert len(out.splitlines()) == 4
+        assert rc == 0 and out and err == ""
 
 
 def test_scan_holds_about_one_copy_of_its_table(capsys, tmp_path):
@@ -911,11 +916,12 @@ def test_solve_csv_holds_a_few_copies_of_its_table(capsys, tmp_path):
 @pytest.mark.parametrize(
     "omega0, A, b_frac, count",
     [(1.0, 250.0, 0.0, 249), (1.0, 300.0, 0.0, 299), (1.0, 499.0, 0.0, 498),
-     (0.5, 499.0, 0.3, 226)],
+     (0.5, 499.0, 0.3, 226), (1.0, 581.0, 0.0, 580), (0.5, 581.0, 0.3, 263)],
 )
 def test_solve_at_depth_is_admitted_with_resolved_norms(capsys, omega0, A, b_frac, count):
     # the norm rule grows with the depth; a 400-node rule missed 1 by up to 7.5e-4, 0.11
-    # and 0.19 at A = 250, 300 and 499 (b = 0)
+    # and 0.19 at A = 250, 300 and 499 (b = 0).  A = 581 is the deepest admitted model at
+    # --samples 1
     b = b_frac * oscillator.shift_bound(omega0, A)
     rc, out, _ = run_cli(capsys, "solve", f"--omega0={omega0!r}", f"--A={A!r}", f"--b={b!r}",
                          "--samples", "1")
@@ -923,6 +929,7 @@ def test_solve_at_depth_is_admitted_with_resolved_norms(capsys, omega0, A, b_fra
     waves = json.loads(out)["wavefunctions"]
     assert len(waves) == count
     assert max(abs(w["norm"] - 1.0) for w in waves) <= 1e-9
+    assert all(s["psi"] is not None for w in waves for s in w["samples"])
 
 
 def test_verify_refuses_a_grid_too_small_for_its_levels(capsys):

@@ -225,7 +225,9 @@ def mp_energy(omega0, A, b, n):
 def test_energies_against_mpmath_at_any_depth(omega0):
     # the transform route's O(A) terms cancel to O(n + 1/2); summed in floats they lost
     # about A eps (6.8e-12 at A = 1e4).  The (n + 1/2) form is held to the same bound
-    # at b = 0; its shift term b^2 g/f keeps that cancellation
+    # at b = 0.  Its shift term b^2 g/f keeps that cancellation, g = f - omega0^2 a^4/4 of
+    # two O(A^2) terms, so at b != 0 it is held to 32 A eps: the worst over this grid is
+    # 15.5 A eps (6.9e-12 at omega0 = 1, A = 2000, b = 0.9 of its bound, n = 0)
     for A in (1.5, 2.7, 12.25, 60.0, 333.3, 2000.0, 1e4):
         for frac in (0.0, 0.3, -0.6, 0.9):
             p = OscillatorParams(omega0, A, frac * shift_bound(omega0, A))
@@ -233,8 +235,8 @@ def test_energies_against_mpmath_at_any_depth(omega0):
             for n in sorted({0, 1, k // 2, k - 1} & set(range(k))):
                 want = mp_energy(omega0, A, p.b, n)
                 assert abs(energy(p, n) - want) <= 1e-14 * abs(want)
-                if p.b == 0.0:
-                    assert abs(energy_harmonic_form(p, n) - want) <= 1e-14 * abs(want)
+                tol = 1e-14 if p.b == 0.0 else 32 * A * np.finfo(float).eps
+                assert abs(energy_harmonic_form(p, n) - want) <= tol * abs(want)
 
 
 def test_energy_takes_each_level_from_rm_energy_once(monkeypatch):
