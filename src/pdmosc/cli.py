@@ -28,8 +28,9 @@ Each estimate is in one unit, a polynomial step:
 ``solve --samples`` over k levels is (samples + rule) k(k+1)/2 + SAMPLE_WORK
 samples k, where rule is the size of the norm column's graded rule,
 max(NORM_RULE_MIN, NORM_RULE_PER_A A) nodes rounded up, for either format;
-``verify`` is FD_WORK grid (k + 3); ``scan`` is LEVEL_WORK times the levels of
-all its rows.
+``verify`` is FD_WORK grid (k + 3), where grid is max(VERIFY_GRID_MIN,
+VERIFY_GRID_PER_A A) points rounded up; ``scan`` is LEVEL_WORK times the levels
+of all its rows.
 """
 
 from __future__ import annotations
@@ -61,15 +62,13 @@ MAX_SCAN_ROWS = 10_000
 # - SAMPLE_WORK, one printed sample of solve --samples.  A sample costs about 4e-6 s; the
 #   weight is set above that so that the JSON table's peak RSS stays near 250 MB (A = 2 at
 #   490 847 samples);
-# - FD_WORK, one level on one point of verify's grids, counted over grid (k + 3): a run of
-#   few levels pays for a bisection per level from the pre-grid's Gershgorin bounds, so a
-#   level-point cost 7-8e-6 s at k = 2, 3.6-4e-6 s at k = 10 and 3-3.6e-6 s on the default
-#   grid at A = 208, and 2.8-3.6e-6 s over grid (k + 3) in each case;
+# - FD_WORK, one level on one point of verify's grid, counted over grid (k + 3) so that a
+#   run's fixed cost is paid too.  At A = 208, the deepest depth admitted, a level-point
+#   cost 3-3.6e-6 s;
 # - LEVEL_WORK, one level of one scan row.
 # The deepest admitted runs took 2.0-2.4 s (solve --A 581 --samples 1), 2.0-2.4 s (--A 2
-# --samples 490 847), 2.1-2.7 s (verify --A 208), 2.2-2.5 s (--A 3 --grid 140 476),
-# 2.2-2.4 s (--A 3.5 --grid 117 063), 2.2-2.3 s (--A 11 --grid 54 029) and 2.1-2.6 s (scan
-# of A from 2 to 1426 by 1), 3 runs each on 2 cores shared with other load, Python 3.11
+# --samples 490 847), 2.1-2.7 s (verify --A 208) and 2.1-2.6 s (scan of A from 2 to 1426
+# by 1), 3 runs each on 2 cores shared with other load, Python 3.11
 MAX_WORK = 295_000_000
 SAMPLE_WORK = 600
 FD_WORK = 420
@@ -83,7 +82,7 @@ LEVEL_WORK = 290
 # algebraically (2.5e-8 at 0.1)
 NORM_RULE_MIN = 400
 NORM_RULE_PER_A = 3
-# verify's default --grid is max(VERIFY_GRID_MIN, VERIFY_GRID_PER_A * A), rounded up.  It
+# verify's grid is max(VERIFY_GRID_MIN, VERIFY_GRID_PER_A * A) points, rounded up.  It
 # scales with the depth, not the level count: a shift b leaves fewer levels than A - 1
 # but no wider states.  Over a sweep of A up to 210 and |b| up to 0.99 of its bound it
 # held every level within 1.4e-6 of the closed forms
@@ -296,16 +295,10 @@ def cmd_solve(ns: argparse.Namespace) -> int:
 def cmd_verify(ns: argparse.Namespace) -> int:
     p = OscillatorParams(ns.omega0, ns.A, ns.b)
     k = _admit(p).count
-    grid = ns.grid
-    if grid is None:
-        grid = max(VERIFY_GRID_MIN, math.ceil(VERIFY_GRID_PER_A * p.A))
-    _refuse_over(FD_WORK * grid * (k + 3), f"verify of {k} levels on --grid {grid}")
-    if grid // 2 < k:
-        # the oracle estimates each level's order on a third grid of --grid // 2 points
-        raise ParameterError(
-            f"--grid {grid} cannot hold the {k} levels: its order-estimate grid has "
-            f"--grid // 2 = {grid // 2} points; use --grid {2 * k} or more"
-        )
+    # the oracle's order-estimate grid, half of this one, has at least 250 points and more
+    # than 8 A - 1, so it always holds the k < A levels
+    grid = max(VERIFY_GRID_MIN, math.ceil(VERIFY_GRID_PER_A * p.A))
+    _refuse_over(FD_WORK * grid * (k + 3), f"verify of {k} levels on its {grid}-point grid")
     report = oracle.solve_pdm_numeric(p, k, grid, estimate_order=True)
     levels = []
     for i in range(k):
@@ -454,9 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = command("verify", cmd_verify, "cross-check against the grid solver")
     well(sp)
-    sp.add_argument("--grid", type=int,
-                    help="base grid size, also solved at half and twice this "
-                    f"(default: max({VERIFY_GRID_MIN}, {VERIFY_GRID_PER_A} A) rounded up)")
 
     sp = command("jafarov", cmd_jafarov, "integer-l quantized-length case")
     sp.add_argument("--l", type=int, required=True,

@@ -577,7 +577,7 @@ def solve_pdm_numeric(
     n_grid // 2 points feeds the order estimate when requested.  A pre-grid
     of an eighth of the coarsest grid's points, when it holds the k levels,
     only gives that grid its first iterates and is not reported.  Every
-    level converges at order 2 on these grids; the CLI's default n_grid,
+    level converges at order 2 on these grids; the CLI's n_grid,
     max(500, 16 A), held each level within 1.4e-6 of the closed forms over
     a sweep of A up to 210 at any admitted b.  Smaller grids are accepted
     for quick looks.  An n_grid whose

@@ -128,7 +128,7 @@ def shift_bound(omega0: float, A: float) -> float:
     bound: this raises the same ParameterError.
     """
     map_parameters(omega0, A, 0.0)
-    return math.sqrt(omega0 / 2.0) * A * (A - 1.0) / (A * (A + 1.0) - 2.0) ** 0.75
+    return math.sqrt(omega0 / 2.0) * A * (A - 1.0) / ((A - 1.0) * (A + 2.0)) ** 0.75
 
 
 def level_count(A: float, B: float) -> int:
@@ -173,7 +173,9 @@ def map_parameters(
         raise ParameterError(f"need omega0 > 0, got {omega0}")
     if A <= 1.0:
         raise ParameterError(f"need A > 1 for a nonempty model, got A={A}")
-    a = math.sqrt(2.0 / omega0) * (A * (A + 1.0) - 2.0) ** 0.25
+    # A(A+1) - 2 as (A-1)(A+2): A - 1 is exact near 1, where the difference of two numbers
+    # near 2 would lose eps/(A-1) of a and of every energy
+    a = math.sqrt(2.0 / omega0) * ((A - 1.0) * (A + 2.0)) ** 0.25
     a3 = a * a * a
     if not 0.0 < a3 < math.inf:
         raise ParameterError(

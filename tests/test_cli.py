@@ -250,7 +250,7 @@ def test_out_file_writing(capsys, tmp_path):
 @pytest.mark.parametrize("target", ["missing/levels.json", "."], ids=["no-directory", "a-directory"])
 @pytest.mark.parametrize(
     "argv",
-    [["solve", "--omega0", "1", "--A", "3"], ["verify", "--omega0", "1", "--A", "3", "--grid", "64"]],
+    [["solve", "--omega0", "1", "--A", "3"], ["verify", "--omega0", "1", "--A", "3"]],
     ids=["solve", "verify"],
 )
 def test_unwritable_out_is_a_config_error(capsys, tmp_path, argv, target):
@@ -266,33 +266,33 @@ def test_unwritable_out_is_a_config_error(capsys, tmp_path, argv, target):
 
 
 def test_verify_fine_grid(capsys):
-    rc, out, _ = run_cli(capsys, "verify", "--omega0", "1", "--A", "3", "--grid", "2000")
+    rc, out, _ = run_cli(capsys, "verify", "--omega0", "1", "--A", "3")
     assert rc == 0
     rep = json.loads(out)["report"]
     assert rep["passed"] is True
     assert rep["max_rel_err"] < 1e-6
     assert rep["tolerance"] == 1e-5
-    assert rep["grid_sizes"] == [1000, 2000, 4000]
+    assert rep["grid_sizes"] == [250, 500, 1000]
     for lev in rep["levels"]:
         if lev["order"] is not None:
             assert 1.4 < lev["order"] < 2.2
 
 
 def test_verify_shifted(capsys):
-    rc, out, _ = run_cli(
-        capsys, "verify", "--omega0", "1", "--A", "3", "--b", "0.1", "--grid", "2000"
-    )
+    rc, out, _ = run_cli(capsys, "verify", "--omega0", "1", "--A", "3", "--b", "0.1")
     assert rc == 0
     assert json.loads(out)["report"]["passed"] is True
 
 
-def test_verify_coarse_grid_fails(capsys):
-    # the report is still emitted in full so the failure can be read off
-    rc, out, _ = run_cli(capsys, "verify", "--omega0", "1", "--A", "2", "--grid", "8")
+def test_verify_coarse_grid_fails(monkeypatch, capsys):
+    # the report is still emitted in full so the failure can be read off; the grid's error
+    # at A = 2 is well above a tolerance of 1e-15
+    monkeypatch.setattr(cli, "VERIFY_TOL", 1e-15)
+    rc, out, _ = run_cli(capsys, "verify", "--omega0", "1", "--A", "2")
     assert rc == 3
     rep = json.loads(out)["report"]
     assert rep["passed"] is False
-    assert rep["max_rel_err"] > 1e-5
+    assert rep["max_rel_err"] > rep["tolerance"] == 1e-15
     assert isinstance(rep["levels"][0]["order"], float)
 
 
@@ -348,9 +348,13 @@ def test_verify_rejects_excess_shift(capsys):
     assert json.loads(err)["error"] == "config"
 
 
-def test_verify_rejects_tiny_grid(capsys):
-    rc, _, err = run_cli(capsys, "verify", "--omega0", "1", "--A", "2", "--grid", "4")
-    assert rc == 2
+def test_verify_takes_no_grid_option(capsys):
+    # the grid's size comes from the depth alone; argparse refuses the option
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--omega0", "1", "--A", "3", "--grid", "64"])
+    assert exc.value.code == 2
+    cap = capsys.readouterr()
+    assert cap.out == "" and "unrecognized arguments: --grid 64" in cap.err
 
 
 # --- jafarov ---
@@ -800,11 +804,12 @@ def test_scan_rejects_nonfinite_range(capsys, bound, value):
         # the first rows are admitted; the last holds 20 002 levels
         ("MAX_LEVELS",
          ["scan", "--omega0", "1", "--A-start", "3", "--A-stop", "20003", "--A-step", "10000"]),
-        ("MAX_LEVELS", ["verify", "--omega0", "1", "--A", "1e15", "--grid", "2000"]),
+        ("MAX_LEVELS", ["verify", "--omega0", "1", "--A", "1e15"]),
         ("MAX_LEVELS", ["jafarov", "--omega0", "1", "--l", "1000000"]),
         # 9 999 levels on the default grid of 160 000 points
         ("MAX_WORK", ["verify", "--omega0", "1", "--A", "1e4"]),
-        ("MAX_WORK", ["verify", "--omega0", "1", "--A", "3", "--grid", "400000"]),
+        # the shallowest refused depth: 208 levels on a grid of 3 329 points
+        ("MAX_WORK", ["verify", "--omega0", "1", "--A", "208.0625"]),
         # 9 999 levels, each evaluated on 30 003 points
         ("MAX_WORK", ["solve", "--omega0", "1", "--A", "1e4", "--samples", "3"]),
         ("MAX_WORK", ["solve", "--omega0", "1", "--A", "3", "--samples", "100000000"]),
@@ -814,10 +819,6 @@ def test_scan_rejects_nonfinite_range(capsys, bound, value):
         # the shallowest refused depth at --samples 1: any A above 581 holds 581 levels,
         # here each on 1 746 points
         ("MAX_WORK", ["solve", "--omega0", "1", "--A", "581.5", "--samples", "1"]),
-        # few levels on a large grid: each level bisects from the pre-grid's bounds, so
-        # these took 6.3-7.9 s and 4.7-6.6 s where levels times --grid was the estimate
-        ("MAX_WORK", ["verify", "--omega0", "1", "--A", "3", "--grid", "350000"]),
-        ("MAX_WORK", ["verify", "--omega0", "1", "--A", "3.5", "--grid", "200000"]),
     ],
 )
 def test_work_over_a_limit_is_refused_before_any_level(monkeypatch, capsys, limit, argv):
@@ -855,9 +856,8 @@ def test_level_limit_boundary(capsys, A, rc, count):
          "solve of 2 levels at --samples 2 with a 400-node norm rule"),
         (["solve", "--A", "150.5", "--samples", "2"], 454 * 150 * 151 // 2 + cli.SAMPLE_WORK * 300,
          "solve of 150 levels at --samples 2 with a 452-node norm rule"),
-        # 2 levels on --grid 64, counted as 64 (2 + 3) level-points
-        (["verify", "--A", "3", "--grid", "64"], cli.FD_WORK * 64 * 5,
-         "verify of 2 levels on --grid 64"),
+        # 2 levels on the 500-point grid, counted as 500 (2 + 3) level-points
+        (["verify", "--A", "3"], cli.FD_WORK * 500 * 5, "verify of 2 levels on its 500-point grid"),
         # A = 3, 4 and 5 hold 2, 3 and 4 levels
         (["scan", "--A-start", "3", "--A-stop", "5", "--A-step", "1"], cli.LEVEL_WORK * 9,
          "scan of 3 rows holding 9 levels"),
@@ -930,15 +930,3 @@ def test_solve_at_depth_is_admitted_with_resolved_norms(capsys, omega0, A, b_fra
     assert len(waves) == count
     assert max(abs(w["norm"] - 1.0) for w in waves) <= 1e-9
     assert all(s["psi"] is not None for w in waves for s in w["samples"])
-
-
-def test_verify_refuses_a_grid_too_small_for_its_levels(capsys):
-    rc, out, err = run_cli(capsys, "verify", "--omega0", "1", "--A", "30.5", "--grid", "20")
-    assert rc == 2 and out == ""
-    msg = json.loads(err)["message"]
-    assert "--grid" in msg and "30 levels" in msg and "--grid 60" in msg
-    assert "k <=" not in msg
-    rc, _, _ = run_cli(capsys, "verify", "--omega0", "1", "--A", "30.5", "--grid", "59")
-    assert rc == 2
-    rc, out, _ = run_cli(capsys, "verify", "--omega0", "1", "--A", "30.5", "--grid", "60")
-    assert rc in (0, 3) and len(json.loads(out)["report"]["levels"]) == 30

@@ -94,7 +94,7 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
 _PAYLOAD_ARGV = [
     ["solve", "--omega0", "1", "--A", "4.5", "--samples", "5"],
     ["solve", "--omega0", "1", "--A", "3", "--b", "0.1"],
-    ["verify", "--omega0", "1", "--A", "3", "--grid", "64"],
+    ["verify", "--omega0", "1", "--A", "3"],
     ["jafarov", "--omega0", "1", "--l", "3"],
 ]
 

@@ -1,7 +1,7 @@
 """Command line under generated argv: an exit code from the documented set, never a traceback.
 
 Each example drives cli.main in-process with argv for ``solve``, ``scan``,
-``jafarov`` or a small-grid ``verify``.  Numbers range over moderate values
+``jafarov`` or a shallow ``verify``.  Numbers range over moderate values
 and the awkward ones (nan, +-inf, zero, the extremes of the float range);
 sizes stay small enough that the whole property runs in a few seconds.
 Values are passed as ``--opt=value`` so that a negative number reaches the
@@ -77,8 +77,8 @@ def _jafarov(draw) -> list[str]:
 
 @st.composite
 def _verify(draw) -> list[str]:
-    argv = ["verify", _opt("omega0", draw(_number(0.05, 20.0))), _opt("A", draw(_number(1.1, 8.0))),
-            _opt("grid", draw(st.integers(-1, 64)))]
+    # a verify at A <= 8 solves on its 500-point grid in a few ms
+    argv = ["verify", _opt("omega0", draw(_number(0.05, 20.0))), _opt("A", draw(_number(1.1, 8.0)))]
     if draw(st.booleans()):
         argv.append(_opt("b", draw(_number(-1.0, 1.0))))
     return argv

@@ -13,6 +13,8 @@ from functools import partial
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdmosc import oscillator, pct, rosen_morse
 from pdmosc.errors import DomainError, NoSuchStateError, ParameterError
@@ -237,6 +239,41 @@ def test_energies_against_mpmath_at_any_depth(omega0):
                 assert abs(energy(p, n) - want) <= 1e-14 * abs(want)
                 tol = 1e-14 if p.b == 0.0 else 32 * A * np.finfo(float).eps
                 assert abs(energy_harmonic_form(p, n) - want) <= tol * abs(want)
+
+
+def mp_unshifted_term(omega0, A, n):
+    """(D - 1)/a^2 at 50 digits, D = (2n+1)A - n^2: E_n at b = 0, and the scale of E_n at any b."""
+    with mp.workdps(50):
+        w, A = mp.mpf(omega0), mp.mpf(A)
+        a2 = 2 / w * mp.sqrt(A * (A + 1) - 2)
+        return ((2 * n + 1) * A - n * n - 1) / a2
+
+
+@st.composite
+def _admitted_params(draw):
+    # omega0 and A - 1 log-uniform, b zero or uniform in +-0.999 of its bound
+    omega0 = 10.0 ** draw(st.floats(-3.0, 3.0))
+    A = 1.0 + 10.0 ** draw(st.floats(-9.0, 4.0))
+    frac = draw(st.one_of(st.just(0.0), st.floats(-0.999, 0.999)))
+    return OscillatorParams(omega0, A, frac * shift_bound(omega0, A))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_admitted_params())
+def test_energies_against_mpmath_over_the_admitted_space(p):
+    # near A = 1, a half-width formed from A(A+1) - 2 loses eps/(A-1) of a and of every
+    # energy.  At b != 0 the shift term cancels the unshifted one near the bound, so each energy is
+    # held to its unshifted term (D - 1)/a^2, which is |E| at b = 0.  At most 40 levels of a
+    # deep model are checked: the first 16, the last 16 and 8 between
+    model = oscillator._model(p)
+    k = model.count
+    assert k >= 1
+    energies = model.energies(range(k))
+    assert all(lo < hi for lo, hi in zip(energies, energies[1:]))
+    levels = set(range(16)) | set(range(k - 16, k)) | set(range(0, k, max(1, k // 8)))
+    for n in sorted(levels & set(range(k))):
+        want = mp_energy(p.omega0, p.A, p.b, n)
+        assert abs(energies[n] - want) <= 1e-14 * mp_unshifted_term(p.omega0, p.A, n), n
 
 
 def test_energy_takes_each_level_from_rm_energy_once(monkeypatch):
