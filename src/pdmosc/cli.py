@@ -18,7 +18,10 @@ its shortest round-trip repr, and NaN and +-inf print as null.  ``solve``
 holds each level's samples table as two columns, the x points shared by
 every level and the level's psi values, and prints it in the same bytes as
 its ``[{"x": x, "psi": psi}, ...]`` form, with the x texts formatted once per
-solve.  CSV cells carry 17 significant digits.
+solve.  It evaluates every level in one pass, with one polynomial call per
+solve (the levels' recurrences step together, so k levels take O(k) array
+operations): JSON on the norm rule's nodes joined with the sample points,
+CSV on the sample points alone.  CSV cells carry 17 significant digits.
 
 Work is bounded before any level is computed, with exit 2: a model with more
 than MAX_LEVELS levels (a ``solve`` or ``verify`` model, a ``scan`` row, or
@@ -42,7 +45,7 @@ import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 from itertools import chain
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -66,7 +69,7 @@ MAX_SCAN_ROWS = 10_000
 #   run's fixed cost is paid too.  At A = 208, the deepest depth admitted, a level-point
 #   cost 3-3.6e-6 s;
 # - LEVEL_WORK, one level of one scan row.
-# The deepest admitted runs took 2.0-2.4 s (solve --A 581 --samples 1), 2.0-2.4 s (--A 2
+# The deepest admitted runs took 2.1-2.2 s (solve --A 581 --samples 1), 2.1-2.4 s (--A 2
 # --samples 490 847), 2.1-2.7 s (verify --A 208) and 2.1-2.6 s (scan of A from 2 to 1426
 # by 1), 3 runs each on 2 cores shared with other load, Python 3.11
 MAX_WORK = 295_000_000
@@ -227,30 +230,29 @@ def _sample_points(model: oscillator._Model, samples: int) -> list[float]:
     return [-a + 2.0 * a * (j + 1) / (samples + 1) for j in range(samples)]
 
 
-def _norm_and_samples(
-    psi: Callable[[np.ndarray], np.ndarray], a: float, rule: int, points: np.ndarray
-) -> tuple[float, list[float]]:
-    # one evaluation of psi on the norm rule's nodes joined with the sample points: overlap
-    # sums the nodes' part and the rest is psi at the points.  Each entry is bit for bit its
-    # one-point value, so both are those of two separate evaluations
+def _norms_and_samples(
+    model: oscillator._Model, rule: int, points: np.ndarray
+) -> tuple[list[float], list[list[float]]]:
+    # every level in one evaluation, on the norm rule's nodes joined with the sample points:
+    # the norms sum the nodes' part of each row and the rest is psi at the points.  Each
+    # entry is bit for bit its one-point value, so both are those of separate evaluations
     at_points = []
 
     def joined(x: np.ndarray) -> np.ndarray:
-        values = psi(np.concatenate((x, points)))
-        at_points.append(values[x.size:])
-        return values[: x.size]
+        values = model.psi_rows(np.concatenate((x, points)))
+        at_points.append(values[:, x.size:])
+        return values[:, : x.size]
 
-    norm = oracle.overlap(joined, joined, -a, a, rule, graded=True)
-    return norm, at_points[0].tolist()
+    norms = oracle.norms(joined, -model.a, model.a, rule, graded=True)
+    return norms, at_points[0].tolist()
 
 
 def _sample_rows(model: oscillator._Model, samples: int) -> Iterator[list[object]]:
-    # the CSV samples table, each row made as it is joined and each level's psi as it is
-    # reached.  It prints no norm, so each level is evaluated at the sample points alone
+    # the CSV samples table, each row made as it is joined, from every level evaluated at
+    # once.  It prints no norm, so the levels are evaluated at the sample points alone
     xs = _sample_points(model, samples)
-    points = np.array(xs)
-    for n in range(model.count):
-        for x, v in zip(xs, model.psi(n)(points).tolist()):
+    for n, psi in enumerate(model.psi_rows(np.array(xs))):
+        for x, v in zip(xs, psi.tolist()):
             yield [n, x, v]
 
 
@@ -282,12 +284,12 @@ def cmd_solve(ns: argparse.Namespace) -> int:
     }
     if ns.samples > 0:
         xs = _sample_points(model, ns.samples)
-        points = np.array(xs)
         x_json = [float.__repr__(x) for x in xs]
-        waves = payload["wavefunctions"] = []
-        for n in range(model.count):
-            norm, psi = _norm_and_samples(model.psi(n), model.a, rule, points)
-            waves.append({"n": n, "norm": norm, "samples": _SampleTable(x_json, psi)})
+        norms, psi = _norms_and_samples(model, rule, np.array(xs))
+        payload["wavefunctions"] = [
+            {"n": n, "norm": norm, "samples": _SampleTable(x_json, values)}
+            for n, (norm, values) in enumerate(zip(norms, psi))
+        ]
     _emit(ns, _json_payload(payload))
     return 0
 

@@ -48,6 +48,7 @@ __all__ = [
     "discretize_bdd",
     "eigenvalues_sturm",
     "eigenvector",
+    "norms",
     "overlap",
     "solve_constant_mass_numeric",
     "solve_pdm_numeric",
@@ -448,6 +449,17 @@ def _graded_rule_arrays(rule_size: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def _rule_nodes(
+    lo: float, hi: float, rule_size: int, graded: bool
+) -> tuple[np.ndarray, np.ndarray, float]:
+    # overlap's rule on (lo, hi): its nodes in x, its weights and the half-width they scale by
+    if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
+        raise ParameterError(f"need finite lo < hi, got ({lo!r}, {hi!r})")
+    nodes, weights = (_graded_rule_arrays if graded else gauss_legendre)(rule_size)
+    half = 0.5 * (hi - lo)
+    return 0.5 * (lo + hi) + half * nodes, weights, half
+
+
 def overlap(
     f: Callable[[np.ndarray], np.ndarray],
     g: Callable[[np.ndarray], np.ndarray],
@@ -467,14 +479,22 @@ def overlap(
     that behaves like a power of the distance to an end becomes smooth in
     s.  That is the shape of the confined model's states at the walls.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-        raise ParameterError(f"need finite lo < hi, got ({lo!r}, {hi!r})")
-    nodes, weights = (_graded_rule_arrays if graded else gauss_legendre)(rule_size)
-    half = 0.5 * (hi - lo)
-    x = 0.5 * (lo + hi) + half * nodes
+    x, weights, half = _rule_nodes(lo, hi, rule_size, graded)
     fx = f(x)
     gx = fx if g is f else g(x)
     return half * float(np.dot(weights, fx * gx))
+
+
+def norms(
+    f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, rule_size: int, graded: bool = False
+) -> list[float]:
+    """overlap(f_i, f_i, lo, hi, rule_size, graded) for each row f_i of a block, bit for bit.
+
+    f takes the whole array of nodes, once, and returns one row of values
+    there per function.
+    """
+    x, weights, half = _rule_nodes(lo, hi, rule_size, graded)
+    return [half * float(np.dot(weights, fx * fx)) for fx in f(x)]
 
 
 @dataclass(frozen=True)

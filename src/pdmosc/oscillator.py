@@ -19,7 +19,15 @@ import numpy as np
 from . import pct
 from .errors import DomainError, ParameterError
 from .pct import shift_bound
-from .rosen_morse import RosenMorseParams, _check_level, _evaluate, _Level, _resolve, rm_energy
+from .rosen_morse import (
+    RosenMorseParams,
+    _check_level,
+    _evaluate,
+    _Level,
+    _resolve,
+    _stack,
+    rm_energy,
+)
 from .special_fn import _check_finite, _largest_abs, gegenbauer_poly, is_int
 
 __all__ = [
@@ -89,11 +97,18 @@ class _Model(NamedTuple):
             out.append((d - 1.0) / a2 - b2 * (d - 2.0) / (m * m))
         return out
 
+    def _level(self, n: int, form: str = "auto") -> _Level:
+        # the well's level n times the transform's prefactor a^(-1/2) (1 - t^2)^(-1/2)
+        return _resolve(self.rm, n, form, lower=0.5, ln_scale=-0.5 * math.log(self.a))
+
     def psi(self, n: int, form: str = "auto") -> Callable[[float | np.ndarray], float | np.ndarray]:
-        # level n's wavefunction of x with its constants resolved, only the per-point work
-        # left: the well's level times the transform's prefactor a^(-1/2) (1 - t^2)^(-1/2)
-        s = _resolve(self.rm, n, form, lower=0.5, ln_scale=-0.5 * math.log(self.a))
-        return partial(_psi, s, self.a)
+        # level n's wavefunction of x with its constants resolved, only the per-point work left
+        return partial(_psi, self._level(n, form), self.a)
+
+    def psi_rows(self, x: np.ndarray) -> np.ndarray:
+        # every level on the 1-D array x in one pass, with one polynomial call: row n is
+        # psi(n)(x) bit for bit
+        return _psi(_stack([self._level(n) for n in range(self.count)]), self.a, x)
 
 
 def _model(p: OscillatorParams) -> _Model:

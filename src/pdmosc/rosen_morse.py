@@ -154,12 +154,18 @@ def _ln_norm_gegenbauer(A: float, n: int, m: float) -> float:
 
 @dataclass(frozen=True)
 class _Level:
-    """One level's constants: phi = exp(ln_norm + e_1m log(1-t) + e_1p log(1+t)) poly(t)."""
+    """Level n's constants: phi = exp(ln_norm + e_1m log(1-t) + e_1p log(1+t)) poly(t).
 
-    e_1m: float
-    e_1p: float
-    ln_norm: float
-    poly: Callable[[float | np.ndarray], float | np.ndarray]
+    poly is C_n^(lam) for params (lam,) and P_n^(alpha, beta) for params
+    (alpha, beta).  A stack of levels 0..n (_stack) holds the same fields as
+    arrays, one entry per level, and evaluates to one row per level.
+    """
+
+    n: int
+    e_1m: float | np.ndarray
+    e_1p: float | np.ndarray
+    ln_norm: float | np.ndarray
+    params: tuple
 
 
 def _resolve(
@@ -179,12 +185,19 @@ def _resolve(
     m_low = m - 2.0 * lower
     if form == "gegenbauer" or (form == "auto" and p.B == 0.0):
         e = 0.5 * m_low
-        ln_norm = _ln_norm_gegenbauer(p.A, n, m) + ln_scale
-        return _Level(e, e, ln_norm, partial(gegenbauer_poly, n, m + 0.5))
+        return _Level(n, e, e, _ln_norm_gegenbauer(p.A, n, m) + ln_scale, (m + 0.5,))
     beta = p.B / m
     ln_norm = _ln_norm_jacobi(p.A, n, m, beta) + ln_scale
-    poly = partial(jacobi_poly, n, m + beta, m - beta)
-    return _Level(0.5 * (m_low + beta), 0.5 * (m_low - beta), ln_norm, poly)
+    return _Level(n, 0.5 * (m_low + beta), 0.5 * (m_low - beta), ln_norm, (m + beta, m - beta))
+
+
+def _stack(levels: list[_Level]) -> _Level:
+    """Levels 0..n of one family as one _Level: the envelope constants as columns, one
+    row per level, and the polynomial parameters as arrays, which ask for a block."""
+    e_1m, e_1p, ln_norm = (np.array(v)[:, None] for v in zip(*[
+        (s.e_1m, s.e_1p, s.ln_norm) for s in levels]))
+    params = tuple(np.array(v) for v in zip(*[s.params for s in levels]))
+    return _Level(len(levels) - 1, e_1m, e_1p, ln_norm, params)
 
 
 def _evaluate(
@@ -198,9 +211,11 @@ def _evaluate(
     t and the two logs are floats or arrays of one shape; each caller passes
     the form of the logs that stays accurate in its own variable, and runs
     this under np.errstate, since at a large depth the polynomial may
-    overflow where the envelope underflows.
+    overflow where the envelope underflows.  A stack of levels takes 1-D
+    arrays and gives one row per level, each bit for bit that level's values.
     """
-    return np.exp(s.ln_norm + s.e_1m * ln_1m_t + s.e_1p * ln_1p_t) * s.poly(t)
+    poly = gegenbauer_poly if len(s.params) == 1 else jacobi_poly
+    return np.exp(s.ln_norm + s.e_1m * ln_1m_t + s.e_1p * ln_1p_t) * poly(s.n, *s.params, t)
 
 
 # tails underflow, and a large depth may overflow the polynomial: each

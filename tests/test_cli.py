@@ -603,13 +603,15 @@ def test_samples_reuse_the_spectrum_derivation(monkeypatch, capsys):
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("b, used", [("0", "gegenbauer_poly"), ("0.1", "jacobi_poly")])
 def test_samples_evaluate_each_state_once(monkeypatch, capsys, b, used, fmt):
-    # one array call per level: the norm rule's nodes and the sample points in JSON, the
+    # one polynomial call per solve, for every level at once: degrees 0..k-1 with one
+    # parameter per level, on the norm rule's nodes and the sample points in JSON and on the
     # sample points alone in CSV
     calls = {"gegenbauer_poly": [], "jacobi_poly": []}
 
     def counted(name, fn):
         def wrapper(n, *args):
-            calls[name].append(n)
+            *params, x = args
+            calls[name].append((n, [np.shape(v) for v in params], np.shape(x)))
             return fn(n, *args)
 
         return wrapper
@@ -620,13 +622,16 @@ def test_samples_evaluate_each_state_once(monkeypatch, capsys, b, used, fmt):
                        "--samples", "4", "--format", fmt)
     assert rc == 0
     k = oscillator.num_bound_states(OscillatorParams(1.0, 6.5, float(b)))
-    assert calls.pop(used) == list(range(k))
+    points = 4 + (400 if fmt == "json" else 0)
+    params = 1 if used == "gegenbauer_poly" else 2
+    assert calls.pop(used) == [(k - 1, [(k,)] * params, (points,))]
     assert calls == {name: [] for name in calls}
 
 
 @pytest.mark.parametrize(
-    "A, b, rule", [("5.5", "0", 400), ("5.5", "0.2", 400), ("150.5", "0", 452)],
-    ids=["0", "0.2", "150.5-0"],
+    "A, b, rule",
+    [("5.5", "0", 400), ("5.5", "0.2", 400), ("150.5", "0", 452), ("300.5", "3", 902)],
+    ids=["0", "0.2", "150.5-0", "300.5-3"],
 )
 def test_norms_and_samples_are_those_of_separate_evaluations(capsys, A, b, rule):
     # the joined evaluation gives, bit for bit, the norm of overlap on psi alone on a rule

@@ -22,6 +22,7 @@ from pdmosc.oracle import (
     discretize_bdd,
     eigenvalues_sturm,
     eigenvector,
+    norms,
     overlap,
     solve_constant_mass_numeric,
     solve_pdm_numeric,
@@ -518,6 +519,25 @@ def test_overlap_orthogonality():
     f1 = lambda x: wavefunction(p, 1, x)
     assert abs(overlap(f0, f1, -a, a, 400)) < 1e-9
     assert abs(overlap(f0, f0, -a, a, 400) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("graded", [False, True])
+def test_norms_are_the_overlaps_of_each_row(graded):
+    # one evaluation of the whole block, and each row's norm bit for bit its own overlap
+    p = OscillatorParams(1.0, 7.3, 0.4)
+    a = confinement_length(1.0, 7.3)
+    fs = [lambda x, n=n: wavefunction(p, n, x) for n in range(num_bound_states(p))]
+    seen = []
+
+    def block(x):
+        seen.append(x.shape)
+        return np.array([f(x) for f in fs])
+
+    got = norms(block, -a, a, 300, graded=graded)
+    assert seen == [(300,)]
+    assert got == [overlap(f, f, -a, a, 300, graded=graded) for f in fs]
+    with pytest.raises(ParameterError):
+        norms(block, a, -a, 300)
 
 
 # --- spectrum drivers ---

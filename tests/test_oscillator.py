@@ -276,6 +276,33 @@ def test_energies_against_mpmath_over_the_admitted_space(p):
         assert abs(energies[n] - want) <= 1e-14 * mp_unshifted_term(p.omega0, p.A, n), n
 
 
+@st.composite
+def _sampled_model(draw):
+    # omega0 log-uniform, A - 1 log-uniform up to A = 150, b zero or within 0.9 of its bound;
+    # points on the walls, within the wall margin, near the walls and inside
+    omega0 = 10.0 ** draw(st.floats(-1.5, 1.5))
+    A = 1.0 + 10.0 ** draw(st.floats(-6.0, math.log10(149.0)))
+    frac = draw(st.one_of(st.just(0.0), st.floats(-0.9, 0.9)))
+    p = OscillatorParams(omega0, A, frac * shift_bound(omega0, A))
+    near = st.floats(0.5, 15.0).map(lambda e: 1.0 - 10.0 ** -e)
+    t = draw(st.lists(st.one_of(near, st.floats(-1.0, 1.0), near.map(lambda v: -v)), max_size=12))
+    return p, [-1.0, 1.0, -1.0 + 1e-13, 1.0 - 1e-13] + t
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_sampled_model())
+def test_all_levels_at_once_are_the_levels_one_at_a_time(case):
+    # each row of the one-pass evaluation is, byte for byte, its level's own wavefunction on
+    # the same points, on both polynomial routes
+    p, t = case
+    model = oscillator._model(p)
+    x = model.a * np.array(t)
+    rows = model.psi_rows(x)
+    assert rows.shape == (model.count, x.size)
+    for n, row in enumerate(rows):
+        assert row.tobytes() == model.psi(n)(x).tobytes(), n
+
+
 def test_energy_takes_each_level_from_rm_energy_once(monkeypatch):
     # pin: the transform route reads the reference well's level once per energy
     calls = []

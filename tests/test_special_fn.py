@@ -129,6 +129,41 @@ def test_polynomials_on_arrays(poly):
             poly(np.array([0.2, bad, 0.4]))
 
 
+@pytest.mark.parametrize("poly, params", [
+    (jacobi_poly, (np.array([1.3, 0.2, -0.4, 7.5, 2.0]), np.array([2.6, -0.9, 0.1, 0.3, 40.0]))),
+    (gegenbauer_poly, (np.array([3.25, 0.7, -0.3, 12.5, 0.05]),)),
+])
+def test_polynomial_blocks_are_their_rows_one_at_a_time(poly, params):
+    # row i of a block is degree i with the parameters at entry i, bit for bit, in one call
+    zs = np.array([-1.7, -1.0, -0.62, 0.0, 0.31, 0.9, 1.0, 2.5])
+    got = poly(4, *params, zs)
+    assert got.shape == (5, zs.size)
+    for i, row in enumerate(got):
+        assert row.tobytes() == poly(i, *(float(v[i]) for v in params), zs).tobytes()
+    assert poly(0, *(v[:1] for v in params), zs).tolist() == [[1.0] * zs.size]
+
+
+@pytest.mark.parametrize("poly, params", [
+    (jacobi_poly, (np.array([0.5, 0.5, 0.5]), np.array([0.5, 0.5, 0.5]))),
+    (gegenbauer_poly, (np.array([0.5, 0.5, 0.5]),)),
+])
+def test_polynomial_blocks_reject_bad_input(poly, params):
+    zs = np.array([0.1, 0.2])
+    with pytest.raises(ParameterError):  # an entry short of degrees 0..3
+        poly(3, *params, zs)
+    with pytest.raises(ParameterError):  # points not on a 1-D array
+        poly(2, *params, zs[:, None])
+    with pytest.raises(ParameterError):
+        poly(2, *params, 0.3)
+    with pytest.raises(DomainError):
+        poly(2, *params, np.array([0.1, math.inf]))
+    for bad in (math.nan, math.inf, -1.0, 0.0 if poly is gegenbauer_poly else -1.5):
+        worse = params[0].copy()
+        worse[1] = bad
+        with pytest.raises(ParameterError):
+            poly(2, worse, *params[1:], zs)
+
+
 def test_jacobi_rejects_bad_input():
     with pytest.raises(ParameterError):
         jacobi_poly(-1, 1.0, 1.0, 0.5)
