@@ -113,7 +113,8 @@ _Family = tuple[Callable, Callable, Callable]
 _JACOBI: _Family = (_jacobi_first, _jacobi_coeffs, _jacobi_step)
 _GEGENBAUER: _Family = (_gegenbauer_first, _gegenbauer_coeffs, _gegenbauer_step)
 # a block's points go in slices of about this many block entries, 256 KB per array, so that
-# a step's arrays stay in cache on a large block
+# a step's arrays stay in cache on a large block: unsliced, the 580 levels of A = 581 on
+# 1 744 points took 1.87 s against 1.33 s sliced (and 1.67 s one level at a time)
 _BLOCK_SIZE = 32768
 
 
