@@ -130,7 +130,16 @@ def _json_payload(value: object, indent: str = "\n") -> str:
         for k, v in value.items():
             if not isinstance(k, str):
                 raise TypeError(f"JSON keys must be str, not {type(k).__name__}")
-            parts.append(inner + _json_str(k) + ": " + _json_payload(v, inner))
+            # a plain float or int value prints here, without a call; a subclass (a bool,
+            # an np.float64) takes the recursion, as every other value does
+            t = type(v)
+            if t is float:
+                text = float.__repr__(v) if math.isfinite(v) else "null"
+            elif t is int:
+                text = int.__repr__(v)
+            else:
+                text = _json_payload(v, inner)
+            parts.append(inner + _json_str(k) + ": " + text)
         return "{" + ",".join(parts) + indent + "}"
     if isinstance(value, (list, tuple)):
         if not value:
@@ -161,7 +170,11 @@ def _csv_cell(v: object) -> str:
 
 
 def _csv_text(rows: Iterable[list[object]]) -> str:
-    return "\n".join(",".join(_csv_cell(c) for c in row) for row in rows)
+    # a plain float cell is formatted here, as _csv_cell would; every other cell goes to it
+    return "\n".join(
+        ",".join([format(c, ".17g") if type(c) is float else _csv_cell(c) for c in row])
+        for row in rows
+    )
 
 
 def _emit(ns: argparse.Namespace, text: str) -> None:

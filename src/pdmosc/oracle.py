@@ -658,7 +658,7 @@ def solve_constant_mass_numeric(
                 f"box {box} too small: boundary density |phi_{j}|^2 = {edge * edge:.3e} "
                 ">= 1e-10 at the ends"
             )
-    analytic = [rm_energy(p, n) for n in range(k)]
+    analytic = rm_energy(p, range(k))
     return _two_grid_report(
         lambda x: 1.0,
         partial(rm_potential, p),

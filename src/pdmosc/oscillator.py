@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -80,22 +80,20 @@ class _Model(NamedTuple):
     rm: RosenMorseParams
     count: int
 
-    def energies(self, levels: Iterable[int]) -> list[float]:
+    def energies(self, levels: range) -> list[float]:
         # a_bar^2 eps_n + c_bar of the derivation (a, rm), summed before it is rounded.  At
         # b = 0 its terms -(A-n)^2/a^2 and omega0^2 a^2/4 are each O(A) and cancel to
         # O(n + 1/2); as omega0^2 a^4/4 is exactly A(A+1) - 2, the sum is (D - 1)/a^2 with D
         # the level of the unshifted well above its floor.  The shift adds
-        # -b^2 (D - 2)/(A-n)^2, whose own O(A^2) terms cancel the same way.
+        # -b^2 (D - 2)/(A-n)^2, whose own O(A^2) terms cancel the same way.  The levels
+        # pass the well's gate once, in one rm_energy call
         p, a, rm, _ = self
         well = rm if p.b == 0.0 else RosenMorseParams(p.A)
-        a2 = a * a
-        b2 = p.b * p.b
-        out = []
-        for n in levels:
-            d = rm_energy(well, n, from_floor=True)
-            m = p.A - n
-            out.append((d - 1.0) / a2 - b2 * (d - 2.0) / (m * m))
-        return out
+        A, a2, b2 = p.A, a * a, p.b * p.b
+        return [
+            (d - 1.0) / a2 - b2 * (d - 2.0) / ((A - n) * (A - n))
+            for n, d in zip(levels, rm_energy(well, levels, from_floor=True))
+        ]
 
     def _level(self, n: int, form: str = "auto") -> _Level:
         # the well's level n times the transform's prefactor a^(-1/2) (1 - t^2)^(-1/2)
@@ -140,7 +138,7 @@ def energy(p: OscillatorParams, n: int) -> float:
     # bench/test_bench.py::test_tracer_counts_and_self_time pins this path's count of
     # parameter maps, so deriving once waits on a change to that benchmark test
     _check_level(n, num_bound_states(p), p)
-    return _model(p).energies((n,))[0]
+    return _model(p).energies(range(n, n + 1))[0]
 
 
 def _half_integer_form(omega0: float, a: float, n: int) -> float:

@@ -114,20 +114,36 @@ def _check_level(n: int, count: int, model: object) -> None:
         )
 
 
-def rm_energy(p: RosenMorseParams, n: int, *, from_floor: bool = False) -> float:
-    """Bound-state energy -(A-n)^2 - B^2/(A-n)^2.
+def rm_energy(
+    p: RosenMorseParams, n: int | range, *, from_floor: bool = False
+) -> float | list[float]:
+    """Bound-state energy -(A-n)^2 - B^2/(A-n)^2 of level n, or of every level of a range.
 
     With from_floor the energy is measured from the floor -A(A+1) of the
     sech^2 term: (2n+1)A - n^2 - B^2/(A-n)^2.  Its first part is formed
     from A and n, so at B = 0 the value keeps its relative accuracy at any
     depth, where eps_n + A(A+1) summed in floats loses about A eps.
+
+    An int n gives a float.  A range gives the list of its levels' values,
+    each bit for bit its one-level value, from one gate: every level of a
+    range lies between its first and last, so only those two are checked
+    against the window, with the message a one-level call gives.  An empty
+    range gives [].
     """
-    _check_level(n, rm_nmax(p) + 1, p)
-    m = p.A - n
-    tilt = (p.B * p.B) / (m * m)
+    count = rm_nmax(p) + 1
+    levels = n if isinstance(n, range) else (n,)
+    if levels:
+        _check_level(levels[0], count, p)
+        _check_level(levels[-1], count, p)
+    A, b2 = p.A, p.B * p.B
     if from_floor:
-        return (2 * n + 1) * p.A - n * n - tilt
-    return -m * m - tilt
+        e = [(2 * k + 1) * A - k * k for k in levels]
+    else:
+        e = [-(A - k) * (A - k) for k in levels]
+    # x - 0.0 is x, so an unshifted well skips the tilt term with the same bits
+    if b2 != 0.0:
+        e = [v - b2 / ((A - k) * (A - k)) for v, k in zip(e, levels)]
+    return e if isinstance(n, range) else e[0]
 
 
 def _ln_norm_jacobi(A: float, n: int, m: float, beta: float) -> float:
@@ -260,7 +276,8 @@ def rm_wavefunction(
 
 def rm_bound_states(p: RosenMorseParams) -> list[ConstantMassState]:
     """All admitted levels, ordered by n; each state's constants are resolved once."""
+    levels = range(rm_nmax(p) + 1)
     return [
-        ConstantMassState(n, rm_energy(p, n), partial(_phi, _resolve(p, n, "auto")))
-        for n in range(rm_nmax(p) + 1)
+        ConstantMassState(n, e, partial(_phi, _resolve(p, n, "auto")))
+        for n, e in zip(levels, rm_energy(p, levels))
     ]

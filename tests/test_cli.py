@@ -231,6 +231,24 @@ def test_solve_csv_header_minimal(capsys):
     assert out.splitlines()[0] == "param,a,num_states,E0"
 
 
+_CSV_CELLS = [
+    np.float64(0.1), np.float64(-0.0), np.float64(math.nan), -0.0, 0.1, math.nan, math.inf,
+    -math.inf, 5e-324, -5e-324, 1e16, 3, -7, 0, 2**70, True, False, "", None, "E0",
+]
+
+
+def test_csv_text_prints_each_cell_as_csv_cell():
+    # a plain float is formatted inline; every cell prints as _csv_cell prints it
+    rows = [_CSV_CELLS, _CSV_CELLS[::-1], [], [""], [None, None], [math.nan]]
+    want = "\n".join(",".join(cli._csv_cell(c) for c in row) for row in rows)
+    assert cli._csv_text(rows) == want
+    assert want.splitlines()[0] == (
+        "0.10000000000000001,-0,nan,-0,0.10000000000000001,nan,inf,-inf,"
+        "4.9406564584124654e-324,-4.9406564584124654e-324,10000000000000000,"
+        "3,-7,0,1180591620717411303424,True,False,,,E0"
+    )
+
+
 def test_solve_rejects_bad_sampling_args(capsys):
     rc, _, err = run_cli(capsys, "solve", "--omega0", "1", "--A", "2", "--samples", "-1")
     assert rc == 2 and json.loads(err)["error"] == "config"
@@ -573,10 +591,48 @@ def test_spectrum_rows_derive_once_and_resolve_no_state(monkeypatch, capsys, arg
     assert calls == {"map_parameters": 2 * models, "ln_gamma": 0}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--omega0", "0.9", "--A-start", "2.5", "--A-stop", "6.5", "--A-step", "0.5"],
+        ["scan", "--omega0", "1", "--A", "7.2", "--b-start", "-0.4", "--b-stop", "0.4",
+         "--b-step", "0.2"],
+        ["scan", "--omega0", "1", "--A", "9.5", "--b", "0.3", "--A-start", "9", "--A-stop",
+         "10", "--A-step", "0.25"],
+        ["jafarov", "--omega0", "1.3", "--l", "12"],
+    ],
+)
+def test_each_spectrum_takes_its_levels_in_one_call(monkeypatch, capsys, argv):
+    # every row of a scan, and the jafarov spectrum, passes the reference well's level gate
+    # once: one rm_energy call per model, covering exactly its levels, from the floor of the
+    # unshifted well
+    calls = []
+
+    def counted(p, n, **kw):
+        calls.append((p, n, kw))
+        return rosen_morse.rm_energy(p, n, **kw)
+
+    monkeypatch.setattr(oscillator, "rm_energy", counted)
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    if argv[0] == "scan":
+        counts = [int(row.split(",")[2]) for row in out.splitlines()[1:]]
+        params = [float(row.split(",")[0]) for row in out.splitlines()[1:]]
+        A = [v if "--A-start" in argv else float(argv[argv.index("--A") + 1]) for v in params]
+    else:
+        counts, A = [len(json.loads(out)["spectrum"]["levels"])], [12.0]
+    assert len(counts) > 1 or argv[0] == "jafarov"
+    assert calls == [
+        (rosen_morse.RosenMorseParams(a), range(k), {"from_floor": True})
+        for a, k in zip(A, counts)
+    ]
+
+
 def test_samples_reuse_the_spectrum_derivation(monkeypatch, capsys):
-    # the states come from the derivation that admitted the model, and each
-    # level's energy is computed once, for the spectrum
+    # the states come from the derivation that admitted the model, and the spectrum's
+    # energies are computed once, in one rm_energy call covering every level
     calls = {"map_parameters": 0, "rm_energy": 0}
+    levels = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -585,13 +641,18 @@ def test_samples_reuse_the_spectrum_derivation(monkeypatch, capsys):
 
         return wrapper
 
+    def energies(p, n, **kw):
+        levels.append(n)
+        return rosen_morse.rm_energy(p, n, **kw)
+
     monkeypatch.setattr(pct, "map_parameters", counted("map_parameters", pct.map_parameters))
-    monkeypatch.setattr(oscillator, "rm_energy", counted("rm_energy", oscillator.rm_energy))
+    monkeypatch.setattr(oscillator, "rm_energy", counted("rm_energy", energies))
     rc, out, _ = run_cli(capsys, "solve", "--omega0", "1", "--A", "6.5", "--b", "0.1",
                          "--samples", "4")
     assert rc == 0
     waves = json.loads(out)["wavefunctions"]
-    assert calls == {"map_parameters": 2, "rm_energy": len(waves)}
+    assert calls == {"map_parameters": 2, "rm_energy": 1}
+    assert levels == [range(len(waves))]
     states = oscillator.bound_states(OscillatorParams(1.0, 6.5, 0.1))
     assert [w["n"] for w in waves] == [s.n for s in states]
     for w, s in zip(waves, states):

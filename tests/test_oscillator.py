@@ -276,6 +276,56 @@ def test_energies_against_mpmath_over_the_admitted_space(p):
         assert abs(energies[n] - want) <= 1e-14 * mp_unshifted_term(p.omega0, p.A, n), n
 
 
+def _bits(values: list[float]) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+@st.composite
+def _well_and_levels(draw):
+    # a well of the admitted space, shifted (B != 0 where b != 0) or unshifted with B = 0.0
+    # or -0.0, and a range of levels inside its window
+    model = oscillator._model(draw(_admitted_params()))
+    A, B = model.rm.A, model.rm.B
+    well = rosen_morse.RosenMorseParams(A, draw(st.sampled_from([B, 0.0, -0.0])))
+    count = rosen_morse.rm_nmax(well) + 1
+    i, j = sorted(draw(st.lists(st.integers(0, count), min_size=2, max_size=2)))
+    return well, count, i, j
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_well_and_levels(), st.booleans())
+def test_a_range_of_levels_is_its_levels_one_at_a_time(case, from_floor):
+    well, count, i, j = case
+    got = rosen_morse.rm_energy(well, range(i, j), from_floor=from_floor)
+    want = [rosen_morse.rm_energy(well, n, from_floor=from_floor) for n in range(i, j)]
+    assert _bits(got) == _bits(want)
+    assert all(type(e) is float for e in got)
+    assert rosen_morse.rm_energy(well, range(i, i), from_floor=from_floor) == []
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_well_and_levels(), st.integers(1, 3), st.booleans())
+def test_a_range_with_an_end_out_of_the_window_gives_that_levels_message(case, past, from_floor):
+    # only the range's first and last levels are checked; each is refused with the message
+    # of the one-level call
+    well, count, i, _ = case
+    i = min(i, count - 1)
+    for bad, levels in ((-past, range(-past, i)), (count - 1 + past, range(i, count + past))):
+        with pytest.raises(NoSuchStateError) as one:
+            rosen_morse.rm_energy(well, bad, from_floor=from_floor)
+        with pytest.raises(NoSuchStateError) as many:
+            rosen_morse.rm_energy(well, levels, from_floor=from_floor)
+        assert str(many.value) == str(one.value)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_admitted_params())
+def test_a_spectrum_in_one_call_is_its_energies_one_at_a_time(p):
+    model = oscillator._model(p)
+    k = model.count
+    assert _bits(model.energies(range(k))) == _bits([energy(p, n) for n in range(k)])
+
+
 @st.composite
 def _sampled_model(draw):
     # omega0 log-uniform, A - 1 log-uniform up to A = 150, b zero or within 0.9 of its bound;
@@ -304,7 +354,8 @@ def test_all_levels_at_once_are_the_levels_one_at_a_time(case):
 
 
 def test_energy_takes_each_level_from_rm_energy_once(monkeypatch):
-    # pin: the transform route reads the reference well's level once per energy
+    # pin: the transform route reads the reference well's levels in one call per spectrum,
+    # a one-level range for one energy
     calls = []
 
     def counted(p, n, **kw):
@@ -312,8 +363,11 @@ def test_energy_takes_each_level_from_rm_energy_once(monkeypatch):
         return rosen_morse.rm_energy(p, n, **kw)
 
     monkeypatch.setattr(oscillator, "rm_energy", counted)
-    energy(OscillatorParams(1.0, 5.3, 0.2), 2)
-    assert calls == [2]
+    p = OscillatorParams(1.0, 5.3, 0.2)
+    energy(p, 2)
+    assert calls == [range(2, 3)]
+    bound_states(p)
+    assert calls == [range(2, 3), range(num_bound_states(p))]
 
 
 @pytest.mark.parametrize("omega0", [1e155, 1e200])
