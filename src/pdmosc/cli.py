@@ -70,7 +70,7 @@ MAX_SCAN_ROWS = 10_000
 #   cost 3-3.6e-6 s;
 # - LEVEL_WORK, one level of one scan row.
 # The deepest admitted runs took 2.1-2.2 s (solve --A 581 --samples 1), 2.1-2.4 s (--A 2
-# --samples 490 847), 2.1-2.7 s (verify --A 208) and 2.1-2.6 s (scan of A from 2 to 1426
+# --samples 490 847), 2.1-2.7 s (verify --A 208) and 2.2-2.3 s (scan of A from 2 to 1426
 # by 1), 3 runs each on 2 cores shared with other load, Python 3.11
 MAX_WORK = 295_000_000
 SAMPLE_WORK = 600
