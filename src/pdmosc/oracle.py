@@ -201,8 +201,16 @@ def discretize_bdd(
     return TridiagonalOperator(diag=diag, off=off)
 
 
-def _sturm_count(d: list[float], e2: list[float], lam: float, pivmin: float) -> int:
-    """Number of eigenvalues below lam, by the LDL^T sign count."""
+def _sturm_count(
+    d: list[float], e2: list[float], lam: float, pivmin: float, cap: float = math.inf
+) -> int:
+    """Number of eigenvalues below lam, by the LDL^T sign count.
+
+    The pass stops as soon as the count exceeds cap and returns that
+    partial count: a number above cap, which is all a caller that only
+    tells levels up to cap apart needs.  The count only grows along the
+    rows, so it is the full count whenever that is at most cap.
+    """
     q = d[0] - lam
     count = 0
     # a pivot within pivmin of zero is replaced by -pivmin (and counted)
@@ -214,6 +222,8 @@ def _sturm_count(d: list[float], e2: list[float], lam: float, pivmin: float) -> 
         q = di - lam - ei / q
         if q <= pivmin:
             count += 1
+            if count > cap:
+                return count
             if q >= -pivmin:
                 q = -pivmin
     return count
@@ -267,7 +277,8 @@ def eigenvalues_sturm(
     Sturm counts prove it holds level j.  Brackets start from the
     Gershgorin disc bounds, and every count at a shift mu narrows the
     bracket of every level at once, as in LAPACK dstebz: levels up to the
-    count take mu as an upper end, the others as a lower end.
+    count take mu as an upper end, the others as a lower end.  A count
+    stops once it passes k, since it then bounds every level alike.
 
     A level is bisected until its bracket isolates it (counts j - 1 and j
     at the ends).  Then each iterate takes a Newton step on det(T - lam),
@@ -313,7 +324,8 @@ def eigenvalues_sturm(
         return c
 
     def count(mu: float) -> int:
-        return narrow(mu, _sturm_count(d, e2, mu, pivmin))
+        # a count above k narrows nothing that one of k + 1 would not
+        return narrow(mu, _sturm_count(d, e2, mu, pivmin, k))
 
     def newton_step(mu: float) -> float:
         c, s = _sturm_newton(d, e2, mu, pivmin)
