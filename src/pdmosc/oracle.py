@@ -12,11 +12,13 @@ rule of the norm column.  The eigenvalue solver
 shares one set of brackets among all levels (each count narrows every
 level's bracket, as LAPACK dstebz does), finishes each isolated level with
 Newton steps on the characteristic polynomial, and returns the midpoint of
-a bracket that Sturm counts certify to 1e-12 relative width.  A report
-first solves an unreported pre-grid an eighth the size of its coarsest
-grid, whose eigenvalues start that grid; every later grid starts from the
-h^2 line through the two grids solved before it.  Nothing in here knows
-about the analytic solution route; that independence is the point.
+a bracket that Sturm counts certify to 1e-12 relative width.  Its counts
+stop at the row where they pass k, since any count above k narrows the
+brackets alike; a Newton pass walks every row.  A report first solves two
+unreported pre-grids, an eighth and a quarter the size of its coarsest
+grid, each when it holds the k levels; every reported grid then starts
+from the h^2 line through the two grids solved before it.  Nothing in here
+knows about the analytic solution route; that independence is the point.
 """
 
 from __future__ import annotations
@@ -562,13 +564,15 @@ def _two_grid_report(
     k = len(analytic)
     sizes = ([n_grid // 2] if estimate_order else []) + [n_grid, 2 * n_grid]
     grids = [make_grid(n) for n in sizes]
-    # an unreported pre-grid of sizes[0] // 8 points, when it holds the k
-    # levels, gives the first grid its starts; every later grid starts on
-    # the h^2 line, at the exact spacings, through the two grids before it.
-    # The starts come only from these grids, never from the analytic
-    # values, which would break the independence
-    pre = sizes[0] // 8
-    solved = ([make_grid(pre)] if pre >= max(k, 3) else []) + grids
+    # two unreported pre-grids of sizes[0] // 8 and sizes[0] // 4 points,
+    # each solved when it holds the k levels, so that the first reported
+    # grid, like every later one, starts on the h^2 line, at the exact
+    # spacings, through the two grids solved before it (a grid with one
+    # grid before it starts from that grid's values).  The starts come only
+    # from these grids, never from the analytic values, which would break
+    # the independence
+    pre = [n for n in (sizes[0] // 8, sizes[0] // 4) if n >= max(k, 3)]
+    solved = [make_grid(n) for n in pre] + grids
     eigs: list[list[float]] = []
     for i, g in enumerate(solved):
         if i < 2:
@@ -606,9 +610,10 @@ def solve_pdm_numeric(
 
     Solves on SineGrids (n_grid, 2 n_grid), uniform in s with
     x = a sin(pi s/2), and Richardson-extrapolates in h^2; a third grid of
-    n_grid // 2 points feeds the order estimate when requested.  A pre-grid
-    of an eighth of the coarsest grid's points, when it holds the k levels,
-    only gives that grid its first iterates and is not reported.  Every
+    n_grid // 2 points feeds the order estimate when requested.  Two
+    pre-grids, of an eighth and a quarter of the coarsest grid's points,
+    each solved when it holds the k levels, only give that grid its first
+    iterates, on the h^2 line through them, and are not reported.  Every
     level converges at order 2 on these grids; the CLI's n_grid,
     max(500, 16 A), held each level within 1.4e-6 of the closed forms over
     a sweep of A up to 210 at any admitted b.  Smaller grids are accepted

@@ -10,6 +10,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdmosc import cli, oracle, oscillator, pct
 from pdmosc.errors import ConvergenceError, DomainError, ParameterError
@@ -123,8 +125,8 @@ def test_uniform_grid_and_constant_mass_report_keep_the_x_stencil_bit_for_bit():
     assert op.diag.tolist() == ((w[:-1] + w[1:]) / h2 + g.nodes() ** 2).tolist()
     assert op.off.tolist() == (-w[1:-1] / h2).tolist()
     rep = solve_constant_mass_numeric(RosenMorseParams(2.5, 1.5), 25.0, 2, 600, estimate_order=True)
-    assert [v.hex() for v in rep.numeric] == ["-0x1.a70a39c19183fp+2", "-0x1.9fffe3e595157p+1"]
-    assert [v.hex() for v in rep.order] == ["0x1.00fe58dc8d02dp+1", "0x1.03705792d4d30p+1"]
+    assert [v.hex() for v in rep.numeric] == ["-0x1.a70a39c191861p+2", "-0x1.9fffe3e594c2ep+1"]
+    assert [v.hex() for v in rep.order] == ["0x1.00fe58dc8d04fp+1", "0x1.0370578fdcc33p+1"]
     assert rep.spacings == (50.0 / 301.0, 50.0 / 601.0, 50.0 / 1201.0)
 
 
@@ -319,38 +321,72 @@ def test_newton_and_starts_cut_the_passes(monkeypatch):
     assert len(passes) <= 10 * k
 
 
-def test_start_chain_cuts_the_sturm_rows(monkeypatch):
-    # a pre-grid and starts on the h^2 line through the two grids before:
+@pytest.fixture
+def sturm_rows(monkeypatch):
+    # the matrix rows every Sturm pass walks: a Newton pass walks all of them, and a count
+    # stops at the row where it passes its cap
+    rows = [0]
+    for name in ("_sturm_count", "_sturm_newton"):
+        fn = getattr(oracle, name)
+
+        def counted(d, e2, *args, fn=fn):
+            def walk():
+                for v in e2:
+                    rows[0] += 1
+                    yield v
+
+            rows[0] += 1
+            return fn(d, walk(), *args)
+
+        monkeypatch.setattr(oracle, name, counted)
+    return rows
+
+
+def test_start_chain_cuts_the_sturm_rows(sturm_rows):
+    # pre-grids and starts on the h^2 line through the two grids before:
     # 534 000 rows when each grid started from the previous one alone, on
-    # grids uniform in x; 404 750 on the sine-mapped grids.  Every Sturm
-    # pass walks all rows of the matrix once
-    rows = [0]
-    for name in ("_sturm_count", "_sturm_newton"):
-        fn = getattr(oracle, name)
-
-        def counted(d, *args, fn=fn):
-            rows[0] += len(d)
-            return fn(d, *args)
-
-        monkeypatch.setattr(oracle, name, counted)
+    # grids uniform in x; 404 750 on the sine-mapped grids with one pre-grid
     solve_pdm_numeric(OscillatorParams(1.0, 12.25), 12, 2000, estimate_order=True)
-    assert rows[0] <= 450_000
+    assert sturm_rows[0] <= 450_000
 
 
-def test_default_verify_grid_cuts_the_sturm_rows(monkeypatch, capsys):
-    # 425 500 rows on the --grid 2000 that verify used by default on a grid uniform in x
-    rows = [0]
-    for name in ("_sturm_count", "_sturm_newton"):
-        fn = getattr(oracle, name)
-
-        def counted(d, *args, fn=fn):
-            rows[0] += len(d)
-            return fn(d, *args)
-
-        monkeypatch.setattr(oracle, name, counted)
+def test_default_verify_grid_cuts_the_sturm_rows(sturm_rows, capsys):
+    # 425 500 rows on the --grid 2000 that verify used by default on a grid uniform in x;
+    # 102 131 on its sine-mapped grids with one pre-grid and counts that walk every row
     assert cli.main(["verify", "--omega0", "1", "--A", "12.25"]) == 0
-    assert 0 < rows[0] <= 110_000
+    assert 0 < sturm_rows[0] <= 95_000
     capsys.readouterr()
+
+
+def test_two_pre_grids_cut_the_constant_mass_rows(sturm_rows):
+    # the first reported grid starts on the h^2 line through the pre-grids of 250 and 500
+    # points.  From the 250-point pre-grid alone it took 189 750 rows, and the top level's
+    # bracket, which no count above k narrowed, kept the Gershgorin bound
+    solve_constant_mass_numeric(RosenMorseParams(5.191, -2.939), 23.54, 4, 2000)
+    assert 0 < sturm_rows[0] <= 150_000
+
+
+@st.composite
+def _tridiagonal_and_shift(draw):
+    # entries from a small set of integers, so that ties and zero pivots come up, or any floats
+    n = draw(st.integers(1, 30))
+    entry = st.one_of(st.integers(-4, 4).map(float), st.floats(-10.0, 10.0))
+    d = draw(st.lists(entry, min_size=n, max_size=n))
+    off = draw(st.lists(entry, min_size=n - 1, max_size=n - 1))
+    return d, [e * e for e in off], draw(entry), draw(st.integers(0, n + 1))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_tridiagonal_and_shift())
+def test_a_capped_count_is_the_count_up_to_its_cap(case):
+    d, e2, lam, cap = case
+    pivmin = 2.3e-308 * max(1.0, max(e2, default=1.0))
+    full = _sturm_count(d, e2, lam, pivmin)
+    capped = _sturm_count(d, e2, lam, pivmin, cap)
+    if full <= cap:
+        assert capped == full
+    else:
+        assert cap < capped <= full
 
 
 @pytest.mark.parametrize("p", [OscillatorParams(1.0, 6.5, 0.2), OscillatorParams(1.0, 6.25)])
@@ -365,8 +401,8 @@ def test_every_solve_in_a_report_is_certified(monkeypatch, p):
     monkeypatch.setattr(oracle, "eigenvalues_sturm", recorded)
     k = num_bound_states(p)
     rep = solve_pdm_numeric(p, k, 2000, estimate_order=True)
-    # the unreported pre-grid of 1000 // 8 points comes first
-    assert [op.size for op, _ in solves] == [125, *rep.grid_sizes]
+    # the unreported pre-grids of 1000 // 8 and 1000 // 4 points come first
+    assert [op.size for op, _ in solves] == [125, 250, *rep.grid_sizes]
     for op, lams in solves:
         d = op.diag.tolist()
         e2 = (op.off * op.off).tolist()
