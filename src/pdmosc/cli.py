@@ -7,12 +7,15 @@ general solver), ``scan`` (CSV spectrum table over an A or b range).
 
 Exit codes: 0 success, 2 invalid configuration, 3 verification mismatch,
 4 numerical non-convergence or an arithmetic fault (overflow, zero
-division).  Every error the program finds goes to stderr as a one-line
-JSON object; argparse's own failures (a missing required option, a value
-that is not a number or not an integer, an unknown option) print usage and
-a message to stderr instead, and also exit 2.  Payloads go
-to stdout or the ``--out`` path; an ``--out`` path that cannot be written is
-a configuration error.  JSON payloads come from one small emitter that
+division).  A ``solve --samples`` level whose psi or norm is not finite,
+where the polynomial recurrence overflows, is such a fault: the first such
+level is named and no payload prints, in either format.  Every error the
+program finds goes to stderr as a one-line JSON object; argparse's own
+failures (a missing required option, a value that is not a number or not
+an integer, an unknown option) print usage and a message to stderr
+instead, and also exit 2.  Payloads go to stdout or the ``--out`` path;
+an ``--out`` path that cannot be written is a configuration error.  JSON
+payloads come from one small emitter that
 prints the bytes ``json.dumps(payload, indent=2)`` would: a float prints as
 its shortest round-trip repr, and NaN and +-inf print as null.  ``solve``
 holds each level's samples table as two columns, the x points shared by
@@ -243,6 +246,20 @@ def _sample_points(model: oscillator._Model, samples: int) -> list[float]:
     return [-a + 2.0 * a * (j + 1) / (samples + 1) for j in range(samples)]
 
 
+def _refuse_nonfinite(psi: np.ndarray, norms: list[float] | None = None) -> None:
+    # the levels' recurrence can overflow at depths the work estimate admits; a level with a
+    # non-finite psi (one row of the block) or norm is an arithmetic fault, exit 4, and the
+    # first such level is named
+    bad = ~np.isfinite(psi).all(axis=1)
+    if norms is not None:
+        bad |= ~np.isfinite(norms)
+    if bad.any():
+        raise OverflowError(
+            f"level {int(bad.argmax())} of {bad.size} evaluates to a non-finite psi or norm: "
+            "its polynomial recurrence overflows at this depth"
+        )
+
+
 def _norms_and_samples(
     model: oscillator._Model, rule: int, points: np.ndarray
 ) -> tuple[list[float], list[list[float]]]:
@@ -257,6 +274,7 @@ def _norms_and_samples(
         return values[:, : x.size]
 
     norms = oracle.norms(joined, -model.a, model.a, rule, graded=True)
+    _refuse_nonfinite(at_points[0], norms)
     return norms, at_points[0].tolist()
 
 
@@ -264,7 +282,9 @@ def _sample_rows(model: oscillator._Model, samples: int) -> Iterator[list[object
     # the CSV samples table, each row made as it is joined, from every level evaluated at
     # once.  It prints no norm, so the levels are evaluated at the sample points alone
     xs = _sample_points(model, samples)
-    for n, psi in enumerate(model.psi_rows(np.array(xs))):
+    block = model.psi_rows(np.array(xs))
+    _refuse_nonfinite(block)
+    for n, psi in enumerate(block):
         for x, v in zip(xs, psi.tolist()):
             yield [n, x, v]
 

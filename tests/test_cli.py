@@ -996,3 +996,22 @@ def test_solve_at_depth_is_admitted_with_resolved_norms(capsys, omega0, A, b_fra
     assert len(waves) == count
     assert max(abs(w["norm"] - 1.0) for w in waves) <= 1e-9
     assert all(s["psi"] is not None for w in waves for s in w["samples"])
+
+
+@pytest.mark.parametrize(
+    "argv, level",
+    [(["solve", "--omega0", "0.0010800095371873747", "--A", "1029.1086828241594",
+       "--b", "0.3898319638693721", "--samples", "27"], 238),
+     (["solve", "--omega0", "1.6189491004119715e-08", "--A", "1729.0152111635182",
+       "--b", "-0.002638004038449934", "--samples", "31", "--format", "csv"], 184)],
+)
+def test_solve_refuses_states_that_overflow(capsys, argv, level):
+    # a shift leaves few levels at a large depth, so the work estimate admits depths where
+    # the recurrence overflows: these printed null psi and norms from n = 238, and 1 012
+    # nan cells, with exit 0.  Now no payload prints, and the first such level is named
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 4 and out == ""
+    assert err.count("\n") == 1
+    msg = json.loads(err)
+    assert msg["error"] == "numerical"
+    assert msg["message"].startswith(f"level {level} of ")
