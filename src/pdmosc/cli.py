@@ -249,15 +249,16 @@ def _sample_points(model: oscillator._Model, samples: int) -> list[float]:
 def _refuse_nonfinite(psi: np.ndarray, norms: list[float] | None = None) -> None:
     # the levels' recurrence can overflow at depths the work estimate admits; a level with a
     # non-finite psi (one row of the block) or norm is an arithmetic fault, exit 4, and the
-    # first such level is named
+    # first such level is named.  When every value is finite, this is one pass over the block
+    if np.isfinite(psi).all() and all(map(math.isfinite, norms or ())):
+        return
     bad = ~np.isfinite(psi).all(axis=1)
     if norms is not None:
         bad |= ~np.isfinite(norms)
-    if bad.any():
-        raise OverflowError(
-            f"level {int(bad.argmax())} of {bad.size} evaluates to a non-finite psi or norm: "
-            "its polynomial recurrence overflows at this depth"
-        )
+    raise OverflowError(
+        f"level {int(bad.argmax())} of {bad.size} evaluates to a non-finite psi or norm: "
+        "its polynomial recurrence overflows at this depth"
+    )
 
 
 def _norms_and_samples(

@@ -360,8 +360,9 @@ def test_default_verify_grid_cuts_the_sturm_rows(sturm_rows, capsys):
 
 def test_two_pre_grids_cut_the_constant_mass_rows(sturm_rows):
     # the first reported grid starts on the h^2 line through the pre-grids of 250 and 500
-    # points.  From the 250-point pre-grid alone it took 189 750 rows, and the top level's
-    # bracket, which no count above k narrowed, kept the Gershgorin bound
+    # points.  From the 250-point pre-grid's values alone it took 189 750 rows: no count
+    # came out above k, so the top level's bracket kept its Gershgorin end, and each
+    # rejected Newton step fell back to bisection from there
     solve_constant_mass_numeric(RosenMorseParams(5.191, -2.939), 23.54, 4, 2000)
     assert 0 < sturm_rows[0] <= 150_000
 
