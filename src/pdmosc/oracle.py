@@ -16,9 +16,10 @@ a bracket that Sturm counts certify to 1e-12 relative width.  Its counts
 stop at the row where they pass k, since any count above k narrows the
 brackets alike; a Newton pass walks every row.  A report first solves two
 unreported pre-grids, an eighth and a quarter the size of its coarsest
-grid, each when it holds the k levels; every reported grid then starts
-from the h^2 line through the two grids solved before it.  Nothing in here
-knows about the analytic solution route; that independence is the point.
+grid, each when it holds the k levels; when both are solved, every
+reported grid starts from the h^2 line through the two grids before it.
+Nothing in here knows about the analytic solution route; that
+independence is the point.
 """
 
 from __future__ import annotations
