@@ -3,21 +3,23 @@
 A symmetric second-order discretization of -d/dx (1/M) d/dx + V with
 Dirichlet ends, eigenvalues from Sturm counts, eigenvectors by shifted
 inverse iteration, and Gauss-Legendre overlaps.  The confined model is
-solved on a grid uniform in s on (-1, 1) with x = a sin(pi s/2), the
+solved without its scale, as H/omega0 in t = x/a, so that its spectrum is
+of order n + 1/2 at any omega0 and every floor of the solver is relative
+to that.  Its grid is uniform in s on (-1, 1) with t = sin(pi s/2), the
 sin-type substitution of Sidi (1993): its states behave like powers of the
 distance to a wall, which a grid uniform in x resolves only at an order
 near that power, while in s the stencil converges at h^2 for every level.
-The map uses only the half-width a.  The same map grades the quadrature
-rule of the norm column.  The eigenvalue solver
-shares one set of brackets among all levels (each count narrows every
-level's bracket, as LAPACK dstebz does), finishes each isolated level with
-Newton steps on the characteristic polynomial, and returns the midpoint of
-a bracket that Sturm counts certify to 1e-12 relative width.  Its counts
-stop at the row where they pass k, since any count above k narrows the
-brackets alike; a Newton pass walks every row.  A report first solves two
-unreported pre-grids, an eighth and a quarter the size of its coarsest
-grid, each when it holds the k levels; when both are solved, every
-reported grid starts from the h^2 line through the two grids before it.
+The same map grades the quadrature rule of the norm column.  The
+eigenvalue solver shares one set of brackets among all levels (each count
+narrows every level's bracket, as LAPACK dstebz does), finishes each
+isolated level with Newton steps on the characteristic polynomial, and
+returns the midpoint of a bracket that Sturm counts certify to 1e-12
+relative width.  Its counts stop at the row where they pass k, since any
+count above k narrows the brackets alike; a Newton pass walks every row.
+A report first solves two unreported pre-grids, an eighth and a quarter
+the size of its coarsest grid, each when it holds the k levels; when both
+are solved, every reported grid starts from the h^2 line through the two
+grids before it.
 Nothing in here knows about the analytic solution route; that
 independence is the point.
 """
@@ -27,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import islice
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -58,9 +60,20 @@ __all__ = [
 ]
 
 
+def _sine_map(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # t = sin(pi s/2) and dt/ds on (-1, 1): the one map behind SineGrid and the graded rule
+    q = (0.5 * math.pi) * s
+    return np.sin(q), (0.5 * math.pi) * np.cos(q)
+
+
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform grid of n interior points on (lo, hi), Dirichlet ends."""
+    """Uniform grid of n interior points on (lo, hi), Dirichlet ends.
+
+    h is the spacing of the grid's coordinate s.  The points in s go
+    through the grid's map to x, with dx/ds as the Jacobian: the identity
+    here, so that x = s and the Jacobian is 1.
+    """
 
     lo: float
     hi: float
@@ -76,64 +89,42 @@ class Grid1D:
     def h(self) -> float:
         return (self.hi - self.lo) / (self.n + 1)
 
-    def nodes(self) -> np.ndarray:
-        return self.lo + self.h * np.arange(1, self.n + 1)
-
-    def half_nodes(self) -> np.ndarray:
-        """Midpoints x_{i +- 1/2}, from lo + h/2 to hi - h/2."""
-        return self.lo + self.h * (np.arange(0, self.n + 1) + 0.5)
-
-    def jacobian(self) -> np.ndarray:
-        """dx/ds at the nodes: 1 on a grid uniform in x."""
-        return np.ones(self.n)
-
-    def half_jacobian(self) -> np.ndarray:
-        """dx/ds at the midpoints: 1 on a grid uniform in x."""
-        return np.ones(self.n + 1)
-
-
-def _sine_map(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # t = sin(pi s/2) and dt/ds on (-1, 1): the one map behind SineGrid and the graded rule
-    q = (0.5 * math.pi) * s
-    return np.sin(q), (0.5 * math.pi) * np.cos(q)
-
-
-@dataclass(frozen=True)
-class SineGrid:
-    """n interior points uniform in s on (-1, 1), at x = a sin(pi s/2); Dirichlet ends at -+a.
-
-    h is the spacing in s.  The nodes crowd toward the walls, where the
-    states of the confined model behave like powers of the distance to the
-    wall; in s that power is smooth enough for the stencil to converge at h^2.
-    """
-
-    a: float
-    n: int
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.a) or self.a <= 0.0:
-            raise ParameterError(f"need a finite half-width a > 0, got {self.a!r}")
-        if not is_int(self.n) or self.n < 3:
-            raise ParameterError(f"need at least 3 interior points, got {self.n!r}")
-
-    @property
-    def h(self) -> float:
-        return 2.0 / (self.n + 1)
+    @staticmethod
+    def _map(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return s, np.ones_like(s)
 
     def _s(self, offset: float, count: int) -> np.ndarray:
-        return -1.0 + self.h * (np.arange(count) + offset)
+        return self.lo + self.h * (np.arange(count) + offset)
 
     def nodes(self) -> np.ndarray:
-        return self.a * _sine_map(self._s(1.0, self.n))[0]
+        return self._map(self._s(1.0, self.n))[0]
 
     def half_nodes(self) -> np.ndarray:
-        return self.a * _sine_map(self._s(0.5, self.n + 1))[0]
+        """Midpoints x_{i +- 1/2}, the images of lo + h/2 to hi - h/2."""
+        return self._map(self._s(0.5, self.n + 1))[0]
 
     def jacobian(self) -> np.ndarray:
-        return self.a * _sine_map(self._s(1.0, self.n))[1]
+        """dx/ds at the nodes."""
+        return self._map(self._s(1.0, self.n))[1]
 
     def half_jacobian(self) -> np.ndarray:
-        return self.a * _sine_map(self._s(0.5, self.n + 1))[1]
+        """dx/ds at the midpoints."""
+        return self._map(self._s(0.5, self.n + 1))[1]
+
+
+class SineGrid(Grid1D):
+    """n interior points uniform in s on (-1, 1), at t = sin(pi s/2); Dirichlet ends at -+1.
+
+    The grid of Grid1D(-1, 1, n) through the sine map.  The nodes crowd
+    toward the walls, where the states of the confined model behave like
+    powers of the distance to the wall; in s that power is smooth enough
+    for the stencil to converge at h^2.
+    """
+
+    def __init__(self, n: int) -> None:
+        super().__init__(-1.0, 1.0, n)
+
+    _map = staticmethod(_sine_map)
 
 
 @dataclass(frozen=True)
@@ -172,7 +163,7 @@ class TridiagonalOperator:
 def discretize_bdd(
     mass_fn: Callable[[np.ndarray], np.ndarray],
     potential_fn: Callable[[np.ndarray], np.ndarray],
-    grid: Grid1D | SineGrid,
+    grid: Grid1D,
 ) -> TridiagonalOperator:
     """Assemble -d/dx (1/M) d/dx + V on the grid, in the grid's coordinate s.
 
@@ -184,7 +175,7 @@ def discretize_bdd(
     second-order consistent:
         diag_i = [w_{i-1/2} + w_{i+1/2}]/(h^2 J_i) + V(x_i)
         off_i  = -w_{i+1/2}/(h^2 sqrt(J_i J_{i+1}))
-    On a Grid1D, J = 1 and this is the plain x-space stencil, bit for bit.
+    On a plain Grid1D, J = 1 and this is the x-space stencil, bit for bit.
     mass_fn is called once, on the array of half-grid points, and
     potential_fn once, on the array of nodes.  Each returns the array of
     its values there, as pct.mass and rosen_morse.rm_potential do, or one
@@ -214,15 +205,11 @@ def _sturm_count(
     tells levels up to cap apart needs.  The count only grows along the
     rows, so it is the full count whenever that is at most cap.
     """
-    q = d[0] - lam
-    count = 0
-    # a pivot within pivmin of zero is replaced by -pivmin (and counted)
-    if q <= pivmin:
-        count = 1
-        if q >= -pivmin:
-            q = -pivmin
-    for di, ei in zip(islice(d, 1, None), e2):
+    # row 0 couples to no row before it: 0.0/1.0 leaves its pivot d[0] - lam
+    q, count = 1.0, 0
+    for di, ei in zip(d, chain((0.0,), e2)):
         q = di - lam - ei / q
+        # a pivot within pivmin of zero is replaced by -pivmin (and counted)
         if q <= pivmin:
             count += 1
             if count > cap:
@@ -240,17 +227,11 @@ def _sturm_newton(
     With pivots q_i, det(T - lam) = prod q_i, so det'/det = sum q_i'/q_i.
     Each ratio r_i = q_i'/q_i follows from r_{i-1} and e2_{i-1}/q_{i-1},
     so no product is ever formed; an infinite or nan sum only means the
-    Newton step is unusable.
+    Newton step is unusable.  Row 0 enters as _sturm_count's does, and its
+    ratio (0 * 0 - 1)/q_0 is -1/q_0.
     """
-    q = d[0] - lam
-    count = 0
-    if q <= pivmin:
-        count = 1
-        if q >= -pivmin:
-            q = -pivmin
-    r = -1.0 / q
-    total = r
-    for di, ei in zip(islice(d, 1, None), e2):
+    q, r, total, count = 1.0, 0.0, 0.0, 0
+    for di, ei in zip(d, chain((0.0,), e2)):
         t = ei / q
         q = di - lam - t
         if q <= pivmin:
@@ -557,11 +538,14 @@ def _order_estimates(
 def _two_grid_report(
     mass_fn: Callable[[np.ndarray], np.ndarray],
     potential_fn: Callable[[np.ndarray], np.ndarray],
-    make_grid: Callable[[int], Grid1D | SineGrid],
+    make_grid: Callable[[int], Grid1D],
     analytic: list[float],
     n_grid: int,
     estimate_order: bool,
+    unit: float,
 ) -> SpectrumReport:
+    # the grids' eigenvalues are in units of unit, and so are the floors of the brackets
+    # and of the order estimates; only the extrapolated values are scaled back
     k = len(analytic)
     sizes = ([n_grid // 2] if estimate_order else []) + [n_grid, 2 * n_grid]
     grids = [make_grid(n) for n in sizes]
@@ -585,7 +569,7 @@ def _two_grid_report(
         eigs.append(eigenvalues_sturm(discretize_bdd(mass_fn, potential_fn, g), k, starts=starts))
     eigs = eigs[-len(grids):]
     h_pair = (grids[-2].h, grids[-1].h)
-    numeric = _richardson(eigs[-2], eigs[-1], h_pair[0] / h_pair[1])
+    numeric = [unit * v for v in _richardson(eigs[-2], eigs[-1], h_pair[0] / h_pair[1])]
     order = None
     if estimate_order:
         r_eff = math.sqrt(grids[0].h / grids[-1].h)
@@ -609,26 +593,33 @@ def solve_pdm_numeric(
 ) -> SpectrumReport:
     """Numeric spectrum of the confined model on (-a, a), paired with closed forms.
 
-    Solves on SineGrids (n_grid, 2 n_grid), uniform in s with
-    x = a sin(pi s/2), and Richardson-extrapolates in h^2; a third grid of
-    n_grid // 2 points feeds the order estimate when requested.  Two
-    pre-grids, of an eighth and a quarter of the coarsest grid's points,
-    each solved when it holds the k levels, only give that grid its first
-    iterates, on the h^2 line through them, and are not reported.  Every
-    level converges at order 2 on these grids; the CLI's n_grid,
-    max(500, 16 A), held each level within 1.4e-6 of the closed forms over
-    a sweep of A up to 210 at any admitted b.  Smaller grids are accepted
-    for quick looks.  An n_grid whose
-    finest grid would place points within pct.BOUNDARY_MARGIN a of a wall,
-    where the mass is not sampled, is refused.
+    Solves H/omega0 in t = x/a, on (-1, 1):
+        -d/dt (1/(2 g M(t))) d/dt + (g/2)(t - t0)^2,
+    with the unit mass profile M(t) = (1 - t^2)^-2, g = omega0 a^2/2 and
+    t0 = 2b/(omega0 a).  Its eigenvalues are E/omega0, which depend on
+    omega0 only through rounding at fixed A and b/shift_bound, so the
+    solver's floors, relative to max(1, |lambda|), see a spectrum of order
+    n + 1/2 at any omega0; the extrapolated values are multiplied by omega0.
+
+    Solves on SineGrids (n_grid, 2 n_grid) and Richardson-extrapolates in
+    h^2; a third grid of n_grid // 2 points feeds the order estimate when
+    requested.  Two pre-grids, of an eighth and a quarter of the coarsest
+    grid's points, each solved when it holds the k levels, only give that
+    grid its first iterates, on the h^2 line through them, and are not
+    reported.  Every level converges at order 2 on these grids; the CLI's
+    n_grid, max(500, 16 A), held each level within 1.4e-6 of the closed
+    forms over a sweep of A up to 210 at any admitted b.  Smaller grids are
+    accepted for quick looks.  An n_grid whose finest grid would place
+    points within pct.BOUNDARY_MARGIN of a wall in t, where the mass is not
+    sampled, is refused.
     """
     if not is_int(n_grid) or n_grid < 8:
         raise ParameterError(f"need an integer n_grid >= 8, got {n_grid!r}")
     model = oscillator._model(p)
-    profile = pct.MassProfile(model.a)
+    profile = pct.MassProfile(1.0)
     # the finest grid's midpoints, where the mass is sampled, put to pct.mass's own test
     try:
-        pct._check_x(profile, SineGrid(model.a, 2 * n_grid).half_nodes())
+        pct._check_x(profile, SineGrid(2 * n_grid).half_nodes())
     except DomainError:
         raise ParameterError(
             f"n_grid {n_grid} is too fine: its grid of {2 * n_grid} points would sample the "
@@ -636,15 +627,17 @@ def solve_pdm_numeric(
         ) from None
     if not is_int(k) or k < 1 or k > model.count:
         raise ParameterError(f"need 1 <= k <= {model.count} admitted levels, got {k!r}")
-    x0 = 2.0 * p.b / p.omega0
-    analytic = model.energies(range(k))
+    # omega0 a stays in range wherever a^3 does, which map_parameters checked
+    wa = p.omega0 * model.a
+    g, t0 = 0.5 * wa * model.a, 2.0 * p.b / wa
     return _two_grid_report(
-        partial(pct.mass, profile),
-        lambda x: 0.25 * p.omega0**2 * (x - x0) ** 2,
-        partial(SineGrid, model.a),
-        analytic,
+        lambda t: (2.0 * g) * pct.mass(profile, t),
+        lambda t: (0.5 * g) * (t - t0) ** 2,
+        SineGrid,
+        model.energies(range(k)),
         n_grid,
         estimate_order,
+        p.omega0,
     )
 
 
@@ -684,4 +677,5 @@ def solve_constant_mass_numeric(
         analytic,
         n_grid,
         estimate_order,
+        1.0,
     )

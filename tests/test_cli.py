@@ -340,6 +340,20 @@ def test_verify_converges_at_second_order_near_a_shifted_threshold(capsys):
         assert 1.9 <= lev["order"] <= 2.1
 
 
+@pytest.mark.parametrize("omega0", ["1e-10", "1e154", "1e160"])
+def test_verify_passes_at_extreme_frequencies(capsys, omega0):
+    # the oracle solves H/omega0 in t = x/a, whose spectrum does not depend on omega0.  An
+    # oracle in x fails all three: at 1e-10 the absolute floors of its brackets and order
+    # estimates swamp the spectrum (max rel_err 6.6e-3, every order null, exit 3); at 1e154
+    # the squared off-diagonals overflow into three equal negative eigenvalues (exit 3); at
+    # 1e160 the potential's omega0**2 overflows (exit 4)
+    rc, out, err = run_cli(capsys, "verify", "--omega0", omega0, "--A", "3.5")
+    assert (rc, err) == (0, "")
+    rep = json.loads(out)["report"]
+    assert rep["passed"] is True and rep["max_rel_err"] < 1e-8
+    assert all(1.9 < lev["order"] < 2.1 for lev in rep["levels"])
+
+
 class _Stop(Exception):
     pass
 

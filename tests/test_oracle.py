@@ -68,18 +68,20 @@ def test_grid_rejects_bad_shapes():
 
 
 def test_sine_grid_geometry():
-    g = SineGrid(2.0, 3)
-    assert g.h == 0.5
+    # the points of Grid1D(-1, 1, n) through t = sin(pi s/2), with dt/ds as the Jacobian
+    g = SineGrid(3)
+    assert isinstance(g, Grid1D) and (g.lo, g.hi, g.n) == (-1.0, 1.0, 3)
+    assert g.h == Grid1D(-1.0, 1.0, 3).h == 0.5
     s = np.array([-0.5, 0.0, 0.5])
-    assert g.nodes().tolist() == (2.0 * np.sin(0.5 * math.pi * s)).tolist()
-    assert g.jacobian().tolist() == (2.0 * (0.5 * math.pi) * np.cos(0.5 * math.pi * s)).tolist()
+    assert g.nodes().tolist() == np.sin(0.5 * math.pi * s).tolist()
+    assert g.jacobian().tolist() == ((0.5 * math.pi) * np.cos(0.5 * math.pi * s)).tolist()
     sh = np.array([-0.75, -0.25, 0.25, 0.75])
-    assert g.half_nodes().tolist() == (2.0 * np.sin(0.5 * math.pi * sh)).tolist()
-    assert g.half_jacobian().tolist() == (math.pi * np.cos(0.5 * math.pi * sh)).tolist()
+    assert g.half_nodes().tolist() == np.sin(0.5 * math.pi * sh).tolist()
+    assert g.half_jacobian().tolist() == ((0.5 * math.pi) * np.cos(0.5 * math.pi * sh)).tolist()
     with pytest.raises(ParameterError):
-        SineGrid(0.0, 10)
+        SineGrid(2)
     with pytest.raises(ParameterError):
-        SineGrid(1.0, 2)
+        SineGrid(10.5)
 
 
 # --- discretize_bdd ---
@@ -132,7 +134,7 @@ def test_uniform_grid_and_constant_mass_report_keep_the_x_stencil_bit_for_bit():
 
 def test_sine_grid_operator_is_the_weighted_stencil():
     # G^-1/2 K G^-1/2 with K = -d/ds (1/(M J)) d/ds + J V and G = diag(J)
-    g = SineGrid(1.5, 40)
+    g = SineGrid(40)
     mass_fn = lambda x: 1.0 + x * x
     op = discretize_bdd(mass_fn, lambda x: 2.0 * x, g)
     J, w = g.jacobian(), 1.0 / (mass_fn(g.half_nodes()) * g.half_jacobian())
@@ -244,8 +246,9 @@ def test_against_scipy_tridiagonal():
 
 @pytest.mark.parametrize("p", [OscillatorParams(1.0, 3.25), OscillatorParams(0.7, 12.6, -0.3)])
 def test_sine_grid_operator_against_scipy(p):
+    # the x-space operator in t = x/a: d/dx = (1/a) d/dt puts a^2 on the mass
     a, mass_fn, pot = pdm_mass_and_potential(p)
-    op = discretize_bdd(mass_fn, pot, SineGrid(a, 500))
+    op = discretize_bdd(lambda t: (a * a) * mass_fn(a * t), lambda t: pot(a * t), SineGrid(500))
     k = num_bound_states(p)
     mine = eigenvalues_sturm(op, k)
     ref = scipy.linalg.eigvalsh_tridiagonal(op.diag, op.off, select="i", select_range=(0, k - 1))
@@ -388,6 +391,65 @@ def test_a_capped_count_is_the_count_up_to_its_cap(case):
         assert capped == full
     else:
         assert cap < capped <= full
+
+
+def _two_part_sturm_count(d, e2, lam, pivmin, cap=math.inf):
+    # the reference: row 0 on its own, before the loop over the coupled rows
+    q = d[0] - lam
+    count = 0
+    if q <= pivmin:
+        count = 1
+        if q >= -pivmin:
+            q = -pivmin
+    for di, ei in zip(d[1:], e2):
+        q = di - lam - ei / q
+        if q <= pivmin:
+            count += 1
+            if count > cap:
+                return count
+            if q >= -pivmin:
+                q = -pivmin
+    return count
+
+
+def _two_part_sturm_newton(d, e2, lam, pivmin):
+    q = d[0] - lam
+    count = 0
+    if q <= pivmin:
+        count = 1
+        if q >= -pivmin:
+            q = -pivmin
+    r = -1.0 / q
+    total = r
+    for di, ei in zip(d[1:], e2):
+        t = ei / q
+        q = di - lam - t
+        if q <= pivmin:
+            count += 1
+            if q >= -pivmin:
+                q = -pivmin
+        r = (t * r - 1.0) / q
+        total += r
+    return count, total
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_tridiagonal_and_shift())
+def test_one_loop_sturm_passes_are_the_two_part_ones(case):
+    # row 0 folded into the loop by a 0.0 coupling and a starting pivot of 1.0:
+    # d - lam - 0.0/1.0 is d - lam, and (0.0 * 0.0 - 1.0)/q is -1/q, so the count and
+    # det'/det keep their bits.  A cap of 0 may stop at row 0, where the two-part
+    # count went on to its next negative pivot; both are above the cap then
+    d, e2, lam, cap = case
+    pivmin = 2.3e-308 * max(1.0, max(e2, default=1.0))
+    assert _sturm_count(d, e2, lam, pivmin) == _two_part_sturm_count(d, e2, lam, pivmin)
+    capped = _sturm_count(d, e2, lam, pivmin, cap)
+    want = _two_part_sturm_count(d, e2, lam, pivmin, cap)
+    assert capped == want or (cap == 0 and min(capped, want) > cap)
+    count, total = oracle._sturm_newton(d, e2, lam, pivmin)
+    want_count, want_total = _two_part_sturm_newton(d, e2, lam, pivmin)
+    assert count == want_count
+    assert total.hex() == want_total.hex()
 
 
 @pytest.mark.parametrize("p", [OscillatorParams(1.0, 6.5, 0.2), OscillatorParams(1.0, 6.25)])

@@ -382,6 +382,44 @@ def test_the_mirror_b_to_minus_b_reflects_every_state(case):
         assert np.max(np.abs(r.wavefunction(-x) - (-1) ** s.n * psi)) <= tol, s.n
 
 
+@st.composite
+def _scaled_models(draw):
+    # the models of _mirrored_models and a scale factor lam in 1e-4 ... 1e4, log-uniform;
+    # points across the interval and up to 1e-4 of either wall
+    omega0 = 10.0 ** draw(st.floats(-3.0, 3.0))
+    A = 1.0 + 10.0 ** draw(st.floats(-2.0, 2.5))
+    b = draw(st.floats(-0.95, 0.95)) * shift_bound(omega0, A)
+    lam = 10.0 ** draw(st.floats(-4.0, 4.0))
+    near = st.floats(0.5, 4.0).map(lambda e: 1.0 - 10.0 ** -e)
+    inside = st.floats(-0.9999, 0.9999)
+    t = draw(st.lists(st.one_of(near, inside, near.map(lambda v: -v)), max_size=12))
+    t = np.linspace(-1.0, 1.0, 33)[1:-1].tolist() + t
+    scaled = OscillatorParams(lam * omega0, A, math.sqrt(lam) * b)
+    return OscillatorParams(omega0, A, b), scaled, lam, t
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_scaled_models())
+def test_the_scaling_omega0_to_lam_omega0_scales_every_state(case):
+    # omega0 -> lam omega0 with b -> sqrt(lam) b keeps A and b/shift_bound: a -> a/sqrt(lam),
+    # E_n -> lam E_n and psi_n(x) -> lam^(1/4) psi_n(sqrt(lam) x).  Over 6 300 random models
+    # of this space the largest differences were 4.4e-16 in a, 3.2 A eps in E and 6.4e-11
+    # of max|psi|, at A near 280
+    p, q, lam, t = case
+    a_p, a_q = oscillator._model(p).a, oscillator._model(q).a
+    assert abs(math.sqrt(lam) * a_q - a_p) <= 1e-15 * a_p
+    here, there = bound_states(p), bound_states(q)
+    assert len(here) == len(there)
+    eps = np.finfo(float).eps
+    for s, r in zip(here, there):
+        assert abs(r.energy - lam * s.energy) <= 8.0 * p.A * eps * abs(lam * s.energy), s.n
+    x = a_q * np.array(t)
+    for s, r in zip(here, there):
+        psi = lam**0.25 * s.wavefunction(math.sqrt(lam) * x)
+        tol = 2e-10 * np.max(np.abs(psi))
+        assert np.max(np.abs(r.wavefunction(x) - psi)) <= tol, s.n
+
+
 def test_energy_takes_each_level_from_rm_energy_once(monkeypatch):
     # pin: the transform route reads the reference well's levels in one call per spectrum,
     # a one-level range for one energy
