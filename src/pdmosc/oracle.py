@@ -16,6 +16,10 @@ isolated level with Newton steps on the characteristic polynomial, and
 returns the midpoint of a bracket that Sturm counts certify to 1e-12
 relative width.  Its counts stop at the row where they pass k, since any
 count above k narrows the brackets alike; a Newton pass walks every row.
+A matrix that reads exactly the same reversed is solved as two
+blocks of about half its rows, one for the even levels and one for the
+odd; SineGrid places its points as exact mirror pairs, so that the
+confined model at b = 0 assembles to such a matrix.
 A report first solves two unreported pre-grids, an eighth and a quarter
 the size of its coarsest grid, each when it holds the k levels; when both
 are solved, every reported grid starts from the h^2 line through the two
@@ -119,12 +123,21 @@ class SineGrid(Grid1D):
     toward the walls, where the states of the confined model behave like
     powers of the distance to the wall; in s that power is smooth enough
     for the stencil to converge at h^2.
+
+    Its points are placed as exact mirror pairs, s = h (i + offset - (n + 1)/2):
+    the point at -s is the negation of the one at s, bit for bit, and so are
+    their images under the map.  An even mass and potential then assemble to
+    an operator that reads the same reversed, which eigenvalues_sturm folds.
     """
 
     def __init__(self, n: int) -> None:
         super().__init__(-1.0, 1.0, n)
 
     _map = staticmethod(_sine_map)
+
+    def _s(self, offset: float, count: int) -> np.ndarray:
+        # offset - (n + 1)/2 is a whole or half integer, so each sum is exact
+        return self.h * (np.arange(count) + (offset - 0.5 * (self.n + 1)))
 
 
 @dataclass(frozen=True)
@@ -251,10 +264,52 @@ def _gershgorin(op: TridiagonalOperator) -> tuple[float, float]:
     return float(np.min(d - r)), float(np.max(d + r))
 
 
+def _mirror_halves(
+    op: TridiagonalOperator,
+) -> tuple[TridiagonalOperator, TridiagonalOperator] | None:
+    """The even and odd blocks of a mirror-symmetric operator; None for any other.
+
+    The operator qualifies when diag and off^2 read exactly the same
+    reversed and no off^2 is zero.  The spectrum depends on off^2 alone, so
+    take off <= 0: the matrix then commutes with the reversal, and each of
+    its eigenvectors is even or odd under it.  Being irreducible, its level
+    j's eigenvector changes sign exactly j times (the oscillation theorem
+    of Jacobi matrices), so the even vectors hold levels 0, 2, 4, ... and
+    the odd ones levels 1, 3, ...  Each block is the operator on the
+    lower half of the rows, with the mirror image of the upper half put in:
+    for n = 2m, both take rows m... and couplings off[m:], with a first
+    diagonal entry d[m] - |off[m-1]| (even) or d[m] + |off[m-1]| (odd); for
+    n = 2m + 1, the even block takes rows m... with a first coupling of
+    sqrt(2) |off[m]| (the middle row scaled to keep the block symmetric),
+    and the odd one rows m + 1..., since an odd vector is 0 at the middle.
+    """
+    d, off = op.diag, op.off
+    e2 = off * off
+    n = op.size
+    if n < 2 or not (np.array_equal(d, d[::-1]) and np.array_equal(e2, e2[::-1]) and e2.all()):
+        return None
+    m = n // 2
+    if n % 2:
+        even_off = np.concatenate(((-math.sqrt(2.0) * abs(off[m]),), off[m + 1:]))
+        return TridiagonalOperator(d[m:], even_off), TridiagonalOperator(d[m + 1:], off[m + 1:])
+    even, odd = d[m:].copy(), d[m:].copy()
+    even[0] -= abs(off[m - 1])
+    odd[0] += abs(off[m - 1])
+    return TridiagonalOperator(even, off[m:]), TridiagonalOperator(odd, off[m:])
+
+
 def eigenvalues_sturm(
     op: TridiagonalOperator, k: int, starts: Sequence[float] | None = None
 ) -> list[float]:
     """The k smallest eigenvalues, each certified by Sturm counts.
+
+    A mirror-symmetric operator (diag and off^2 exactly the same reversed,
+    and no off^2 zero) is solved as two blocks of about n/2 rows, the
+    even levels 0, 2, 4, ... on one and the odd levels on the other, whose
+    values are interleaved; starts[0::2] go to the even block and
+    starts[1::2] to the odd one.  Any other operator is solved whole.  The
+    choice rests on the matrix alone, and the guarantee below holds on
+    whichever matrix is solved.
 
     Each returned value is the midpoint of a bracket [lo, hi) of width at
     most 1e-12 * max(1, |lambda|) with count(lo) < j <= count(hi), so
@@ -285,6 +340,18 @@ def eigenvalues_sturm(
         raise ParameterError(f"need 1 <= k <= {op.size}, got {k!r}")
     if starts is not None and len(starts) != k:
         raise ParameterError(f"need one start per level ({k}), got {len(starts)}")
+    halves = _mirror_halves(op)
+    if halves is None:
+        return _levels(op, k, starts)
+    out = [0.0] * k
+    for parity, half in enumerate(halves[:k]):
+        part = None if starts is None else starts[parity::2]
+        out[parity::2] = _levels(half, len(out[parity::2]), part)
+    return out
+
+
+def _levels(op: TridiagonalOperator, k: int, starts: Sequence[float] | None) -> list[float]:
+    # eigenvalues_sturm on one matrix, whole or one mirror block, after its checks
     d = op.diag.tolist()
     e2 = (op.off * op.off).tolist()
     pivmin = 2.3e-308 * max(1.0, max(e2, default=1.0))

@@ -84,6 +84,19 @@ def test_sine_grid_geometry():
         SineGrid(10.5)
 
 
+@pytest.mark.parametrize("n", [3, 8, 641, 1282])
+def test_sine_grid_points_are_exact_mirror_pairs(n):
+    # so that an even mass and potential assemble to an operator that reads the same reversed
+    g = SineGrid(n)
+    for x in (g.nodes(), g.half_nodes()):
+        assert x.tolist() == (-x[::-1]).tolist()
+    for jac in (g.jacobian(), g.half_jacobian()):
+        assert jac.tolist() == jac[::-1].tolist()
+    op = discretize_bdd(lambda t: pct.mass(pct.MassProfile(1.0), t), lambda t: 3.0 * t * t, g)
+    assert op.diag.tolist() == op.diag[::-1].tolist()
+    assert op.off.tolist() == op.off[::-1].tolist()
+
+
 # --- discretize_bdd ---
 
 
@@ -361,6 +374,14 @@ def test_default_verify_grid_cuts_the_sturm_rows(sturm_rows, capsys):
     capsys.readouterr()
 
 
+def test_the_mirror_fold_halves_the_default_verify_rows(sturm_rows, capsys):
+    # at b = 0 the operator reads the same reversed, and each Sturm pass walks one of its two
+    # halves: 90 434 rows when every grid was solved whole
+    assert cli.main(["verify", "--omega0", "1", "--A", "12.25"]) == 0
+    assert 0 < sturm_rows[0] <= 50_000
+    capsys.readouterr()
+
+
 def test_two_pre_grids_cut_the_constant_mass_rows(sturm_rows):
     # the first reported grid starts on the h^2 line through the pre-grids of 250 and 500
     # points.  From the 250-point pre-grid's values alone it took 189 750 rows: no count
@@ -450,6 +471,58 @@ def test_one_loop_sturm_passes_are_the_two_part_ones(case):
     want_count, want_total = _two_part_sturm_newton(d, e2, lam, pivmin)
     assert count == want_count
     assert total.hex() == want_total.hex()
+
+
+@st.composite
+def _mirror_tridiagonal(draw):
+    # diag and off^2 that read the same reversed: n from 1 to 40, integer entries so that
+    # ties come up, and each off-diagonal of either sign, none zero
+    n = draw(st.integers(1, 40))
+    d = draw(st.lists(st.integers(-4, 4).map(float), min_size=(n + 1) // 2, max_size=(n + 1) // 2))
+    e = draw(st.lists(st.integers(1, 4).map(float), min_size=n // 2, max_size=n // 2))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n - 1, max_size=n - 1))
+    off = [s * v for s, v in zip(signs, e + e[: (n - 1) // 2][::-1])]
+    return TridiagonalOperator(d + d[: n // 2][::-1], off)
+
+
+def _within_certificate_of_scipy(op, got):
+    ref = scipy.linalg.eigvalsh_tridiagonal(op.diag, op.off)
+    assert len(got) == len(ref)
+    for j, (lam, want) in enumerate(zip(got, ref)):
+        assert abs(lam - want) <= 1e-12 * max(1.0, abs(want)), j
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_mirror_tridiagonal())
+def test_a_mirror_symmetric_operator_folds_into_its_even_and_odd_levels(op):
+    halves = oracle._mirror_halves(op)
+    if op.size == 1:
+        assert halves is None
+    else:
+        assert [h.size for h in halves] == [(op.size + 1) // 2, op.size // 2]
+    _within_certificate_of_scipy(op, eigenvalues_sturm(op, op.size))
+
+
+def _mirror_but_reducible():
+    # the middle coupling of an even n is 0: the two halves are uncoupled and share a spectrum
+    d = [3.0, -1.0, 2.0, 0.0, 0.0, 2.0, -1.0, 3.0]
+    return TridiagonalOperator(d, [1.0, -2.0, 1.0, 0.0, -1.0, 2.0, 1.0])
+
+
+def _mirror_but_one_ulp():
+    d = [3.0, -1.0, 2.0, 0.5, 2.0, -1.0, 3.0]
+    d[0] = math.nextafter(3.0, math.inf)
+    return TridiagonalOperator(d, [1.0, -2.0, 1.5, 1.5, -2.0, 1.0])
+
+
+@pytest.mark.parametrize("make", [_mirror_but_reducible, _mirror_but_one_ulp])
+def test_a_near_mirror_operator_is_solved_whole(monkeypatch, make):
+    op = make()
+    solved = []
+    levels = oracle._levels
+    monkeypatch.setattr(oracle, "_levels", lambda m, *a: solved.append(m.size) or levels(m, *a))
+    _within_certificate_of_scipy(op, eigenvalues_sturm(op, op.size))
+    assert solved == [op.size]
 
 
 @pytest.mark.parametrize("p", [OscillatorParams(1.0, 6.5, 0.2), OscillatorParams(1.0, 6.25)])
