@@ -20,6 +20,13 @@ count row gives the count once, since counts repeat exactly.  Each (side,
 workload) also gets an ``outcome`` row: failed and attempted operations
 summed over the timed runs.  The command exits 1 if any run's outputs
 failed their checks, or if a count differs between a side's traced runs.
+
+With two sides, the first is the base and the second the change, and the
+command ends with one line per workload and end-to-end metric: the two
+medians, the change in %, the pairs (runs of one seed) the change won, the
+base's IQR, and ``WORSE`` where the change's median is worse than the
+base's by more than the metric's bound in BENCHMARK.json.  These lines do
+not change the exit code.
 """
 
 from __future__ import annotations
@@ -58,6 +65,27 @@ def _spread(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1, "n": len(values)}
 
 
+def _comparison(rows: list[dict], base: str, change: str) -> list[str]:
+    # one line per workload and end-to-end metric, the change against the base
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
+    timed = {(r["side"], r["workload"], r["metric"]): r for r in rows if r["kind"] == "end_to_end"}
+    lines = []
+    for (side, workload, name), a in timed.items():
+        b = timed.get((change, workload, name))
+        if side != base or b is None or name not in metrics:
+            continue
+        sign = 1.0 if metrics[name]["better"] == "higher" else -1.0
+        pct = 100.0 * (b["median"] - a["median"]) / a["median"]
+        theirs = {r["seed"]: r["value"] for r in a["runs"]}
+        won = sum(sign * (r["value"] - theirs[r["seed"]]) > 0.0 for r in b["runs"])
+        flag = "  WORSE" if -sign * pct > 100.0 * metrics[name]["bound"] else ""
+        lines.append(f"{workload} {name}: {base} {a['median']:.6g}, {change} {b['median']:.6g},"
+                     f" {pct:+.1f} %, {change} won {won}/{len(b['runs'])} pairs,"
+                     f" {base} IQR {a['iqr']:.3g}{flag}")
+    return lines
+
+
 def _side(text: str) -> tuple[str, Path]:
     label, sep, path = text.partition("=")
     if not (sep and label and Path(path, "bench", "run.py").is_file()):
@@ -76,6 +104,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.runs < 2:
         ap.error("--runs must be at least 2 for quartiles")
     sides = args.side or [("checkout", ROOT)]
+    if len({label for label, _ in sides}) < len(sides):
+        ap.error("each --side needs its own LABEL")
     host = {"python": platform.python_version(), "cores": os.cpu_count()}
 
     rows = []
@@ -130,6 +160,8 @@ def main(argv: list[str] | None = None) -> int:
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(f"{len(rows)} rows written to {args.out}; every run correct: {correct};"
           f" counts agree between traced runs: {counts_agree}")
+    if len(sides) == 2:
+        print("\n".join(_comparison(rows, sides[0][0], sides[1][0])))
     return 0 if correct and counts_agree else 1
 
 

@@ -70,12 +70,15 @@ MAX_SCAN_ROWS = 10_000
 #   490 847 samples);
 # - FD_WORK, one level on one point of verify's grid, counted over grid (k + 3) so that a
 #   run's fixed cost is paid too.  At A = 208, the deepest depth admitted, a level-point
-#   cost 3-3.6e-6 s when b != 0.  At b = 0 the oracle folds its mirror-symmetric operator
-#   into two halves and takes about half that (verify --A 208: 1.1-1.7 s, against 2.6-2.9 s
-#   solved whole); the weight stays at the b != 0 cost;
+#   cost 3-3.6e-6 s when b != 0, before Newton steps below 1e-8 relative landed on two
+#   counts and each grid started on the quadratic through three; it now costs 2.5-3.1e-6 s
+#   (verify --A 208 --b 0.001: 1.7-2.1 s, against 2.1-2.2 s before).  At b = 0 the oracle
+#   folds its mirror-symmetric operator into two halves and takes about half that
+#   (verify --A 208: 0.9-1.3 s, against 1.2-1.6 s before); the weight stays at the b != 0
+#   cost of before, as a margin;
 # - LEVEL_WORK, one level of one scan row.
 # The deepest admitted runs took 2.1-2.2 s (solve --A 581 --samples 1), 2.1-2.4 s (--A 2
-# --samples 490 847), 2.3-2.6 s (verify --A 208 --b 0.001) and 2.2-2.3 s (scan of A from 2
+# --samples 490 847), 1.7-2.1 s (verify --A 208 --b 0.001) and 2.2-2.3 s (scan of A from 2
 # to 1426 by 1), 3 runs each on 2 cores shared with other load, Python 3.11
 MAX_WORK = 295_000_000
 SAMPLE_WORK = 600

@@ -15,15 +15,19 @@ narrows every level's bracket, as LAPACK dstebz does), finishes each
 isolated level with Newton steps on the characteristic polynomial, and
 returns the midpoint of a bracket that Sturm counts certify to 1e-12
 relative width.  Its counts stop at the row where they pass k, since any
-count above k narrows the brackets alike; a Newton pass walks every row.
+count above k narrows the brackets alike; a Newton pass walks every row,
+and costs about twice a full count.  So a Newton step below 1e-8 relative
+that stays in the level's bracket lands: the level ends on the two counts
+of its certificate, and only where they fail to hold it does it go on to
+more counts and bisection.
 A matrix that reads exactly the same reversed is solved as two
 blocks of about half its rows, one for the even levels and one for the
 odd; SineGrid places its points as exact mirror pairs, so that the
 confined model at b = 0 assembles to such a matrix.
 A report first solves two unreported pre-grids, an eighth and a quarter
-the size of its coarsest grid, each when it holds the k levels; when both
-are solved, every reported grid starts from the h^2 line through the two
-grids before it.
+the size of its coarsest grid, each when it holds the k levels; every
+grid then starts from the polynomial in h^2 through the last three grids
+solved before it (the quadratic), or through the two or one there are.
 Nothing in here knows about the analytic solution route; that
 independence is the point.
 """
@@ -48,6 +52,13 @@ from .special_fn import gauss_legendre, is_int
 # cannot widen a certified bracket past it
 _RTOL = 1e-12
 _CERT = 0.49 * _RTOL
+# a Newton step of at most _LAND * max(1, |x|) that stays in its level's bracket lands:
+# the iterate after it is off by about the step squared over the gap to the next level,
+# so the certificate's two counts usually hold it, at less cost than one more Newton
+# pass.  Weighing a Newton row as 1.9 count rows, 1e-8 walked the fewest rows of 3e-9 to
+# 1e-7 on verify --A 208 at b = 0 and 0.001 together; 1e-7 walked 3 % fewer on the
+# benchmark's verify jobs, but 7 % more there
+_LAND = 1e-8
 
 __all__ = [
     "Grid1D",
@@ -323,11 +334,14 @@ def eigenvalues_sturm(
     at the ends).  Then each iterate takes a Newton step on det(T - lam),
     computed in the same pass as its count.  A step that leaves the
     bracket, is not finite or fails to halve the previous one is replaced
-    by the midpoint.  Once a step falls below tol/2 or below the rounding
-    floor of the pivots (machine epsilon times the Gershgorin bound), two
-    counts just inside lam -+ tol/2 try to prove the final bracket.  Where
-    one fails, probes four times farther out find the other end, and
-    bisection finishes the level.
+    by the midpoint.  A step lands once it falls below tol/2 or below the
+    rounding floor of the pivots (machine epsilon times the Gershgorin
+    bound), or below 1e-8 * max(1, |lam|) with lam + step inside the
+    bracket: the iterate after such a step is off by about the step
+    squared, below tol/2 unless another level is near.  Two counts just
+    inside lam + step -+ tol/2 then try to prove the final bracket, at
+    less cost than one more Newton pass.  Where one fails, probes four
+    times farther out find the other end, and bisection finishes the level.
 
     starts, if given, holds one first iterate per level, such as the
     eigenvalues of a coarser discretization of the same operator.  Each
@@ -416,10 +430,12 @@ def _levels(op: TridiagonalOperator, k: int, starts: Sequence[float] | None) -> 
                     continue
                 last = 0.5 * (hi[j] - lo[j])
                 step = newton_step(x)
-            if abs(step) <= max(floor, _CERT * max(1.0, abs(x))):
+            scale = max(1.0, abs(x))
+            inside = lo[j] < x + step < hi[j]
+            if abs(step) <= max(floor, _CERT * scale) or (inside and abs(step) <= _LAND * scale):
                 certify(j, x + step)
                 x, newton = None, False
-            elif lo[j] < x + step < hi[j] and abs(step) <= 0.5 * last:
+            elif inside and abs(step) <= 0.5 * last:
                 x, last = x + step, abs(step)
                 step = newton_step(x)
             else:
@@ -618,21 +634,21 @@ def _two_grid_report(
     grids = [make_grid(n) for n in sizes]
     # two unreported pre-grids of sizes[0] // 8 and sizes[0] // 4 points,
     # each solved when it holds the k levels, so that the first reported
-    # grid, like every later one, starts on the h^2 line, at the exact
-    # spacings, through the two grids solved before it (a grid with one
-    # grid before it starts from that grid's values).  The starts come only
-    # from these grids, never from the analytic values, which would break
-    # the independence
+    # grid starts at least on the h^2 line through the two grids solved
+    # before it.  Each grid starts from the polynomial in h^2, at the exact
+    # spacings, through the last three grids solved before it: the
+    # quadratic, which also takes out the h^4 term, once three are solved;
+    # the line through two, or one grid's values, before that.  The starts
+    # come only from these grids, never from the analytic values, which
+    # would break the independence
     pre = [n for n in (sizes[0] // 8, sizes[0] // 4) if n >= max(k, 3)]
     solved = [make_grid(n) for n in pre] + grids
     eigs: list[list[float]] = []
     for i, g in enumerate(solved):
-        if i < 2:
-            starts = eigs[-1] if eigs else None
-        else:
-            h0, h1 = solved[i - 2].h, solved[i - 1].h
-            t = (g.h * g.h - h1 * h1) / (h1 * h1 - h0 * h0)
-            starts = [e1 + (e1 - e0) * t for e0, e1 in zip(eigs[-2], eigs[-1])]
+        # the Lagrange weights, at g's h^2, of the grids the starts come from
+        u = [b.h * b.h for b in solved[max(0, i - 3):i]]
+        weights = [math.prod((g.h * g.h - ub) / (ua - ub) for ub in u if ub != ua) for ua in u]
+        starts = [sum(w * v for w, v in zip(weights, e)) for e in zip(*eigs[i - len(u):])] or None
         eigs.append(eigenvalues_sturm(discretize_bdd(mass_fn, potential_fn, g), k, starts=starts))
     eigs = eigs[-len(grids):]
     h_pair = (grids[-2].h, grids[-1].h)
@@ -671,14 +687,16 @@ def solve_pdm_numeric(
     Solves on SineGrids (n_grid, 2 n_grid) and Richardson-extrapolates in
     h^2; a third grid of n_grid // 2 points feeds the order estimate when
     requested.  Two pre-grids, of an eighth and a quarter of the coarsest
-    grid's points, each solved when it holds the k levels, only give that
-    grid its first iterates, on the h^2 line through them, and are not
-    reported.  Every level converges at order 2 on these grids; the CLI's
-    n_grid, max(500, 16 A), held each level within 1.4e-6 of the closed
-    forms over a sweep of A up to 210 at any admitted b.  Smaller grids are
-    accepted for quick looks.  An n_grid whose finest grid would place
-    points within pct.BOUNDARY_MARGIN of a wall in t, where the mass is not
-    sampled, is refused.
+    grid's points, each solved when it holds the k levels, only give the
+    later grids their first iterates and are not reported: each grid starts
+    from the quadratic in h^2 through the last three grids solved before it,
+    or the line or the values of the grids there are.  Every level
+    converges at order 2 on these grids; the CLI's n_grid, max(500, 16 A),
+    held each level within 1.4e-6 of the closed forms over a sweep of A up
+    to 210 at any admitted b.  Smaller grids are accepted for quick looks.
+    An n_grid whose finest grid would place points within
+    pct.BOUNDARY_MARGIN of a wall in t, where the mass is not sampled, is
+    refused.
     """
     if not is_int(n_grid) or n_grid < 8:
         raise ParameterError(f"need an integer n_grid >= 8, got {n_grid!r}")
