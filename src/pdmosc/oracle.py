@@ -1,8 +1,9 @@
 """Independent finite-difference verification of the closed-form results.
 
 A symmetric second-order discretization of -d/dx (1/M) d/dx + V with
-Dirichlet ends, eigenvalues from Sturm counts, eigenvectors by shifted
-inverse iteration, and Gauss-Legendre overlaps.  The confined model is
+Dirichlet ends, eigenvalues from Sturm counts, eigenvectors from the same
+pivots run once from each end (a twisted factorization), and
+Gauss-Legendre overlaps.  The confined model is
 solved without its scale, as H/omega0 in t = x/a, so that its spectrum is
 of order n + 1/2 at any omega0 and every floor of the solver is relative
 to that.  Its grid is uniform in s on (-1, 1) with t = sin(pi s/2), the
@@ -118,14 +119,6 @@ class Grid1D:
         """Midpoints x_{i +- 1/2}, the images of lo + h/2 to hi - h/2."""
         return self._map(self._s(0.5, self.n + 1))[0]
 
-    def jacobian(self) -> np.ndarray:
-        """dx/ds at the nodes."""
-        return self._map(self._s(1.0, self.n))[1]
-
-    def half_jacobian(self) -> np.ndarray:
-        """dx/ds at the midpoints."""
-        return self._map(self._s(0.5, self.n + 1))[1]
-
 
 class SineGrid(Grid1D):
     """n interior points uniform in s on (-1, 1), at t = sin(pi s/2); Dirichlet ends at -+1.
@@ -205,10 +198,9 @@ def discretize_bdd(
     its values there, as pct.mass and rosen_morse.rm_potential do, or one
     value for every point.
     """
-    xs = grid.nodes()
-    xh = grid.half_nodes()
-    jac = grid.jacobian()
-    w = np.asarray(mass_fn(xh), dtype=float) * grid.half_jacobian()
+    xs, jac = grid._map(grid._s(1.0, grid.n))
+    xh, jac_h = grid._map(grid._s(0.5, grid.n + 1))
+    w = np.asarray(mass_fn(xh), dtype=float) * jac_h
     w = np.broadcast_to(1.0 / w, xh.shape)
     v = np.broadcast_to(np.asarray(potential_fn(xs), dtype=float), xs.shape)
     if not (np.all(np.isfinite(w)) and np.all(np.isfinite(v))):
@@ -265,6 +257,12 @@ def _sturm_newton(
         r = (t * r - 1.0) / q
         total += r
     return count, total
+
+
+def _rows(op: TridiagonalOperator) -> tuple[list[float], list[float], float]:
+    # a Sturm pass's input as Python floats: diag, off^2 and the pivot floor pivmin
+    e2 = (op.off * op.off).tolist()
+    return op.diag.tolist(), e2, 2.3e-308 * max(1.0, max(e2, default=1.0))
 
 
 def _gershgorin(op: TridiagonalOperator) -> tuple[float, float]:
@@ -366,9 +364,7 @@ def eigenvalues_sturm(
 
 def _levels(op: TridiagonalOperator, k: int, starts: Sequence[float] | None) -> list[float]:
     # eigenvalues_sturm on one matrix, whole or one mirror block, after its checks
-    d = op.diag.tolist()
-    e2 = (op.off * op.off).tolist()
-    pivmin = 2.3e-308 * max(1.0, max(e2, default=1.0))
+    d, e2, pivmin = _rows(op)
     glo, ghi = _gershgorin(op)
     # nudge outward so the bracket provably contains all eigenvalues
     glo -= 1e-12 * max(1.0, abs(glo))
@@ -410,7 +406,7 @@ def _levels(op: TridiagonalOperator, k: int, starts: Sequence[float] | None) -> 
 
     # every start's count narrows the other levels' brackets before they begin
     first: list[tuple[float, float] | None] = [None] * k
-    for j, x in enumerate(starts or ()):
+    for j, x in enumerate(map(float, () if starts is None else starts)):
         if lo[j] < x < hi[j]:
             first[j] = (x, newton_step(x))
 
@@ -444,78 +440,60 @@ def _levels(op: TridiagonalOperator, k: int, starts: Sequence[float] | None) -> 
     return out
 
 
-def _solve_shifted(op: TridiagonalOperator, lam: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (T - lam I) x = rhs by elimination with partial pivoting.
+def _pivots(d: list[float], e2: list[float], lam: float, pivmin: float) -> list[float]:
+    """The pivots of the LDL^T factorization of T - lam, row by row.
 
-    Row swaps introduce a second superdiagonal; zero pivots (the shift is
-    meant to sit at an eigenvalue) are replaced by a tiny norm-scaled value.
-    The elimination runs on Python floats, which round each operation as
-    float64 does, so the result is that of the same steps on numpy scalars.
+    Each is formed as in _sturm_count, a pivot within pivmin of zero
+    replaced by -pivmin, so that the negative ones number
+    _sturm_count(d, e2, lam, pivmin).
     """
-    n = op.size
-    shifted = op.diag - lam
-    scale = max(float(np.max(np.abs(shifted))), float(np.max(np.abs(op.off), initial=0.0)), 1e-300)
-    tiny = 2.3e-16 * scale
-    d = shifted.tolist()
-    off = op.off.tolist()
-    u1 = off + [0.0]
-    u2 = [0.0] * n
-    y = rhs.astype(float).tolist()
-    for i in range(n - 1):
-        sub = off[i]
-        if abs(d[i]) >= abs(sub):
-            if d[i] == 0.0:
-                d[i] = tiny
-            m = sub / d[i]
-            d[i + 1] -= m * u1[i]
-            u1[i + 1] -= m * u2[i]
-            y[i + 1] -= m * y[i]
-        else:
-            # swap rows i and i+1, then eliminate the old row i
-            m = d[i] / sub
-            row_u1, row_u2 = u1[i], u2[i]
-            d[i], u1[i], u2[i] = sub, d[i + 1], u1[i + 1]
-            d[i + 1] = row_u1 - m * u1[i]
-            u1[i + 1] = row_u2 - m * u2[i]
-            y[i], y[i + 1] = y[i + 1], y[i] - m * y[i + 1]
-    if d[n - 1] == 0.0:
-        d[n - 1] = tiny
-    x = [0.0] * n
-    x[n - 1] = y[n - 1] / d[n - 1]
-    if n >= 2:
-        x[n - 2] = (y[n - 2] - u1[n - 2] * x[n - 1]) / d[n - 2]
-    for i in range(n - 3, -1, -1):
-        x[i] = (y[i] - u1[i] * x[i + 1] - u2[i] * x[i + 2]) / d[i]
-    return np.array(x)
+    q, out = 1.0, []
+    for di, ei in zip(d, chain((0.0,), e2)):
+        q = di - lam - ei / q
+        if -pivmin <= q <= pivmin:
+            q = -pivmin
+        out.append(q)
+    return out
 
 
 def eigenvector(op: TridiagonalOperator, lam: float, h: float = 1.0) -> np.ndarray:
-    """Eigenvector for an eigenvalue estimate lam, by inverse iteration.
+    """Eigenvector for an eigenvalue estimate lam, from one twisted factorization.
 
-    At most 5 iterations to a residual of 1e-8 * ||v||; the result is
-    normalized so that sum(v_i^2) * h = 1 (pass the grid spacing for a
-    discrete L2 normalization, or leave h = 1 for a unit vector).
+    The pivots D+ of T - lam from the first row down and D- from the last
+    row up give gamma_r = D+_r + D-_r - (d_r - lam), the last pivot of the
+    factorization twisted at row r; (T - lam) z = gamma_r e_r for the z
+    with z_r = 1 that the two factors' multipliers build outward from r.
+    The twist is the row of least finite |gamma_r|, where the eigenvector
+    is large (Parlett and Dhillon, Linear Algebra Appl. 267, 1997).  The
+    result is normalized so that sum(v_i^2) * h = 1 (pass the grid spacing
+    for a discrete L2 normalization, or leave h = 1 for a unit vector).  A
+    vector that is not finite, or whose unit residual ||T v - lam v|| is
+    above 1e-8, raises ConvergenceError: lam is then no eigenvalue of T.
     """
     if not math.isfinite(lam):
         raise ParameterError(f"lam must be finite, got {lam!r}")
     if not math.isfinite(h) or h <= 0.0:
         raise ParameterError(f"need h > 0, got {h!r}")
-    rng = np.random.default_rng(171717)
-    v = rng.uniform(-1.0, 1.0, op.size)
-    v /= np.linalg.norm(v)
-    for _ in range(5):
-        w = _solve_shifted(op, lam, v)
-        norm_w = np.linalg.norm(w)
-        if not math.isfinite(norm_w) or norm_w == 0.0:
-            raise ConvergenceError("inverse iteration produced a degenerate vector")
-        v = w / norm_w
-        residual = np.linalg.norm(op.apply(v) - lam * v)
-        if residual <= 1e-8:
-            return v / math.sqrt(h)
-    raise ConvergenceError(
-        f"inverse iteration did not reach residual 1e-8 in 5 steps (last {residual:.3e}); "
-        "the shift may be inaccurate or inside a cluster"
-    )
+    d, e2, pivmin = _rows(op)
+    top = np.array(_pivots(d, e2, lam, pivmin))
+    bottom = np.array(_pivots(d[::-1], e2[::-1], lam, pivmin)[::-1])
+    gamma = np.abs(top + bottom - (op.diag - lam))
+    r = int(np.argmin(np.where(np.isfinite(gamma), gamma, np.inf)))
+    # z_i = -(off_i/D+_i) z_{i+1} above r and z_{i+1} = -(off_i/D-_{i+1}) z_i below it
+    above = np.cumprod((-op.off[:r] / top[:r])[::-1])[::-1]
+    below = np.cumprod(-op.off[r:] / bottom[r + 1:])
+    v = np.concatenate((above, (1.0,), below))
+    norm = np.linalg.norm(v)
+    if not math.isfinite(norm):
+        raise ConvergenceError(f"non-finite eigenvector at lam = {lam!r}")
+    v /= norm
+    residual = np.linalg.norm(op.apply(v) - lam * v)
+    if not residual <= 1e-8:
+        raise ConvergenceError(
+            f"residual {residual:.3e} above 1e-8 at lam = {lam!r}; "
+            "the shift may be inaccurate or not an eigenvalue"
+        )
+    return v / math.sqrt(h)
 
 
 @lru_cache(maxsize=64)

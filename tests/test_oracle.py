@@ -6,11 +6,15 @@ tridiagonal eigensolver gives an extra independent check.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdmosc import cli, oracle, oscillator, pct
@@ -73,11 +77,12 @@ def test_sine_grid_geometry():
     assert isinstance(g, Grid1D) and (g.lo, g.hi, g.n) == (-1.0, 1.0, 3)
     assert g.h == Grid1D(-1.0, 1.0, 3).h == 0.5
     s = np.array([-0.5, 0.0, 0.5])
+    jac, jac_h = g._map(g._s(1.0, 3))[1], g._map(g._s(0.5, 4))[1]
     assert g.nodes().tolist() == np.sin(0.5 * math.pi * s).tolist()
-    assert g.jacobian().tolist() == ((0.5 * math.pi) * np.cos(0.5 * math.pi * s)).tolist()
+    assert jac.tolist() == ((0.5 * math.pi) * np.cos(0.5 * math.pi * s)).tolist()
     sh = np.array([-0.75, -0.25, 0.25, 0.75])
     assert g.half_nodes().tolist() == np.sin(0.5 * math.pi * sh).tolist()
-    assert g.half_jacobian().tolist() == ((0.5 * math.pi) * np.cos(0.5 * math.pi * sh)).tolist()
+    assert jac_h.tolist() == ((0.5 * math.pi) * np.cos(0.5 * math.pi * sh)).tolist()
     with pytest.raises(ParameterError):
         SineGrid(2)
     with pytest.raises(ParameterError):
@@ -90,7 +95,7 @@ def test_sine_grid_points_are_exact_mirror_pairs(n):
     g = SineGrid(n)
     for x in (g.nodes(), g.half_nodes()):
         assert x.tolist() == (-x[::-1]).tolist()
-    for jac in (g.jacobian(), g.half_jacobian()):
+    for jac in (g._map(g._s(1.0, n))[1], g._map(g._s(0.5, n + 1))[1]):
         assert jac.tolist() == jac[::-1].tolist()
     op = discretize_bdd(lambda t: pct.mass(pct.MassProfile(1.0), t), lambda t: 3.0 * t * t, g)
     assert op.diag.tolist() == op.diag[::-1].tolist()
@@ -150,7 +155,8 @@ def test_sine_grid_operator_is_the_weighted_stencil():
     g = SineGrid(40)
     mass_fn = lambda x: 1.0 + x * x
     op = discretize_bdd(mass_fn, lambda x: 2.0 * x, g)
-    J, w = g.jacobian(), 1.0 / (mass_fn(g.half_nodes()) * g.half_jacobian())
+    J, Jh = g._map(g._s(1.0, g.n))[1], g._map(g._s(0.5, g.n + 1))[1]
+    w = 1.0 / (mass_fn(g.half_nodes()) * Jh)
     h2 = g.h * g.h
     assert np.allclose(op.diag, (w[:-1] + w[1:]) / (h2 * J) + 2.0 * g.nodes(), rtol=1e-15)
     assert np.allclose(op.off, -w[1:-1] / (h2 * np.sqrt(J[:-1] * J[1:])), rtol=1e-15)
@@ -609,6 +615,25 @@ def test_starts_need_one_per_level():
         eigenvalues_sturm(op, 2, starts=[1.0])
 
 
+@pytest.mark.parametrize(
+    "diag, off, starts",
+    [
+        ([2.0, 3.0, 5.0], [-1.0, -1.0], [1.2, 2.7]),
+        # mirror-symmetric: folded, starts[0::2] and starts[1::2] go to the two blocks
+        ([2.0, 3.0, 2.0], [-1.0, -1.0], [1.2, 2.7]),
+        # a lone start of 0.0, inside the first level's bracket, that changes its bits
+        ([0.5, 2.0, 4.0], [-1.0, -1.0], [0.0]),
+    ],
+    ids=["whole", "folded", "zero"],
+)
+def test_array_starts_are_the_list_starts(diag, off, starts):
+    op = TridiagonalOperator(diag, off)
+    want = eigenvalues_sturm(op, len(starts), starts=starts)
+    got = eigenvalues_sturm(op, len(starts), starts=np.array(starts))
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert all(type(v) is float for v in got + want)
+
+
 # --- eigenvector ---
 
 
@@ -683,37 +708,67 @@ def test_eigenvector_rejects_far_shift():
         eigenvector(op, -50.0, h=math.pi / 201.0)
 
 
-# (diag, off, shift, rhs) and the solution's hex as the elimination on numpy scalars gave
-# it.  Row swaps: case 0 (the off-diagonals dominate) and 3; a zero pivot replaced by the
-# tiny value: case 1 (the first row, whose off-diagonal is 0 too), 2 (the shift is an
-# eigenvalue, so the last pivot eliminates to 0) and 3 (after a swap)
-_SHIFTED_PINS = [
-    (([0.1, 2.0, -1.0, 0.5, 4.0], [1.0, 3.0, 0.25, -2.0], 0.3, [1.0, -2.0, 0.5, 3.0, -1.5]),
-     ["-0x1.7a2d6c0f15ecfp+1", "0x1.a2ea864e4351dp-2", "0x1.61aec7ab40371p-4",
-      "-0x1.3ae695cff7584p+1", "-0x1.bc378d33daf7ap+0"]),
-    (([2.0, 1.0, 3.0], [0.0, 1.0], 2.0, [1.0, 1.0, 1.0]),
-     ["0x1.ee4a64aea9bd4p+51", "-0x0.0p+0", "0x1.0000000000000p+0"]),
-    (([1.0, 1.0], [1.0], 0.0, [1.0, -0.5]),
-     ["0x1.72b7cb82ff4e0p+52", "-0x1.72b7cb82ff4dfp+52"]),
-    (([0.5, 3.0, 2.0], [2.0, 0.0], 2.0, [1.0, 2.0, -1.0]),
-     ["0x1.1745d1745d174p-1", "0x1.d1745d1745d17p-1", "-0x1.ee4a64aea9bd4p+50"]),
-]
+@st.composite
+def _tridiagonal(draw):
+    # entries from a small set of integers, so that ties and zero couplings come up, or any floats
+    n = draw(st.integers(1, 30))
+    entry = st.one_of(st.integers(-4, 4).map(float), st.floats(-10.0, 10.0))
+    d = draw(st.lists(entry, min_size=n, max_size=n))
+    return TridiagonalOperator(d, draw(st.lists(entry, min_size=n - 1, max_size=n - 1)))
 
 
-@pytest.mark.parametrize("case, want", _SHIFTED_PINS)
-def test_solve_shifted_pinned_bits(case, want):
-    diag, off, lam, rhs = case
-    op = TridiagonalOperator(np.array(diag), np.array(off))
-    x = oracle._solve_shifted(op, lam, np.array(rhs))
-    assert isinstance(x, np.ndarray) and x.dtype == np.float64
-    assert [v.hex() for v in x.tolist()] == want
-    t = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1) - lam * np.eye(len(diag))
-    if abs(np.linalg.det(t)) > 1e-12:
-        # a regular system: the solution of any stable elimination
-        assert np.max(np.abs(x - np.linalg.solve(t, rhs))) <= 1e-14 * np.max(np.abs(x))
-    else:
-        # singular: the tiny pivot leaves a huge vector along the null space
-        assert np.linalg.norm(t @ x) <= 1e-12 * np.linalg.norm(x)
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.one_of(_tridiagonal(), _mirror_tridiagonal()))
+# the off-diagonals dominate the diagonal
+@example(TridiagonalOperator([0.1, 2.0, -1.0, 0.5, 4.0], [1.0, 3.0, 0.25, -2.0]))
+# a zero first coupling, and level 1 is exactly 2.0
+@example(TridiagonalOperator([2.0, 1.0, 3.0], [0.0, 1.0]))
+# level 0 is 0 (returned as -1.1e-13), where both factorizations end on a near-zero pivot
+@example(TridiagonalOperator([1.0, 1.0], [1.0]))
+# decoupled rows: the last alone, and every row, whose level 1 is exactly 2.0
+@example(TridiagonalOperator([0.5, 3.0, 2.0], [2.0, 0.0]))
+@example(TridiagonalOperator([3.0, 1.0, 2.0], [0.0, 0.0]))
+def test_twisted_eigenvectors_against_scipy(op):
+    # each level's vector has a residual at the rounding floor of the entries, and where the
+    # level stands apart from the others it is scipy's vector up to its sign
+    lams = eigenvalues_sturm(op, op.size)
+    ref, vecs = scipy.linalg.eigh_tridiagonal(op.diag, op.off)
+    scale = max(1.0, float(np.max(np.abs(op.diag))), float(np.max(np.abs(op.off), initial=0.0)))
+    for j, lam in enumerate(lams):
+        v = eigenvector(op, lam)
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-14
+        assert np.linalg.norm(op.apply(v) - lam * v) <= 1e-10 * scale, j
+        gap = np.min(np.abs(np.delete(ref, j) - ref[j]), initial=math.inf)
+        if gap >= 1e-6 * max(1.0, abs(lam)):
+            assert abs(np.dot(v, vecs[:, j])) >= 1.0 - 1e-9, j
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_tridiagonal_and_shift())
+def test_negative_pivots_number_the_sturm_count(case):
+    d, e2, lam, _ = case
+    pivmin = 2.3e-308 * max(1.0, max(e2, default=1.0))
+    pivots = oracle._pivots(d, e2, lam, pivmin)
+    assert sum(q < 0.0 for q in pivots) == _sturm_count(d, e2, lam, pivmin)
+
+
+def test_eigenvector_leaves_numpy_random_unloaded():
+    # the vector comes from the Sturm pivots alone: no random start
+    code = (
+        "import math, sys\n"
+        "from pdmosc.oracle import Grid1D, discretize_bdd, eigenvalues_sturm, eigenvector\n"
+        "g = Grid1D(0.0, math.pi, 400)\n"
+        "op = discretize_bdd(lambda x: 1.0, lambda x: 0.0, g)\n"
+        "eigenvector(op, eigenvalues_sturm(op, 1)[0], h=g.h)\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    paths = [str(Path(oracle.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 # --- overlap ---
