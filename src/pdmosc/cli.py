@@ -3,7 +3,8 @@
 Subcommands: ``solve`` (closed-form spectrum, optional wavefunction table),
 ``verify`` (closed forms against the finite-difference solver), ``jafarov``
 (integer-l case with quantized confinement length, cross-checked against the
-general solver), ``scan`` (CSV spectrum table over an A or b range).
+general solver), ``scan`` (CSV spectrum table over an A or b range; a fixed
+``--A`` with an A-range or ``--b`` with a b-range is a configuration error).
 
 Exit codes: 0 success, 2 invalid configuration, 3 verification mismatch,
 4 numerical non-convergence or an arithmetic fault (overflow, zero
@@ -279,7 +280,7 @@ def _norms_and_samples(
         at_points.append(values[:, x.size:])
         return values[:, : x.size]
 
-    norms = oracle.norms(joined, -model.a, model.a, rule, graded=True)
+    norms = oracle.norms(joined, -model.a, model.a, rule)
     _refuse_nonfinite(at_points[0], norms)
     return norms, at_points[0].tolist()
 
@@ -430,7 +431,8 @@ def _range_values(rng: tuple[float, float, float]) -> list[float]:
 def cmd_scan(ns: argparse.Namespace) -> int:
     a_range, b_range = _scan_ranges(ns)
     if a_range is not None:
-        params = [OscillatorParams(ns.omega0, v, ns.b) for v in _range_values(a_range)]
+        b = 0.0 if ns.b is None else ns.b
+        params = [OscillatorParams(ns.omega0, v, b) for v in _range_values(a_range)]
         col = [p.A for p in params]
     else:
         params = [OscillatorParams(ns.omega0, ns.A, v) for v in _range_values(b_range)]
@@ -455,6 +457,11 @@ def _scan_ranges(ns: argparse.Namespace) -> tuple[tuple | None, tuple | None]:
         raise ParameterError("scan needs exactly one of an A-range or a b-range")
     if b_given and ns.A is None:
         raise ParameterError("a b-range scan needs a fixed --A")
+    # a fixed value that the range would override is refused, not dropped
+    if a_given and ns.A is not None:
+        raise ParameterError("an A-range scan takes no fixed --A")
+    if b_given and ns.b is not None:
+        raise ParameterError("a b-range scan takes no fixed --b")
     return (a_parts if a_given else None, b_parts if b_given else None)
 
 
@@ -494,7 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="integer depth parameter (>= 2)")
 
     sp = command("scan", cmd_scan, "CSV table over an A or b range")
-    well(sp, False, "fixed A for a b-range scan", "fixed b for an A-range scan")
+    well(sp, False, "fixed A for a b-range scan", "fixed b for an A-range scan (default 0)")
+    # None tells a --b that was not given from --b 0, which a b-range scan refuses
+    sp.set_defaults(b=None)
     for name in ("A", "b"):
         for part in ("start", "stop", "step"):
             sp.add_argument(f"--{name}-{part}", type=float)

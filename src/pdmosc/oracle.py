@@ -468,7 +468,9 @@ def eigenvector(op: TridiagonalOperator, lam: float, h: float = 1.0) -> np.ndarr
     result is normalized so that sum(v_i^2) * h = 1 (pass the grid spacing
     for a discrete L2 normalization, or leave h = 1 for a unit vector).  A
     vector that is not finite, or whose unit residual ||T v - lam v|| is
-    above 1e-8, raises ConvergenceError: lam is then no eigenvalue of T.
+    above 1e-8 * max(1, |lam|), raises ConvergenceError: lam is then no
+    eigenvalue of T.  The gate is relative, as eigenvalues_sturm's
+    certificate of 1e-12 * max(1, |lam|) is.
     """
     if not math.isfinite(lam):
         raise ParameterError(f"lam must be finite, got {lam!r}")
@@ -488,9 +490,10 @@ def eigenvector(op: TridiagonalOperator, lam: float, h: float = 1.0) -> np.ndarr
         raise ConvergenceError(f"non-finite eigenvector at lam = {lam!r}")
     v /= norm
     residual = np.linalg.norm(op.apply(v) - lam * v)
-    if not residual <= 1e-8:
+    gate = 1e-8 * max(1.0, abs(lam))
+    if not residual <= gate:
         raise ConvergenceError(
-            f"residual {residual:.3e} above 1e-8 at lam = {lam!r}; "
+            f"residual {residual:.3e} above {gate:.3e} at lam = {lam!r}; "
             "the shift may be inaccurate or not an eigenvalue"
         )
     return v / math.sqrt(h)
@@ -543,14 +546,16 @@ def overlap(
 
 
 def norms(
-    f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, rule_size: int, graded: bool = False
+    f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, rule_size: int
 ) -> list[float]:
-    """overlap(f_i, f_i, lo, hi, rule_size, graded) for each row f_i of a block, bit for bit.
+    """overlap(f_i, f_i, lo, hi, rule_size, graded=True) for each row f_i of a block, bit for bit.
 
     f takes the whole array of nodes, once, and returns one row of values
-    there per function.
+    there per function.  The rule is always overlap's graded one, whose
+    nodes crowd toward the walls, where the confined states behave like a
+    power of the distance to them.
     """
-    x, weights, half = _rule_nodes(lo, hi, rule_size, graded)
+    x, weights, half = _rule_nodes(lo, hi, rule_size, True)
     return [half * float(np.dot(weights, fx * fx)) for fx in f(x)]
 
 

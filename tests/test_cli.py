@@ -415,25 +415,14 @@ def test_quantized_case_deep_well(capsys):
     assert len(d["quantized_route"]["levels"]) == 150
 
 
-def test_quantized_case_at_a_large_depth_builds_no_factorial_per_level(capsys, monkeypatch):
+def test_quantized_case_at_a_large_depth_builds_no_factorial_per_level(capsys, count_calls):
     # the normalizations pass exact integers from level to level instead of
     # building four factorials of up to 2l per level (9 s at l = 3000 before)
-    calls = {"factorial": 0, "coeffs": 0}
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-
-        return wrapper
-
-    monkeypatch.setattr(math, "factorial", counted("factorial", math.factorial))
-    monkeypatch.setattr(
-        oscillator, "_jafarov_coeffs", counted("coeffs", oscillator._jafarov_coeffs)
-    )
+    count_calls(math, "factorial")
+    calls = count_calls(oscillator, "_jafarov_coeffs")
     rc, out, _ = run_cli(capsys, "jafarov", "--omega0", "1", "--l", "3000")
-    assert calls["coeffs"] >= 1
-    assert calls["factorial"] <= 2 * calls["coeffs"]
+    assert calls["_jafarov_coeffs"] >= 1
+    assert calls["factorial"] <= 2 * calls["_jafarov_coeffs"]
     assert rc == 0
     assert len(json.loads(out)["quantized_route"]["levels"]) == 2999
 
@@ -577,6 +566,22 @@ def test_scan_shift_range_needs_fixed_depth(capsys):
 
 
 @pytest.mark.parametrize(
+    "fixed, rng",
+    [
+        (["--A", "5"], ["--A-start", "2", "--A-stop", "3", "--A-step", "0.5"]),
+        (["--A", "5", "--b", "0.3"], ["--b-start", "0", "--b-stop", "0.2", "--b-step", "0.1"]),
+        (["--b", "0"], ["--b-start", "0", "--b-stop", "0.2", "--b-step", "0.1", "--A", "5"]),
+    ],
+    ids=["A", "b", "b-zero"],
+)
+def test_scan_refuses_a_fixed_value_its_range_overrides(capsys, fixed, rng):
+    # these printed the range's rows and dropped the fixed --A or --b without a word
+    rc, out, err = run_cli(capsys, "scan", "--omega0", "1", *fixed, *rng)
+    assert rc == 2 and out == ""
+    assert json.loads(err)["error"] == "config"
+
+
+@pytest.mark.parametrize(
     "argv,models",
     [
         (["scan", "--omega0", "0.9", "--A-start", "2.5", "--A-stop", "6.5", "--A-step", "0.5"], 9),
@@ -586,20 +591,11 @@ def test_scan_shift_range_needs_fixed_depth(capsys):
         (["solve", "--omega0", "1", "--A", "9.5", "--b", "0.1"], 1),
     ],
 )
-def test_spectrum_rows_derive_once_and_resolve_no_state(monkeypatch, capsys, argv, models):
+def test_spectrum_rows_derive_once_and_resolve_no_state(count_calls, capsys, argv, models):
     # each model maps once to be admitted and once for a and its energies;
     # rows that print no wavefunction resolve none
-    calls = {"map_parameters": 0, "ln_gamma": 0}
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-
-        return wrapper
-
-    monkeypatch.setattr(pct, "map_parameters", counted("map_parameters", pct.map_parameters))
-    monkeypatch.setattr(rosen_morse, "ln_gamma", counted("ln_gamma", rosen_morse.ln_gamma))
+    count_calls(pct, "map_parameters")
+    calls = count_calls(rosen_morse, "ln_gamma")
     rc, _, _ = run_cli(capsys, *argv)
     assert rc == 0
     assert calls == {"map_parameters": 2 * models, "ln_gamma": 0}
@@ -611,8 +607,8 @@ def test_spectrum_rows_derive_once_and_resolve_no_state(monkeypatch, capsys, arg
         ["scan", "--omega0", "0.9", "--A-start", "2.5", "--A-stop", "6.5", "--A-step", "0.5"],
         ["scan", "--omega0", "1", "--A", "7.2", "--b-start", "-0.4", "--b-stop", "0.4",
          "--b-step", "0.2"],
-        ["scan", "--omega0", "1", "--A", "9.5", "--b", "0.3", "--A-start", "9", "--A-stop",
-         "10", "--A-step", "0.25"],
+        ["scan", "--omega0", "1", "--b", "0.3", "--A-start", "9", "--A-stop", "10",
+         "--A-step", "0.25"],
         ["jafarov", "--omega0", "1.3", "--l", "12"],
     ],
 )
@@ -642,25 +638,18 @@ def test_each_spectrum_takes_its_levels_in_one_call(monkeypatch, capsys, argv):
     ]
 
 
-def test_samples_reuse_the_spectrum_derivation(monkeypatch, capsys):
+def test_samples_reuse_the_spectrum_derivation(monkeypatch, count_calls, capsys):
     # the states come from the derivation that admitted the model, and the spectrum's
     # energies are computed once, in one rm_energy call covering every level
-    calls = {"map_parameters": 0, "rm_energy": 0}
     levels = []
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
 
     def energies(p, n, **kw):
         levels.append(n)
         return rosen_morse.rm_energy(p, n, **kw)
 
-    monkeypatch.setattr(pct, "map_parameters", counted("map_parameters", pct.map_parameters))
-    monkeypatch.setattr(oscillator, "rm_energy", counted("rm_energy", energies))
+    monkeypatch.setattr(oscillator, "rm_energy", energies)
+    count_calls(pct, "map_parameters")
+    calls = count_calls(oscillator, "rm_energy")
     rc, out, _ = run_cli(capsys, "solve", "--omega0", "1", "--A", "6.5", "--b", "0.1",
                          "--samples", "4")
     assert rc == 0
@@ -747,17 +736,10 @@ def test_csv_samples_build_no_norm_rule(monkeypatch, capsys):
     assert rc == 0
     assert len(out.split("\n\n")[1].splitlines()) == 1 + 3 * 5
 
-def test_verify_derives_each_model_once(monkeypatch, capsys):
+def test_verify_derives_each_model_once(count_calls, capsys):
     # the constructor validates, _admit derives the model that sets the work, and the
     # oracle derives its own for a, the level count and every analytic energy
-    calls = {"map_parameters": 0}
-
-    def counted(*args):
-        calls["map_parameters"] += 1
-        return original(*args)
-
-    original = pct.map_parameters
-    monkeypatch.setattr(pct, "map_parameters", counted)
+    calls = count_calls(pct, "map_parameters")
     rc, out, _ = run_cli(capsys, "verify", "--omega0", "1", "--A", "6.5", "--b", "0.1")
     assert rc == 0 and len(json.loads(out)["report"]["levels"]) == 5
     assert calls == {"map_parameters": 3}

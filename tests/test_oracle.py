@@ -420,27 +420,23 @@ def test_landing_and_quadratic_starts_cut_the_newton_rows(sturm_rows, capsys, ru
     assert 0 < sturm_rows["newton"] <= bound
 
 
+# entries from a small set of integers, so that ties, zero pivots and zero couplings come up,
+# or any floats
+_ENTRY = st.one_of(st.integers(-4, 4).map(float), st.floats(-10.0, 10.0))
+
+
+@st.composite
+def _tridiagonal_rows(draw):
+    # diag and off of n rows, n from 1 to 30, drawn as one list of 2n - 1 entries
+    n = draw(st.integers(1, 30))
+    entries = draw(st.lists(_ENTRY, min_size=2 * n - 1, max_size=2 * n - 1))
+    return entries[:n], entries[n:]
+
+
 @st.composite
 def _tridiagonal_and_shift(draw):
-    # entries from a small set of integers, so that ties and zero pivots come up, or any floats
-    n = draw(st.integers(1, 30))
-    entry = st.one_of(st.integers(-4, 4).map(float), st.floats(-10.0, 10.0))
-    d = draw(st.lists(entry, min_size=n, max_size=n))
-    off = draw(st.lists(entry, min_size=n - 1, max_size=n - 1))
-    return d, [e * e for e in off], draw(entry), draw(st.integers(0, n + 1))
-
-
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(_tridiagonal_and_shift())
-def test_a_capped_count_is_the_count_up_to_its_cap(case):
-    d, e2, lam, cap = case
-    pivmin = 2.3e-308 * max(1.0, max(e2, default=1.0))
-    full = _sturm_count(d, e2, lam, pivmin)
-    capped = _sturm_count(d, e2, lam, pivmin, cap)
-    if full <= cap:
-        assert capped == full
-    else:
-        assert cap < capped <= full
+    d, off = draw(_tridiagonal_rows())
+    return d, [e * e for e in off], draw(_ENTRY), draw(st.integers(0, len(d) + 1))
 
 
 def _two_part_sturm_count(d, e2, lam, pivmin, cap=math.inf):
@@ -486,20 +482,31 @@ def _two_part_sturm_newton(d, e2, lam, pivmin):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_tridiagonal_and_shift())
 def test_one_loop_sturm_passes_are_the_two_part_ones(case):
+    # every one-loop Sturm kernel on the same draw: the capped count, the Newton pass and the
+    # pivots
+    d, e2, lam, cap = case
+    pivmin = 2.3e-308 * max(1.0, max(e2, default=1.0))
+    full = _sturm_count(d, e2, lam, pivmin)
+    capped = _sturm_count(d, e2, lam, pivmin, cap)
+    # a capped count is the count up to its cap
+    if full <= cap:
+        assert capped == full
+    else:
+        assert cap < capped <= full
     # row 0 folded into the loop by a 0.0 coupling and a starting pivot of 1.0:
     # d - lam - 0.0/1.0 is d - lam, and (0.0 * 0.0 - 1.0)/q is -1/q, so the count and
     # det'/det keep their bits.  A cap of 0 may stop at row 0, where the two-part
     # count went on to its next negative pivot; both are above the cap then
-    d, e2, lam, cap = case
-    pivmin = 2.3e-308 * max(1.0, max(e2, default=1.0))
-    assert _sturm_count(d, e2, lam, pivmin) == _two_part_sturm_count(d, e2, lam, pivmin)
-    capped = _sturm_count(d, e2, lam, pivmin, cap)
+    assert full == _two_part_sturm_count(d, e2, lam, pivmin)
     want = _two_part_sturm_count(d, e2, lam, pivmin, cap)
     assert capped == want or (cap == 0 and min(capped, want) > cap)
     count, total = oracle._sturm_newton(d, e2, lam, pivmin)
     want_count, want_total = _two_part_sturm_newton(d, e2, lam, pivmin)
     assert count == want_count
     assert total.hex() == want_total.hex()
+    # the negative pivots number the Sturm count
+    pivots = oracle._pivots(d, e2, lam, pivmin)
+    assert sum(q < 0.0 for q in pivots) == full
 
 
 @st.composite
@@ -507,8 +514,7 @@ def _tridiagonal_and_starts(draw):
     # scipy's eigenvalues moved by relative offsets just inside and just outside _LAND, up
     # or down: a start's Newton step then lands or takes one more pass.  Some starts sit on
     # another level's value, where the step lands on the wrong level
-    d, e2, _, _ = draw(_tridiagonal_and_shift())
-    op = TridiagonalOperator(d, [math.sqrt(v) for v in e2])
+    op = TridiagonalOperator(*draw(_tridiagonal_rows()))
     ref = scipy.linalg.eigvalsh_tridiagonal(op.diag, op.off)
     k = draw(st.integers(1, op.size))
     starts = []
@@ -708,17 +714,19 @@ def test_eigenvector_rejects_far_shift():
         eigenvector(op, -50.0, h=math.pi / 201.0)
 
 
-@st.composite
-def _tridiagonal(draw):
-    # entries from a small set of integers, so that ties and zero couplings come up, or any floats
-    n = draw(st.integers(1, 30))
-    entry = st.one_of(st.integers(-4, 4).map(float), st.floats(-10.0, 10.0))
-    d = draw(st.lists(entry, min_size=n, max_size=n))
-    return TridiagonalOperator(d, draw(st.lists(entry, min_size=n - 1, max_size=n - 1)))
+def test_eigenvector_gate_scales_with_the_level():
+    # level 1, at 2e5, is certified to 1e-12 * |lam| = 2e-7; its vector's residual of 6.9e-8
+    # was refused by an absolute gate of 1e-8
+    op = TridiagonalOperator([1e5, 1e5], [1e5])
+    for lam in eigenvalues_sturm(op, 2):
+        v = eigenvector(op, lam)
+        assert np.linalg.norm(op.apply(v) - lam * v) <= 1e-8 * max(1.0, abs(lam))
+        assert abs(abs(v[0]) - math.sqrt(0.5)) <= 1e-12
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(st.one_of(_tridiagonal(), _mirror_tridiagonal()))
+@given(st.one_of(_tridiagonal_rows().map(lambda rows: TridiagonalOperator(*rows)),
+                 _mirror_tridiagonal()))
 # the off-diagonals dominate the diagonal
 @example(TridiagonalOperator([0.1, 2.0, -1.0, 0.5, 4.0], [1.0, 3.0, 0.25, -2.0]))
 # a zero first coupling, and level 1 is exactly 2.0
@@ -741,15 +749,6 @@ def test_twisted_eigenvectors_against_scipy(op):
         gap = np.min(np.abs(np.delete(ref, j) - ref[j]), initial=math.inf)
         if gap >= 1e-6 * max(1.0, abs(lam)):
             assert abs(np.dot(v, vecs[:, j])) >= 1.0 - 1e-9, j
-
-
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(_tridiagonal_and_shift())
-def test_negative_pivots_number_the_sturm_count(case):
-    d, e2, lam, _ = case
-    pivmin = 2.3e-308 * max(1.0, max(e2, default=1.0))
-    pivots = oracle._pivots(d, e2, lam, pivmin)
-    assert sum(q < 0.0 for q in pivots) == _sturm_count(d, e2, lam, pivmin)
 
 
 def test_eigenvector_leaves_numpy_random_unloaded():
@@ -803,9 +802,8 @@ def test_overlap_orthogonality():
     assert abs(overlap(f0, f0, -a, a, 400) - 1.0) < 1e-9
 
 
-@pytest.mark.parametrize("graded", [False, True])
-def test_norms_are_the_overlaps_of_each_row(graded):
-    # one evaluation of the whole block, and each row's norm bit for bit its own overlap
+def test_norms_are_the_overlaps_of_each_row():
+    # one evaluation of the whole block, and each row's norm bit for bit its own graded overlap
     p = OscillatorParams(1.0, 7.3, 0.4)
     a = confinement_length(1.0, 7.3)
     fs = [lambda x, n=n: wavefunction(p, n, x) for n in range(num_bound_states(p))]
@@ -815,9 +813,9 @@ def test_norms_are_the_overlaps_of_each_row(graded):
         seen.append(x.shape)
         return np.array([f(x) for f in fs])
 
-    got = norms(block, -a, a, 300, graded=graded)
+    got = norms(block, -a, a, 300)
     assert seen == [(300,)]
-    assert got == [overlap(f, f, -a, a, 300, graded=graded) for f in fs]
+    assert got == [overlap(f, f, -a, a, 300, graded=True) for f in fs]
     with pytest.raises(ParameterError):
         norms(block, a, -a, 300)
 
@@ -862,26 +860,15 @@ def test_pdm_rejects_bad_requests():
         solve_pdm_numeric(p, 1, 600_000)
 
 
-def test_pdm_report_derives_the_model_once(monkeypatch):
+def test_pdm_report_derives_the_model_once(count_calls):
     # one parameter map gives a, the level count and every analytic energy: the
     # library's per-level entry points, which each derive the model again, are not called
     p = OscillatorParams(0.9, 7.4, 0.2)
     k = num_bound_states(p)
     want = [energy(p, n) for n in range(k)]
-    calls = {"map_parameters": 0, "energy": 0, "num_bound_states": 0}
-
-    def counted(module, name):
-        fn = getattr(module, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted(pct, "map_parameters")
-    counted(oscillator, "energy")
-    counted(oscillator, "num_bound_states")
+    count_calls(pct, "map_parameters")
+    count_calls(oscillator, "energy")
+    calls = count_calls(oscillator, "num_bound_states")
     rep = solve_pdm_numeric(p, k, 500)
     assert calls == {"map_parameters": 1, "energy": 0, "num_bound_states": 0}
     assert list(rep.analytic) == want

@@ -650,19 +650,10 @@ def test_bound_states_assembly():
                 assert s.wavefunction(f * a) == wavefunction(p, s.n, f * a)
 
 
-def test_bound_states_derive_once(monkeypatch):
+def test_bound_states_derive_once(count_calls):
     models = [OscillatorParams(0.9, 7.4, 0.2), OscillatorParams(1.0, 5.5)]
-    calls = {"map_parameters": 0, "ln_gamma": 0}
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-
-        return wrapper
-
-    monkeypatch.setattr(pct, "map_parameters", counted("map_parameters", pct.map_parameters))
-    monkeypatch.setattr(rosen_morse, "ln_gamma", counted("ln_gamma", rosen_morse.ln_gamma))
+    count_calls(pct, "map_parameters")
+    calls = count_calls(rosen_morse, "ln_gamma")
     for p in models:
         calls.update(map_parameters=0, ln_gamma=0)
         states = bound_states(p)
