@@ -244,6 +244,30 @@ def test_sturm_counts_monotone():
     assert all(c1 <= c2 for c1, c2 in zip(counts, counts[1:]))
 
 
+def _laplacian_shifts(n=7):
+    # tridiag(-1, 2, -1) has levels 2 - 2cos(k pi/(n + 1)), k = 1..n: a shift below them all,
+    # one midway between each pair and one above them all has count 0, 1, ..., n
+    levels = [2.0 - 2.0 * math.cos(k * math.pi / (n + 1)) for k in range(1, n + 1)]
+    cuts = [-1.0] + [0.5 * (u + v) for u, v in zip(levels, levels[1:])] + [5.0]
+    return [([2.0] * n, [1.0] * (n - 1), lam, count) for count, lam in enumerate(cuts)]
+
+
+def test_a_capped_count_is_the_count_up_to_its_cap():
+    # the pass stops at the first row that takes the count above cap, so it returns cap + 1
+    for d, e2, lam, want in _laplacian_shifts():
+        assert _sturm_count(d, e2, lam, 2.3e-308) == want
+        for cap in range(len(d) + 2):
+            assert _sturm_count(d, e2, lam, 2.3e-308, cap) == min(want, cap + 1)
+
+
+def test_negative_pivots_number_the_sturm_count():
+    # and a zero pivot, at row 1 of [[1, 1, 0], [1, 1, 1], [0, 1, 1]] shifted by 0: its one
+    # level below 0 is 1 - sqrt(2)
+    for d, e2, lam, want in _laplacian_shifts() + [([1.0] * 3, [1.0] * 2, 0.0, 1)]:
+        pivots = oracle._pivots(d, e2, lam, 2.3e-308)
+        assert sum(q < 0.0 for q in pivots) == _sturm_count(d, e2, lam, 2.3e-308) == want
+
+
 def test_eigenvalues_rejects_bad_k():
     op = TridiagonalOperator((2.0, 2.0), (-1.0,))
     with pytest.raises(ParameterError):
@@ -802,8 +826,10 @@ def test_overlap_orthogonality():
     assert abs(overlap(f0, f0, -a, a, 400) - 1.0) < 1e-9
 
 
-def test_norms_are_the_overlaps_of_each_row():
-    # one evaluation of the whole block, and each row's norm bit for bit its own graded overlap
+@pytest.mark.parametrize("graded", [True])
+def test_norms_are_the_overlaps_of_each_row(graded):
+    # one evaluation of the whole block, and each row's norm bit for bit its own overlap under
+    # the one rule norms takes, the graded one
     p = OscillatorParams(1.0, 7.3, 0.4)
     a = confinement_length(1.0, 7.3)
     fs = [lambda x, n=n: wavefunction(p, n, x) for n in range(num_bound_states(p))]
@@ -815,7 +841,7 @@ def test_norms_are_the_overlaps_of_each_row():
 
     got = norms(block, -a, a, 300)
     assert seen == [(300,)]
-    assert got == [overlap(f, f, -a, a, 300, graded=True) for f in fs]
+    assert got == [overlap(f, f, -a, a, 300, graded=graded) for f in fs]
     with pytest.raises(ParameterError):
         norms(block, a, -a, 300)
 
