@@ -5,6 +5,13 @@ Subcommands: ``solve`` (closed-form spectrum, optional wavefunction table),
 (integer-l case with quantized confinement length, cross-checked against the
 general solver), ``scan`` (CSV spectrum table over an A or b range; a fixed
 ``--A`` with an A-range or ``--b`` with a b-range is a configuration error).
+A scan derives each row once, with no model object: one parameter map, which
+validates it, its level count, and its energies straight from the closed
+forms, with no level gate, since its levels lie inside the unshifted well's
+window.  Every row is mapped before any row's level limit is checked.
+A negative number in exponent form after an option (``--b -1e-05``,
+``--b -inf``) is joined to it as ``--b=-1e-05`` before parsing, since
+argparse by itself reads such a token as an option.
 
 Exit codes: 0 success, 2 invalid configuration, 3 verification mismatch,
 4 numerical non-convergence or an arithmetic fault (overflow, zero
@@ -53,7 +60,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from . import oracle, oscillator
+from . import oracle, oscillator, pct, rosen_morse
 from .errors import ConvergenceError, ParameterError
 from .oscillator import OscillatorParams
 
@@ -211,14 +218,19 @@ def _params_block(p: OscillatorParams) -> dict:
     return {"omega0": p.omega0, "A": p.A, "b": p.b}
 
 
-def _admit(p: OscillatorParams) -> oscillator._Model:
-    # one derivation; a model over the level limit is refused before any level is computed
-    model = oscillator._model(p)
-    if model.count > MAX_LEVELS:
+def _refuse_levels(omega0: float, A: float, b: float, count: int) -> None:
+    # the one level limit, checked before any level is computed
+    if count > MAX_LEVELS:
         raise ParameterError(
-            f"omega0={p.omega0!r}, A={p.A!r}, b={p.b!r} holds {model.count} levels, "
+            f"omega0={omega0!r}, A={A!r}, b={b!r} holds {count} levels, "
             f"above the limit of {MAX_LEVELS}"
         )
+
+
+def _admit(p: OscillatorParams) -> oscillator._Model:
+    # one derivation, admitted under the level limit
+    model = oscillator._model(p)
+    _refuse_levels(p.omega0, p.A, p.b, model.count)
     return model
 
 
@@ -238,13 +250,18 @@ def _spectrum(model: oscillator._Model) -> dict:
     }
 
 
-def _spectrum_rows(params: list[float], models: list[oscillator._Model]) -> Iterator[list[object]]:
-    # one CSV row per admitted model, each made as it is joined; columns past a row's last
-    # level stay empty.  No level's wavefunction is resolved
-    kmax = max(m.count for m in models)
+def _spectrum_rows(rows: list[tuple[float, float, float, float, int]]) -> Iterator[list[object]]:
+    # one CSV row per (param, A, a, b, count) of an admitted model, each made as it is
+    # joined; columns past a row's last level stay empty.  The energies come straight from
+    # the two formulas: the levels range(count) lie inside the unshifted well's window,
+    # since level_count(A, B) <= rm_nmax(A) + 1, so no gate runs.  No level's wavefunction
+    # is resolved
+    kmax = max(row[4] for row in rows)
     yield ["param", "a", "num_states"] + [f"E{i}" for i in range(kmax)]
-    for v, m in zip(params, models):
-        yield [v, m.a, m.count, *m.energies(range(m.count))] + [""] * (kmax - m.count)
+    for v, A, a, b, k in rows:
+        levels = range(k)
+        floors = rosen_morse._level_energies(A, 0.0, levels, True)
+        yield [v, a, k, *oscillator._energies(A, a, b, levels, floors)] + [""] * (kmax - k)
 
 
 def _sample_points(model: oscillator._Model, samples: int) -> list[float]:
@@ -312,7 +329,7 @@ def cmd_solve(ns: argparse.Namespace) -> int:
             f"solve of {k} levels at --samples {ns.samples} with a {rule}-node norm rule",
         )
     if ns.format == "csv":
-        rows = _spectrum_rows([p.A], [model])
+        rows = _spectrum_rows([(p.A, p.A, model.a, p.b, k)])
         if ns.samples > 0:
             rows = chain(rows, [[], ["n", "x", "psi"]], _sample_rows(model, ns.samples))
         _emit(ns, _csv_text(rows))
@@ -432,15 +449,20 @@ def cmd_scan(ns: argparse.Namespace) -> int:
     a_range, b_range = _scan_ranges(ns)
     if a_range is not None:
         b = 0.0 if ns.b is None else ns.b
-        params = [OscillatorParams(ns.omega0, v, b) for v in _range_values(a_range)]
-        col = [p.A for p in params]
+        wells = [(v, v, b) for v in _range_values(a_range)]
     else:
-        params = [OscillatorParams(ns.omega0, ns.A, v) for v in _range_values(b_range)]
-        col = [p.b for p in params]
-    models = [_admit(p) for p in params]
-    levels = sum(m.count for m in models)
-    _refuse_over(LEVEL_WORK * levels, f"scan of {len(models)} rows holding {levels} levels")
-    _emit(ns, _csv_text(_spectrum_rows(col, models)))
+        wells = [(v, ns.A, v) for v in _range_values(b_range)]
+    # one derivation per row, with no model object: every row is mapped, which validates
+    # it, before any row's level limit is checked, and the work is estimated after that
+    rows = []
+    for v, A, b in wells:
+        a, _, rm = pct.map_parameters(ns.omega0, A, b)
+        rows.append((v, A, a, b, pct.level_count(A, rm.B)))
+    for _, A, _, b, k in rows:
+        _refuse_levels(ns.omega0, A, b, k)
+    levels = sum(row[4] for row in rows)
+    _refuse_over(LEVEL_WORK * levels, f"scan of {len(rows)} rows holding {levels} levels")
+    _emit(ns, _csv_text(_spectrum_rows(rows)))
     return 0
 
 
@@ -465,40 +487,42 @@ def _scan_ranges(ns: argparse.Namespace) -> tuple[tuple | None, tuple | None]:
     return (a_parts if a_given else None, b_parts if b_given else None)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, frozenset[str]]:
+    """The parser, and the strings of its options that take a value: every one but --help."""
     parser = argparse.ArgumentParser(
         prog="pdmosc",
         description="Bound states of the confined oscillator with a "
         "position-dependent mass.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    value_options: set[str] = set()
+
+    def option(sp: argparse.ArgumentParser, name: str, **kwargs) -> None:
+        value_options.update(sp.add_argument(name, **kwargs).option_strings)
 
     def command(name: str, handler, summary: str) -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=summary)
         sp.set_defaults(handler=handler)
-        sp.add_argument("--omega0", type=float, required=True,
-                        help="oscillator frequency (> 0)")
-        sp.add_argument("--out", help="write the payload to this path")
+        option(sp, "--omega0", type=float, required=True, help="oscillator frequency (> 0)")
+        option(sp, "--out", help="write the payload to this path")
         return sp
 
     def well(sp: argparse.ArgumentParser, required: bool = True,
              a_help: str = "potential depth parameter (> 1)",
              b_help: str = "shift parameter") -> None:
-        sp.add_argument("--A", type=float, required=required, help=a_help)
-        sp.add_argument("--b", type=float, default=0.0, help=b_help)
+        option(sp, "--A", type=float, required=required, help=a_help)
+        option(sp, "--b", type=float, default=0.0, help=b_help)
 
     sp = command("solve", cmd_solve, "closed-form spectrum and wavefunctions")
     well(sp)
-    sp.add_argument("--samples", type=int, default=0,
-                    help="interior sample count per wavefunction")
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
+    option(sp, "--samples", type=int, default=0, help="interior sample count per wavefunction")
+    option(sp, "--format", choices=("json", "csv"), default="json")
 
     sp = command("verify", cmd_verify, "cross-check against the grid solver")
     well(sp)
 
     sp = command("jafarov", cmd_jafarov, "integer-l quantized-length case")
-    sp.add_argument("--l", type=int, required=True,
-                    help="integer depth parameter (>= 2)")
+    option(sp, "--l", type=int, required=True, help="integer depth parameter (>= 2)")
 
     sp = command("scan", cmd_scan, "CSV table over an A or b range")
     well(sp, False, "fixed A for a b-range scan", "fixed b for an A-range scan (default 0)")
@@ -506,16 +530,35 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(b=None)
     for name in ("A", "b"):
         for part in ("start", "stop", "step"):
-            sp.add_argument(f"--{name}-{part}", type=float)
-    return parser
+            option(sp, f"--{name}-{part}", type=float)
+    return parser, frozenset(value_options)
 
 
 # built once: parsing leaves the parser unchanged, and each call gets a new namespace
-_PARSER = build_parser()
+_PARSER, _VALUE_OPTIONS = build_parser()
+
+
+def _join_values(argv: list[str]) -> list[str]:
+    # argparse reads a token that starts with "-" as an option unless it has the form of
+    # a negative number with no exponent (-1, -0.5), so -1e-05, which repr prints for a
+    # small float, and -inf read as options.  A number after an option that takes a value
+    # is joined to it as --opt=number, the form in which argparse reads it as the value
+    out: list[str] = []
+    for tok in argv:
+        if tok[:1] == "-" and out and out[-1] in _VALUE_OPTIONS:
+            try:
+                float(tok)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + tok
+                continue
+        out.append(tok)
+    return out
 
 
 def main(argv: list[str] | None = None) -> int:
-    ns = _PARSER.parse_args(argv)
+    ns = _PARSER.parse_args(_join_values(sys.argv[1:] if argv is None else argv))
     try:
         return ns.handler(ns)
     except (ConvergenceError, ArithmeticError) as exc:

@@ -81,19 +81,10 @@ class _Model(NamedTuple):
     count: int
 
     def energies(self, levels: range) -> list[float]:
-        # a_bar^2 eps_n + c_bar of the derivation (a, rm), summed before it is rounded.  At
-        # b = 0 its terms -(A-n)^2/a^2 and omega0^2 a^2/4 are each O(A) and cancel to
-        # O(n + 1/2); as omega0^2 a^4/4 is exactly A(A+1) - 2, the sum is (D - 1)/a^2 with D
-        # the level of the unshifted well above its floor.  The shift adds
-        # -b^2 (D - 2)/(A-n)^2, whose own O(A^2) terms cancel the same way.  The levels
-        # pass the well's gate once, in one rm_energy call
+        # the levels pass the unshifted well's gate once, in one rm_energy call
         p, a, rm, _ = self
         well = rm if p.b == 0.0 else RosenMorseParams(p.A)
-        A, a2, b2 = p.A, a * a, p.b * p.b
-        return [
-            (d - 1.0) / a2 - b2 * (d - 2.0) / ((A - n) * (A - n))
-            for n, d in zip(levels, rm_energy(well, levels, from_floor=True))
-        ]
+        return _energies(p.A, a, p.b, levels, rm_energy(well, levels, from_floor=True))
 
     def _level(self, n: int, form: str = "auto") -> _Level:
         # the well's level n times the transform's prefactor a^(-1/2) (1 - t^2)^(-1/2)
@@ -107,6 +98,18 @@ class _Model(NamedTuple):
         # every level on the 1-D array x in one pass, with one polynomial call: row n is
         # psi(n)(x) bit for bit
         return _psi(_stack([self._level(n) for n in range(self.count)]), self.a, x)
+
+
+def _energies(A: float, a: float, b: float, levels: range, floors: list[float]) -> list[float]:
+    # a_bar^2 eps_n + c_bar of the derivation (A, a, b), summed before it is rounded, from
+    # floors, the levels' energies D above the floor of the unshifted well (A, 0).  At
+    # b = 0 its terms -(A-n)^2/a^2 and omega0^2 a^2/4 are each O(A) and cancel to
+    # O(n + 1/2); as omega0^2 a^4/4 is exactly A(A+1) - 2, the sum is (D - 1)/a^2.  The
+    # shift adds -b^2 (D - 2)/(A-n)^2, whose own O(A^2) terms cancel the same way
+    a2, b2 = a * a, b * b
+    return [
+        (d - 1.0) / a2 - b2 * (d - 2.0) / ((A - n) * (A - n)) for n, d in zip(levels, floors)
+    ]
 
 
 def _model(p: OscillatorParams) -> _Model:

@@ -135,15 +135,24 @@ def rm_energy(
     if levels:
         _check_level(levels[0], count, p)
         _check_level(levels[-1], count, p)
-    A, b2 = p.A, p.B * p.B
+    e = _level_energies(p.A, p.B, levels, from_floor)
+    return e if isinstance(n, range) else e[0]
+
+
+def _level_energies(
+    A: float, B: float, levels: range | tuple[int], from_floor: bool
+) -> list[float]:
+    """rm_energy's expression for each of levels, with no gate: the caller holds them in
+    the window of the well (A, B)."""
     if from_floor:
         e = [(2 * k + 1) * A - k * k for k in levels]
     else:
         e = [-(A - k) * (A - k) for k in levels]
     # x - 0.0 is x, so an unshifted well skips the tilt term with the same bits
+    b2 = B * B
     if b2 != 0.0:
         e = [v - b2 / ((A - k) * (A - k)) for v, k in zip(e, levels)]
-    return e if isinstance(n, range) else e[0]
+    return e
 
 
 def _ln_norm_jacobi(A: float, n: int, m: float, beta: float) -> float:

@@ -592,30 +592,20 @@ def test_scan_refuses_a_fixed_value_its_range_overrides(capsys, fixed, rng):
     ],
 )
 def test_spectrum_rows_derive_once_and_resolve_no_state(count_calls, capsys, argv, models):
-    # each model maps once to be admitted and once for a and its energies;
-    # rows that print no wavefunction resolve none
+    # a scan row maps once, and a solve or jafarov model once to be admitted and once for
+    # a and its energies; rows that print no wavefunction resolve none
     count_calls(pct, "map_parameters")
     calls = count_calls(rosen_morse, "ln_gamma")
     rc, _, _ = run_cli(capsys, *argv)
     assert rc == 0
-    assert calls == {"map_parameters": 2 * models, "ln_gamma": 0}
+    maps = models if argv[0] == "scan" else 2 * models
+    assert calls == {"map_parameters": maps, "ln_gamma": 0}
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["scan", "--omega0", "0.9", "--A-start", "2.5", "--A-stop", "6.5", "--A-step", "0.5"],
-        ["scan", "--omega0", "1", "--A", "7.2", "--b-start", "-0.4", "--b-stop", "0.4",
-         "--b-step", "0.2"],
-        ["scan", "--omega0", "1", "--b", "0.3", "--A-start", "9", "--A-stop", "10",
-         "--A-step", "0.25"],
-        ["jafarov", "--omega0", "1.3", "--l", "12"],
-    ],
-)
-def test_each_spectrum_takes_its_levels_in_one_call(monkeypatch, capsys, argv):
-    # every row of a scan, and the jafarov spectrum, passes the reference well's level gate
-    # once: one rm_energy call per model, covering exactly its levels, from the floor of the
-    # unshifted well
+def test_each_spectrum_takes_its_levels_in_one_call(monkeypatch, capsys):
+    # the jafarov spectrum passes the reference well's level gate once: one rm_energy call,
+    # covering exactly its levels, from the floor of the unshifted well.  A scan row runs
+    # no gate; tests/test_cli_properties.py holds its energies to the gated ones
     calls = []
 
     def counted(p, n, **kw):
@@ -623,19 +613,21 @@ def test_each_spectrum_takes_its_levels_in_one_call(monkeypatch, capsys, argv):
         return rosen_morse.rm_energy(p, n, **kw)
 
     monkeypatch.setattr(oscillator, "rm_energy", counted)
-    rc, out, _ = run_cli(capsys, *argv)
+    rc, out, _ = run_cli(capsys, "jafarov", "--omega0", "1.3", "--l", "12")
     assert rc == 0
-    if argv[0] == "scan":
-        counts = [int(row.split(",")[2]) for row in out.splitlines()[1:]]
-        params = [float(row.split(",")[0]) for row in out.splitlines()[1:]]
-        A = [v if "--A-start" in argv else float(argv[argv.index("--A") + 1]) for v in params]
-    else:
-        counts, A = [len(json.loads(out)["spectrum"]["levels"])], [12.0]
-    assert len(counts) > 1 or argv[0] == "jafarov"
-    assert calls == [
-        (rosen_morse.RosenMorseParams(a), range(k), {"from_floor": True})
-        for a, k in zip(A, counts)
-    ]
+    k = len(json.loads(out)["spectrum"]["levels"])
+    assert calls == [(rosen_morse.RosenMorseParams(12.0), range(k), {"from_floor": True})]
+
+
+def test_scan_maps_every_row_before_any_level_limit(capsys):
+    # row 1 holds 10 002 levels, above the limit, and row 2's a^3 overflows: every row is
+    # mapped, and so validated, before any row's level count is held to the limit
+    rc, out, err = run_cli(capsys, "scan", "--omega0", "1", "--A-start", "10003",
+                           "--A-stop", "3e206", "--A-step", "1e206")
+    assert rc == 2 and out == ""
+    msg = json.loads(err)
+    assert msg["error"] == "config"
+    assert "a^3 overflows" in msg["message"] and "A=1e+206" in msg["message"]
 
 
 def test_samples_reuse_the_spectrum_derivation(monkeypatch, count_calls, capsys):
@@ -787,6 +779,50 @@ def test_parser_state_does_not_leak_between_calls(capsys):
     assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["2", "2.5", "3"]
 
 
+# every float option of each subcommand, in an argv that reaches a payload where the
+# option's value allows one
+_FLOAT_OPTIONS = [
+    (["solve", "--omega0", "1", "--A", "3.5", "--b", "0.1"], ("--omega0", "--A", "--b")),
+    (["verify", "--omega0", "1", "--A", "3.5", "--b", "0.1"], ("--omega0", "--A", "--b")),
+    (["jafarov", "--omega0", "1", "--l", "3"], ("--omega0",)),
+    (["scan", "--omega0", "1", "--b", "0.1", "--A-start", "2", "--A-stop", "3", "--A-step", "0.5"],
+     ("--omega0", "--b", "--A-start", "--A-stop", "--A-step")),
+    (["scan", "--omega0", "1", "--A", "3", "--b-start", "-0.1", "--b-stop", "0.1",
+      "--b-step", "0.1"], ("--A", "--b-start", "--b-stop", "--b-step")),
+]
+
+
+def test_every_float_option_is_listed():
+    listed = {opt for _, opts in _FLOAT_OPTIONS for opt in opts}
+    assert listed == cli._VALUE_OPTIONS - {"--out", "--samples", "--format", "--l"}
+
+
+@pytest.mark.parametrize("value", ["-1e-05", "-2e-1", "-inf"])
+@pytest.mark.parametrize(
+    "argv, option",
+    [(argv, opt) for argv, opts in _FLOAT_OPTIONS for opt in opts],
+    ids=[f"{argv[0]}{opt}" for argv, opts in _FLOAT_OPTIONS for opt in opts],
+)
+def test_negative_number_in_exponent_form_reaches_its_option(capsys, argv, option, value):
+    # argparse read -1e-05, the repr of a small float, and -inf as options, and exited 2
+    # with its usage text; each now reaches the option, as --opt=value does
+    i = argv.index(option)
+    spaced = argv[:i + 1] + [value] + argv[i + 2:]
+    joined = argv[:i] + [f"{option}={value}"] + argv[i + 2:]
+    got = run_cli(capsys, *spaced)
+    assert got == run_cli(capsys, *joined)
+    rc, out, err = got
+    if value == "-inf":
+        assert rc == 2 and out == "" and err.count("\n") == 1
+        assert json.loads(err)["error"] == "config"
+
+
+def test_an_option_is_not_read_as_a_value():
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--omega0", "1", "--A", "3.5", "--b", "--samples", "3"])
+    assert exc.value.code == 2
+
+
 def test_main_builds_no_parser(monkeypatch, capsys):
     built = []
     init = argparse.ArgumentParser.__init__
@@ -889,6 +925,9 @@ def test_work_over_a_limit_is_refused_before_any_level(monkeypatch, capsys, limi
 
     monkeypatch.setattr(oscillator._Model, "energies", no_level)
     monkeypatch.setattr(oscillator, "_jafarov_levels", no_level)
+    # the two formulas a scan row's energies come from, which no gate guards
+    monkeypatch.setattr(oscillator, "_energies", no_level)
+    monkeypatch.setattr(rosen_morse, "_level_energies", no_level)
     t0 = time.perf_counter()
     rc, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - t0 < 1.0

@@ -5,10 +5,10 @@ Each example drives cli.main in-process with argv for ``solve``, ``scan``,
 and the awkward ones (nan, +-inf, zero, the extremes of the float range);
 ``verify`` draws its model over the admitted space instead, and passes on
 every model away from A = 1.  Sizes stay small enough that the whole
-property runs in a few seconds.  Values are passed as ``--opt=value`` so
-that a negative number reaches the program instead of reading as an
-option.  Two more properties check that ``verify`` sees neither the
-model's scale nor its mirror image b -> -b.
+property runs in a few seconds.  Values are passed as ``--opt=value``.
+Three more properties check that each scan row is its model admitted
+alone, and that ``verify`` sees neither the model's scale nor its mirror
+image b -> -b.
 """
 
 import contextlib
@@ -168,6 +168,53 @@ def test_every_argv_exits_with_a_documented_code(argv):
         _check_payload(argv, out)
     if _verify_must_pass(argv):
         assert rc == 0, argv
+
+
+@st.composite
+def _admitted_scan(draw) -> list[str]:
+    # an A-range or a b-range scan of 1 to 30 rows, each admitted, at omega0 log-uniform
+    # over 1e-2 ... 1e2.  An A-range holds b at 0 or within 0.9 of the first row's bound,
+    # which grows with A, so its rows gain levels; a b-range runs within 0.95 of its bound,
+    # so its rows lose levels as |b| grows
+    omega0 = draw(_log_uniform(-2.0, 2.0))
+    rows = draw(st.integers(1, 30))
+    if draw(st.booleans()):
+        start = 1.0 + draw(_log_uniform(-3.0, 1.5))
+        step = draw(st.floats(0.01, 2.0))
+        b = draw(st.one_of(st.just(0.0), st.floats(-0.9, 0.9))) * shift_bound(omega0, start)
+        return ["scan", _opt("omega0", omega0), _opt("b", b), _opt("A-start", start),
+                _opt("A-stop", start + (rows - 1) * step), _opt("A-step", step)]
+    A = 1.0 + draw(_log_uniform(-3.0, 1.5))
+    top = 0.95 * shift_bound(omega0, A)
+    start = draw(st.floats(-1.0, 0.9)) * top
+    step = draw(st.floats(0.01, 1.0)) * (top - start) / max(rows - 1, 1)
+    return ["scan", _opt("omega0", omega0), _opt("A", A), _opt("b-start", start),
+            _opt("b-stop", start + (rows - 1) * step), _opt("b-step", step)]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_admitted_scan())
+@example(["scan", "--omega0=1.0", "--b=0.3", "--A-start=9.0", "--A-stop=10.0", "--A-step=0.25"])
+@example(["scan", "--omega0=1.0", "--A=7.2", "--b-start=-1.4", "--b-stop=1.4", "--b-step=0.2"])
+def test_each_scan_row_is_its_model_admitted_alone(argv):
+    # a scan row takes its energies from the two formulas with no level gate; its a, level
+    # count and energies are, bit for bit, those of the model admitted alone and its
+    # energies through the gate (17 significant digits round-trip a double)
+    rc, out = _run(argv)
+    assert rc == 0, argv
+    opts = dict(arg[2:].split("=", 1) for arg in argv[1:])
+    omega0 = float(opts["omega0"])
+    header, *rows = [line.split(",") for line in out.splitlines()]
+    assert len(header) == 3 + max(int(row[2]) for row in rows)
+    for row in rows:
+        v, k = float(row[0]), int(row[2])
+        if "A-start" in opts:
+            model = cli._admit(OscillatorParams(omega0, v, float(opts["b"])))
+        else:
+            model = cli._admit(OscillatorParams(omega0, float(opts["A"]), v))
+        assert (float(row[1]), k) == (model.a, model.count), (argv, v)
+        assert [float(c) for c in row[3:3 + k]] == model.energies(range(k)), (argv, v)
+        assert row[3 + k:] == [""] * (len(header) - 3 - k)
 
 
 @st.composite

@@ -13,7 +13,7 @@ from functools import partial
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdmosc import oscillator, pct, rosen_morse
@@ -274,6 +274,19 @@ def test_energies_against_mpmath_over_the_admitted_space(p):
     for n in sorted(levels & set(range(k))):
         want = mp_energy(p.omega0, p.A, p.b, n)
         assert abs(energies[n] - want) <= 1e-14 * mp_unshifted_term(p.omega0, p.A, n), n
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_admitted_params())
+@example(OscillatorParams(1.0, 3.0))
+@example(OscillatorParams(1.0, 2.0 + 1e-11))
+@example(OscillatorParams(1.0, 1.0 + 1e-9))
+@example(OscillatorParams(1.0, 3.0, 0.999 * shift_bound(1.0, 3.0)))
+def test_levels_lie_inside_the_unshifted_well_window(p):
+    # range(level_count(A, B)) lies inside the window of the unshifted well (A, 0), whose
+    # floor a level's energy is taken from, so the scan takes its rows' energies ungated
+    _, _, rm = pct.map_parameters(p.omega0, p.A, p.b)
+    assert pct.level_count(p.A, rm.B) <= rosen_morse.rm_nmax(rosen_morse.RosenMorseParams(p.A)) + 1
 
 
 def _bits(values: list[float]) -> bytes:
