@@ -11,7 +11,10 @@ forms, with no level gate, since its levels lie inside the unshifted well's
 window.  Every row is mapped before any row's level limit is checked.
 A negative number in exponent form after an option (``--b -1e-05``,
 ``--b -inf``) is joined to it as ``--b=-1e-05`` before parsing, since
-argparse by itself reads such a token as an option.
+argparse by itself reads such a token as an option.  The rule is one test on
+the token before the number: a long option written without ``=``, in full or
+as a prefix argparse expands (``--ome``), since every option but ``--help``
+takes one value.  ``--`` and any prefix of ``--help`` are never joined.
 
 Exit codes: 0 success, 2 invalid configuration, 3 verification mismatch,
 4 numerical non-convergence or an arithmetic fault (overflow, zero
@@ -21,8 +24,11 @@ level is named and no payload prints, in either format.  Every error the
 program finds goes to stderr as a one-line JSON object; argparse's own
 failures (a missing required option, a value that is not a number or not
 an integer, an unknown option) print usage and a message to stderr
-instead, and also exit 2.  Payloads go to stdout or the ``--out`` path;
-an ``--out`` path that cannot be written is a configuration error.  JSON
+instead, and also exit 2.  Payloads go to stdout or the ``--out`` path,
+under one rule: an ``--out`` path that cannot be written, or a stdout that
+cannot (a pipe whose reader has gone), is a configuration error, exit 2 with
+one ``config`` line; stdout is then pointed at the null device, so that the
+interpreter's last flush at exit prints nothing more.  JSON
 payloads come from one small emitter that
 prints the bytes ``json.dumps(payload, indent=2)`` would: a float prints as
 its shortest round-trip repr, and NaN and +-inf print as null.  ``solve``
@@ -32,7 +38,8 @@ its ``[{"x": x, "psi": psi}, ...]`` form, with the x texts formatted once per
 solve.  It evaluates every level in one pass, with one polynomial call per
 solve (the levels' recurrences step together, so k levels take O(k) array
 operations): JSON on the norm rule's nodes joined with the sample points,
-CSV on the sample points alone.  CSV cells carry 17 significant digits.
+CSV on the sample points alone.  A CSV float cell prints with 17
+significant digits, and any other cell (an int, a str) as ``str`` prints it.
 
 Work is bounded before any level is computed, with exit 2: a model with more
 than MAX_LEVELS levels (a ``solve`` or ``verify`` model, a ``scan`` row, or
@@ -50,8 +57,10 @@ of all its rows.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
@@ -176,36 +185,33 @@ def _json_payload(value: object, indent: str = "\n") -> str:
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def _csv_cell(v: object) -> str:
-    if v is None or v == "":
-        return ""
-    if isinstance(v, float):
-        # 17 significant digits round-trips any double
-        return format(v, ".17g")
-    return str(v)
-
-
 def _csv_text(rows: Iterable[list[object]]) -> str:
-    # a plain float cell is formatted here, as _csv_cell would; every other cell goes to it
+    # a float cell prints with 17 significant digits, which round-trips any double, and
+    # every other cell (an int, a str) as str prints it
     return "\n".join(
-        ",".join([format(c, ".17g") if type(c) is float else _csv_cell(c) for c in row])
+        ",".join([format(c, ".17g") if type(c) is float else str(c) for c in row])
         for row in rows
     )
 
 
 def _emit(ns: argparse.Namespace, text: str) -> None:
-    # text and its newline in two writes, so a payload of many MB is not copied once more
-    if ns.out is not None:
-        try:
-            with open(ns.out, "w", encoding="ascii") as fh:
-                fh.write(text)
-                fh.write("\n")
-        except OSError as exc:
-            # a missing directory, a directory as the path, no permission: a bad --out
+    # text and its newline in two writes, so a payload of many MB is not copied once more.
+    # A destination that cannot be written (a missing directory, a directory as the path,
+    # no permission, a closed pipe) is a configuration error
+    try:
+        with (open(ns.out, "w", encoding="ascii") if ns.out is not None
+              else contextlib.nullcontext(sys.stdout)) as fh:
+            fh.write(text)
+            fh.write("\n")
+            fh.flush()
+    except OSError as exc:
+        if ns.out is not None:
             raise ParameterError(f"cannot write --out {ns.out!r}: {exc.strerror}") from exc
-    else:
-        sys.stdout.write(text)
-        sys.stdout.write("\n")
+        # stdout's descriptor, where it has one, is pointed at the null device, so that the
+        # interpreter's last flush of what stays in its buffer prints nothing
+        with contextlib.suppress(OSError), open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        raise ParameterError(f"cannot write stdout: {exc.strerror}") from exc
 
 
 def _error(kind: str, message: str) -> None:
@@ -487,42 +493,38 @@ def _scan_ranges(ns: argparse.Namespace) -> tuple[tuple | None, tuple | None]:
     return (a_parts if a_given else None, b_parts if b_given else None)
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, frozenset[str]]:
-    """The parser, and the strings of its options that take a value: every one but --help."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser; every option but --help takes one value."""
     parser = argparse.ArgumentParser(
         prog="pdmosc",
         description="Bound states of the confined oscillator with a "
         "position-dependent mass.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    value_options: set[str] = set()
-
-    def option(sp: argparse.ArgumentParser, name: str, **kwargs) -> None:
-        value_options.update(sp.add_argument(name, **kwargs).option_strings)
 
     def command(name: str, handler, summary: str) -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=summary)
         sp.set_defaults(handler=handler)
-        option(sp, "--omega0", type=float, required=True, help="oscillator frequency (> 0)")
-        option(sp, "--out", help="write the payload to this path")
+        sp.add_argument("--omega0", type=float, required=True, help="oscillator frequency (> 0)")
+        sp.add_argument("--out", help="write the payload to this path")
         return sp
 
     def well(sp: argparse.ArgumentParser, required: bool = True,
              a_help: str = "potential depth parameter (> 1)",
              b_help: str = "shift parameter") -> None:
-        option(sp, "--A", type=float, required=required, help=a_help)
-        option(sp, "--b", type=float, default=0.0, help=b_help)
+        sp.add_argument("--A", type=float, required=required, help=a_help)
+        sp.add_argument("--b", type=float, default=0.0, help=b_help)
 
     sp = command("solve", cmd_solve, "closed-form spectrum and wavefunctions")
     well(sp)
-    option(sp, "--samples", type=int, default=0, help="interior sample count per wavefunction")
-    option(sp, "--format", choices=("json", "csv"), default="json")
+    sp.add_argument("--samples", type=int, default=0, help="interior sample count per wavefunction")
+    sp.add_argument("--format", choices=("json", "csv"), default="json")
 
     sp = command("verify", cmd_verify, "cross-check against the grid solver")
     well(sp)
 
     sp = command("jafarov", cmd_jafarov, "integer-l quantized-length case")
-    option(sp, "--l", type=int, required=True, help="integer depth parameter (>= 2)")
+    sp.add_argument("--l", type=int, required=True, help="integer depth parameter (>= 2)")
 
     sp = command("scan", cmd_scan, "CSV table over an A or b range")
     well(sp, False, "fixed A for a b-range scan", "fixed b for an A-range scan (default 0)")
@@ -530,22 +532,25 @@ def build_parser() -> tuple[argparse.ArgumentParser, frozenset[str]]:
     sp.set_defaults(b=None)
     for name in ("A", "b"):
         for part in ("start", "stop", "step"):
-            option(sp, f"--{name}-{part}", type=float)
-    return parser, frozenset(value_options)
+            sp.add_argument(f"--{name}-{part}", type=float)
+    return parser
 
 
 # built once: parsing leaves the parser unchanged, and each call gets a new namespace
-_PARSER, _VALUE_OPTIONS = build_parser()
+_PARSER = build_parser()
 
 
 def _join_values(argv: list[str]) -> list[str]:
     # argparse reads a token that starts with "-" as an option unless it has the form of
     # a negative number with no exponent (-1, -0.5), so -1e-05, which repr prints for a
-    # small float, and -inf read as options.  A number after an option that takes a value
-    # is joined to it as --opt=number, the form in which argparse reads it as the value
+    # small float, and -inf read as options.  A number after a long option written without
+    # "=" is joined to it as --opt=number, the form in which argparse reads it as the value,
+    # since every option but --help takes one; "--" and any prefix of --help are not joined
     out: list[str] = []
     for tok in argv:
-        if tok[:1] == "-" and out and out[-1] in _VALUE_OPTIONS:
+        prev = out[-1] if out else ""
+        if (tok[:1] == "-" and prev[:2] == "--" and "=" not in prev
+                and not "--help".startswith(prev)):
             try:
                 float(tok)
             except ValueError:

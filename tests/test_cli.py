@@ -5,6 +5,9 @@ stderr; file output goes through tmp_path.
 """
 
 import argparse
+import contextlib
+import errno
+import io
 import json
 import math
 import os
@@ -231,22 +234,20 @@ def test_solve_csv_header_minimal(capsys):
     assert out.splitlines()[0] == "param,a,num_states,E0"
 
 
-_CSV_CELLS = [
-    np.float64(0.1), np.float64(-0.0), np.float64(math.nan), -0.0, 0.1, math.nan, math.inf,
-    -math.inf, 5e-324, -5e-324, 1e16, 3, -7, 0, 2**70, True, False, "", None, "E0",
-]
-
-
 def test_csv_text_prints_each_cell_as_csv_cell():
-    # a plain float is formatted inline; every cell prints as _csv_cell prints it
-    rows = [_CSV_CELLS, _CSV_CELLS[::-1], [], [""], [None, None], [math.nan]]
-    want = "\n".join(",".join(cli._csv_cell(c) for c in row) for row in rows)
-    assert cli._csv_text(rows) == want
-    assert want.splitlines()[0] == (
-        "0.10000000000000001,-0,nan,-0,0.10000000000000001,nan,inf,-inf,"
-        "4.9406564584124654e-324,-4.9406564584124654e-324,10000000000000000,"
-        "3,-7,0,1180591620717411303424,True,False,,,E0"
+    # the cells the CLI makes: a float prints with 17 significant digits, an int or a str as
+    # str prints it, and an empty row as an empty line
+    floats = [-0.0, 0.1, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e16]
+    rows = [floats, [3, -7, 0, 2**70], ["", "E0", ""], [], [0.5, "", 3]]
+    assert cli._csv_text(rows) == (
+        "-0,0.10000000000000001,nan,inf,-inf,4.9406564584124654e-324,"
+        "-4.9406564584124654e-324,10000000000000000\n"
+        "3,-7,0,1180591620717411303424\n"
+        ",E0,\n"
+        "\n"
+        "0.5,,3"
     )
+    assert cli._csv_text([]) == "" and cli._csv_text([[], []]) == "\n"
 
 
 def test_solve_rejects_bad_sampling_args(capsys):
@@ -790,29 +791,81 @@ _FLOAT_OPTIONS = [
     (["scan", "--omega0", "1", "--A", "3", "--b-start", "-0.1", "--b-stop", "0.1",
       "--b-step", "0.1"], ("--A", "--b-start", "--b-stop", "--b-step")),
 ]
+# every other option that takes a value, in an argv that reaches a payload
+_OTHER_OPTIONS = [
+    (["solve", "--omega0", "1", "--A", "3.5", "--samples", "2"], "--samples"),
+    (["solve", "--omega0", "1", "--A", "3.5", "--format", "csv"], "--format"),
+    (["solve", "--omega0", "1", "--A", "3.5", "--out", "levels.json"], "--out"),
+    (["jafarov", "--omega0", "1", "--l", "3"], "--l"),
+]
+# (argv, option, the option as written): each float option in full, an unambiguous prefix
+# of three of them, a prefix of three options at once, and the options of other types
+_WRITTEN_OPTIONS = (
+    [(argv, opt, opt) for argv, opts in _FLOAT_OPTIONS for opt in opts]
+    + [(_FLOAT_OPTIONS[2][0], "--omega0", "--ome"),
+       (_FLOAT_OPTIONS[3][0], "--A-start", "--A-sta"),
+       (_FLOAT_OPTIONS[4][0], "--b-stop", "--b-sto"),
+       (_FLOAT_OPTIONS[3][0], "--A-start", "--A-st")]
+    + [(argv, opt, opt) for argv, opt in _OTHER_OPTIONS]
+)
 
 
-def test_every_float_option_is_listed():
-    listed = {opt for _, opts in _FLOAT_OPTIONS for opt in opts}
-    assert listed == cli._VALUE_OPTIONS - {"--out", "--samples", "--format", "--l"}
+def test_every_float_option_is_listed(capsys):
+    # every option but -h/--help takes one value, so that a number after any long option
+    # but a prefix of --help may be joined to it; and the float options are those above
+    others = {opt for _, opt in _OTHER_OPTIONS}
+    for command in ("solve", "verify", "jafarov", "scan"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        # each option line of the help text: its strings, then its value's name if it takes one
+        lines = re.findall(r"^  (-[^\s,]+(?:, -[^\s,]+)*)( \S+)?(?:  |$)",
+                           capsys.readouterr().out, re.M)
+        assert lines[0] == ("-h, --help", "")
+        assert all(value for _, value in lines[1:])
+        valued = {opts for opts, _ in lines[1:]}
+        listed = {opt for argv, opts in _FLOAT_OPTIONS if argv[0] == command for opt in opts}
+        assert listed == valued - others
+
+
+def run_in(capsys, path, argv):
+    # exit code, stdout, stderr and the files written, of one run in an empty directory
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    written = {}
+    for f in path.iterdir():
+        written[f.name] = f.read_bytes()
+        f.unlink()
+    return (rc, *capsys.readouterr(), written)
 
 
 @pytest.mark.parametrize("value", ["-1e-05", "-2e-1", "-inf"])
 @pytest.mark.parametrize(
-    "argv, option",
-    [(argv, opt) for argv, opts in _FLOAT_OPTIONS for opt in opts],
-    ids=[f"{argv[0]}{opt}" for argv, opts in _FLOAT_OPTIONS for opt in opts],
+    "argv, option, written",
+    _WRITTEN_OPTIONS,
+    ids=[f"{argv[0]}{written}" for argv, _, written in _WRITTEN_OPTIONS],
 )
-def test_negative_number_in_exponent_form_reaches_its_option(capsys, argv, option, value):
+def test_negative_number_in_exponent_form_reaches_its_option(
+    capsys, monkeypatch, tmp_path, argv, option, written, value
+):
     # argparse read -1e-05, the repr of a small float, and -inf as options, and exited 2
-    # with its usage text; each now reaches the option, as --opt=value does
+    # with its usage text; after any long option, in full or as a prefix, each now gives the
+    # exit code and the bytes of --opt=value, --out's file included
+    monkeypatch.chdir(tmp_path)
     i = argv.index(option)
-    spaced = argv[:i + 1] + [value] + argv[i + 2:]
-    joined = argv[:i] + [f"{option}={value}"] + argv[i + 2:]
-    got = run_cli(capsys, *spaced)
-    assert got == run_cli(capsys, *joined)
-    rc, out, err = got
-    if value == "-inf":
+    spaced = argv[:i] + [written, value] + argv[i + 2:]
+    joined = argv[:i] + [f"{written}={value}"] + argv[i + 2:]
+    got = run_in(capsys, tmp_path, spaced)
+    assert got == run_in(capsys, tmp_path, joined)
+    rc, out, err, files = got
+    if written == "--A-st":
+        assert rc == 2 and "ambiguous option" in err
+    elif option == "--out":
+        assert rc == 0 and out == "" and err == "" and list(files) == [value]
+    elif value == "-inf" and any(option in opts for _, opts in _FLOAT_OPTIONS):
+        # the program's own check refuses it
         assert rc == 2 and out == "" and err.count("\n") == 1
         assert json.loads(err)["error"] == "config"
 
@@ -821,6 +874,21 @@ def test_an_option_is_not_read_as_a_value():
     with pytest.raises(SystemExit) as exc:
         cli.main(["solve", "--omega0", "1", "--A", "3.5", "--b", "--samples", "3"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("tail, code", [(["--he", "-1e-05"], 0), (["--", "-1e-05"], 2)],
+                         ids=["help-prefix", "end-of-options"])
+def test_help_and_the_end_of_options_take_no_value(capsys, tail, code):
+    # a prefix of --help prints the help and exits 0, and after "--" a number is an
+    # argument, which no subcommand takes; neither is joined to the number after it
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--omega0", "1", "--A", "3", *tail])
+    assert exc.value.code == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert out.startswith("usage: pdmosc solve") and err == ""
+    else:
+        assert out == "" and err.rstrip().endswith("unrecognized arguments: -- -1e-05")
 
 
 def test_main_builds_no_parser(monkeypatch, capsys):
@@ -841,12 +909,12 @@ def test_main_builds_no_parser(monkeypatch, capsys):
     assert built == []
 
 
-def run_module(*argv):
+def run_module(*argv, stdout=subprocess.PIPE, **env):
     paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p), **env)
     return subprocess.run(
         [sys.executable, "-m", "pdmosc.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
     )
 
 
@@ -858,6 +926,44 @@ def test_module_entry_point():
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.count("\n") == 1
     assert json.loads(done.stderr)["error"] == "config"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_is_a_config_error(unbuffered):
+    # a reader that has gone, as in a pipe into head -1, ended in a BrokenPipeError
+    # traceback with exit 1; it is refused as an unwritable --out is.  A buffered stdout
+    # keeps what it could not write, and the interpreter's last flush of it prints nothing
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = run_module(
+            "solve", "--omega0", "1", "--A", "3", stdout=write, PYTHONUNBUFFERED=unbuffered
+        )
+    finally:
+        os.close(write)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
+    assert done.stderr.count("\n") == 1
+    msg = json.loads(done.stderr)
+    assert msg["error"] == "config" and "stdout" in msg["message"]
+
+
+def test_stdout_with_no_descriptor_is_left_in_place(capsys):
+    # a stdout that fails to write and has no descriptor gets the same refusal, and no
+    # descriptor of the process is pointed elsewhere
+    class Closed(io.StringIO):
+        def flush(self):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def files():
+        return [(os.fstat(fd).st_dev, os.fstat(fd).st_ino) for fd in (0, 1, 2)]
+
+    before = files()
+    with contextlib.redirect_stdout(Closed()):
+        rc = cli.main(["solve", "--omega0", "1", "--A", "3"])
+    assert rc == 2 and files() == before
+    err = capsys.readouterr().err
+    assert json.loads(err) == {"error": "config", "message": "cannot write stdout: Broken pipe"}
 
 
 # --- work limits ---
