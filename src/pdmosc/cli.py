@@ -4,7 +4,8 @@ Subcommands: ``solve`` (closed-form spectrum, optional wavefunction table),
 ``verify`` (closed forms against the finite-difference solver), ``jafarov``
 (integer-l case with quantized confinement length, cross-checked against the
 general solver), ``scan`` (CSV spectrum table over an A or b range; a fixed
-``--A`` with an A-range or ``--b`` with a b-range is a configuration error).
+``--A`` with an A-range or ``--b`` with a b-range is a configuration error,
+and so is a step too small to change the value from one row to the next).
 A scan derives each row once, with no model object: one parameter map, which
 validates it, its level count, and its energies straight from the closed
 forms, with no level gate, since its levels lie inside the unshifted well's
@@ -24,11 +25,13 @@ level is named and no payload prints, in either format.  Every error the
 program finds goes to stderr as a one-line JSON object; argparse's own
 failures (a missing required option, a value that is not a number or not
 an integer, an unknown option) print usage and a message to stderr
-instead, and also exit 2.  Payloads go to stdout or the ``--out`` path,
-under one rule: an ``--out`` path that cannot be written, or a stdout that
-cannot (a pipe whose reader has gone), is a configuration error, exit 2 with
-one ``config`` line; stdout is then pointed at the null device, so that the
-interpreter's last flush at exit prints nothing more.  JSON
+instead, and also exit 2; ``main`` returns argparse's exit codes (0 after
+the help) and raises no ``SystemExit``.  Payloads and the help go to stdout
+or the ``--out`` path, under one rule: an ``--out`` path that cannot be
+written, or a stdout that cannot (a pipe whose reader has gone), is a
+configuration error, exit 2 with one ``config`` line; stdout is then pointed
+at the null device, so that the interpreter's last flush at exit prints
+nothing more.  JSON
 payloads come from one small emitter that
 prints the bytes ``json.dumps(payload, indent=2)`` would: a float prints as
 its shortest round-trip repr, and NaN and +-inf print as null.  ``solve``
@@ -37,8 +40,9 @@ every level and the level's psi values, and prints it in the same bytes as
 its ``[{"x": x, "psi": psi}, ...]`` form, with the x texts formatted once per
 solve.  It evaluates every level in one pass, with one polynomial call per
 solve (the levels' recurrences step together, so k levels take O(k) array
-operations): JSON on the norm rule's nodes joined with the sample points,
-CSV on the sample points alone.  A CSV float cell prints with 17
+operations): JSON on the graded rule's nodes joined with the sample points,
+where each norm sums its row as ``oracle.overlap`` with ``graded=True``
+does, and CSV on the sample points alone.  A CSV float cell prints with 17
 significant digits, and any other cell (an int, a str) as ``str`` prints it.
 
 Work is bounded before any level is computed, with exit 2: a model with more
@@ -194,19 +198,20 @@ def _csv_text(rows: Iterable[list[object]]) -> str:
     )
 
 
-def _emit(ns: argparse.Namespace, text: str) -> None:
-    # text and its newline in two writes, so a payload of many MB is not copied once more.
-    # A destination that cannot be written (a missing directory, a directory as the path,
-    # no permission, a closed pipe) is a configuration error
+def _emit(out: str | None, text: str) -> None:
+    # text and its newline in two writes, so a payload of many MB is not copied once more,
+    # to the path out, or to stdout when it is None.  A destination that cannot be written
+    # (a missing directory, a directory as the path, no permission, a closed pipe) is a
+    # configuration error
     try:
-        with (open(ns.out, "w", encoding="ascii") if ns.out is not None
+        with (open(out, "w", encoding="ascii") if out is not None
               else contextlib.nullcontext(sys.stdout)) as fh:
             fh.write(text)
             fh.write("\n")
             fh.flush()
     except OSError as exc:
-        if ns.out is not None:
-            raise ParameterError(f"cannot write --out {ns.out!r}: {exc.strerror}") from exc
+        if out is not None:
+            raise ParameterError(f"cannot write --out {out!r}: {exc.strerror}") from exc
         # stdout's descriptor, where it has one, is pointed at the null device, so that the
         # interpreter's last flush of what stays in its buffer prints nothing
         with contextlib.suppress(OSError), open(os.devnull, "w") as null:
@@ -293,19 +298,15 @@ def _refuse_nonfinite(psi: np.ndarray, norms: list[float] | None = None) -> None
 def _norms_and_samples(
     model: oscillator._Model, rule: int, points: np.ndarray
 ) -> tuple[list[float], list[list[float]]]:
-    # every level in one evaluation, on the norm rule's nodes joined with the sample points:
-    # the norms sum the nodes' part of each row and the rest is psi at the points.  Each
-    # entry is bit for bit its one-point value, so both are those of separate evaluations
-    at_points = []
-
-    def joined(x: np.ndarray) -> np.ndarray:
-        values = model.psi_rows(np.concatenate((x, points)))
-        at_points.append(values[:, x.size:])
-        return values[:, : x.size]
-
-    norms = oracle.norms(joined, -model.a, model.a, rule)
-    _refuse_nonfinite(at_points[0], norms)
-    return norms, at_points[0].tolist()
+    # every level in one evaluation, on the graded rule's nodes joined with the sample points:
+    # each norm sums the nodes' part of its row as oracle.overlap(psi, psi, -a, a, rule,
+    # graded=True) does, and the rest is psi at the points.  Each entry is bit for bit its
+    # one-point value, so both are those of separate evaluations
+    x, weights, half = oracle._rule_nodes(-model.a, model.a, rule, True)
+    on_nodes, at_points = np.split(model.psi_rows(np.concatenate((x, points))), [x.size], axis=1)
+    norms = [half * float(np.dot(weights, v * v)) for v in on_nodes]
+    _refuse_nonfinite(at_points, norms)
+    return norms, at_points.tolist()
 
 
 def _sample_rows(model: oscillator._Model, samples: int) -> Iterator[list[object]]:
@@ -338,7 +339,7 @@ def cmd_solve(ns: argparse.Namespace) -> int:
         rows = _spectrum_rows([(p.A, p.A, model.a, p.b, k)])
         if ns.samples > 0:
             rows = chain(rows, [[], ["n", "x", "psi"]], _sample_rows(model, ns.samples))
-        _emit(ns, _csv_text(rows))
+        _emit(ns.out, _csv_text(rows))
         return 0
     payload = {
         "command": "solve",
@@ -353,7 +354,7 @@ def cmd_solve(ns: argparse.Namespace) -> int:
             {"n": n, "norm": norm, "samples": _SampleTable(x_json, values)}
             for n, (norm, values) in enumerate(zip(norms, psi))
         ]
-    _emit(ns, _json_payload(payload))
+    _emit(ns.out, _json_payload(payload))
     return 0
 
 
@@ -391,7 +392,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
             "passed": passed,
         },
     }
-    _emit(ns, _json_payload(payload))
+    _emit(ns.out, _json_payload(payload))
     return 0 if passed else 3
 
 
@@ -424,7 +425,7 @@ def cmd_jafarov(ns: argparse.Namespace) -> int:
             "matches": matches,
         },
     }
-    _emit(ns, _json_payload(payload))
+    _emit(ns.out, _json_payload(payload))
     return 0 if matches else 3
 
 
@@ -439,11 +440,16 @@ def _range_values(rng: tuple[float, float, float]) -> list[float]:
     last = stop + 1e-12 * step
     # (last - start) / step is the row count less one, to within its rounding: a
     # range clearly over the limit is refused before any row is made, and the
-    # loop's own test decides the rest
+    # loop's own test decides the rest.  Row i is start + i step, and a step below the
+    # spacing of floats there repeats a row's value, which is refused
     if (last - start) / step < MAX_SCAN_ROWS + 1:
         vals: list[float] = []
-        while len(vals) <= MAX_SCAN_ROWS and start + len(vals) * step <= last:
-            vals.append(start + len(vals) * step)
+        v = start
+        while len(vals) <= MAX_SCAN_ROWS and v <= last:
+            if vals and v == vals[-1]:
+                raise ParameterError(f"scan step {step!r} is too small to change the value {v!r}")
+            vals.append(v)
+            v = start + len(vals) * step
         if len(vals) <= MAX_SCAN_ROWS:
             return vals
     raise ParameterError(
@@ -468,7 +474,7 @@ def cmd_scan(ns: argparse.Namespace) -> int:
         _refuse_levels(ns.omega0, A, b, k)
     levels = sum(row[4] for row in rows)
     _refuse_over(LEVEL_WORK * levels, f"scan of {len(rows)} rows holding {levels} levels")
-    _emit(ns, _csv_text(_spectrum_rows(rows)))
+    _emit(ns.out, _csv_text(_spectrum_rows(rows)))
     return 0
 
 
@@ -493,9 +499,19 @@ def _scan_ranges(ns: argparse.Namespace) -> tuple[tuple | None, tuple | None]:
     return (a_parts if a_given else None, b_parts if b_given else None)
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse writes its help itself and drops an OSError from the write; here the help
+    # goes to stdout under the payloads' write rule.  Subparsers take the same class
+    def print_help(self, file=None) -> None:
+        if file is None:
+            _emit(None, self.format_help().removesuffix("\n"))
+        else:
+            super().print_help(file)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The parser; every option but --help takes one value."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pdmosc",
         description="Bound states of the confined oscillator with a "
         "position-dependent mass.",
@@ -563,9 +579,12 @@ def _join_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ns = _PARSER.parse_args(_join_values(sys.argv[1:] if argv is None else argv))
     try:
+        ns = _PARSER.parse_args(_join_values(sys.argv[1:] if argv is None else argv))
         return ns.handler(ns)
+    except SystemExit as exc:
+        # argparse's own exit, after it has printed: 0 after the help, 2 after a usage error
+        return exc.code
     except (ConvergenceError, ArithmeticError) as exc:
         # non-convergence, and overflow, zero division or a floating-point trap
         _error("numerical", str(exc))

@@ -69,7 +69,6 @@ __all__ = [
     "discretize_bdd",
     "eigenvalues_sturm",
     "eigenvector",
-    "norms",
     "overlap",
     "solve_constant_mass_numeric",
     "solve_pdm_numeric",
@@ -512,7 +511,8 @@ def _graded_rule_arrays(rule_size: int) -> tuple[np.ndarray, np.ndarray]:
 def _rule_nodes(
     lo: float, hi: float, rule_size: int, graded: bool
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    # overlap's rule on (lo, hi): its nodes in x, its weights and the half-width they scale by
+    # overlap's rule on (lo, hi): its nodes in x, its weights and the half-width they scale by.
+    # solve's norm column sums its rows on the graded one, as overlap does
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         raise ParameterError(f"need finite lo < hi, got ({lo!r}, {hi!r})")
     nodes, weights = (_graded_rule_arrays if graded else gauss_legendre)(rule_size)
@@ -543,20 +543,6 @@ def overlap(
     fx = f(x)
     gx = fx if g is f else g(x)
     return half * float(np.dot(weights, fx * gx))
-
-
-def norms(
-    f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, rule_size: int
-) -> list[float]:
-    """overlap(f_i, f_i, lo, hi, rule_size, graded=True) for each row f_i of a block, bit for bit.
-
-    f takes the whole array of nodes, once, and returns one row of values
-    there per function.  The rule is always overlap's graded one, whose
-    nodes crowd toward the walls, where the confined states behave like a
-    power of the distance to them.
-    """
-    x, weights, half = _rule_nodes(lo, hi, rule_size, True)
-    return [half * float(np.dot(weights, fx * fx)) for fx in f(x)]
 
 
 @dataclass(frozen=True)

@@ -383,11 +383,9 @@ def test_verify_rejects_excess_shift(capsys):
 
 def test_verify_takes_no_grid_option(capsys):
     # the grid's size comes from the depth alone; argparse refuses the option
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--omega0", "1", "--A", "3", "--grid", "64"])
-    assert exc.value.code == 2
-    cap = capsys.readouterr()
-    assert cap.out == "" and "unrecognized arguments: --grid 64" in cap.err
+    rc, out, err = run_cli(capsys, "verify", "--omega0", "1", "--A", "3", "--grid", "64")
+    assert rc == 2
+    assert out == "" and "unrecognized arguments: --grid 64" in err
 
 
 # --- jafarov ---
@@ -462,10 +460,9 @@ def test_quantized_case_rejects_small_l(capsys):
 
 
 def test_quantized_case_rejects_noninteger_l(capsys):
-    # argparse handles the type failure itself
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["jafarov", "--omega0", "1", "--l", "2.5"])
-    assert exc.value.code == 2
+    # argparse handles the type failure itself, and main returns its exit code
+    rc, out, err = run_cli(capsys, "jafarov", "--omega0", "1", "--l", "2.5")
+    assert rc == 2 and out == "" and "invalid int value: '2.5'" in err
 
 
 SPECTRUM_BLOCK = re.compile(r'"spectrum": \{(.*?)\n  \}', re.DOTALL)
@@ -721,8 +718,9 @@ def test_csv_samples_build_no_norm_rule(monkeypatch, capsys):
     def no_rule(*args, **kwargs):
         raise AssertionError("a norm rule was built")
 
-    for module, name in ((oracle, "overlap"), (oracle, "_graded_rule_arrays"),
-                         (oracle, "gauss_legendre"), (special_fn, "gauss_legendre")):
+    for module, name in ((oracle, "overlap"), (oracle, "_rule_nodes"),
+                         (oracle, "_graded_rule_arrays"), (oracle, "gauss_legendre"),
+                         (special_fn, "gauss_legendre")):
         monkeypatch.setattr(module, name, no_rule)
     rc, out, _ = run_cli(capsys, "solve", "--omega0", "1", "--A", "7.25", "--b", "0.1",
                          "--samples", "3", "--format", "csv")
@@ -769,10 +767,7 @@ def test_parser_state_does_not_leak_between_calls(capsys):
     assert rc == 0 and json.loads(out)["params"]["b"] == 0.3
     rc, out, _ = run_cli(capsys, "solve", "--omega0", "1", "--A", "3")
     assert rc == 0 and json.loads(out)["params"]["b"] == 0.0
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["jafarov", "--omega0", "1", "--l", "2.5"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    assert run_cli(capsys, "jafarov", "--omega0", "1", "--l", "2.5")[0] == 2
     rc, out, err = run_cli(
         capsys, "scan", "--omega0", "1", "--A-start", "2", "--A-stop", "3", "--A-step", "0.5"
     )
@@ -815,12 +810,10 @@ def test_every_float_option_is_listed(capsys):
     # but a prefix of --help may be joined to it; and the float options are those above
     others = {opt for _, opt in _OTHER_OPTIONS}
     for command in ("solve", "verify", "jafarov", "scan"):
-        with pytest.raises(SystemExit) as exc:
-            cli.main([command, "--help"])
-        assert exc.value.code == 0
+        rc, out, _ = run_cli(capsys, command, "--help")
+        assert rc == 0
         # each option line of the help text: its strings, then its value's name if it takes one
-        lines = re.findall(r"^  (-[^\s,]+(?:, -[^\s,]+)*)( \S+)?(?:  |$)",
-                           capsys.readouterr().out, re.M)
+        lines = re.findall(r"^  (-[^\s,]+(?:, -[^\s,]+)*)( \S+)?(?:  |$)", out, re.M)
         assert lines[0] == ("-h, --help", "")
         assert all(value for _, value in lines[1:])
         valued = {opts for opts, _ in lines[1:]}
@@ -830,10 +823,7 @@ def test_every_float_option_is_listed(capsys):
 
 def run_in(capsys, path, argv):
     # exit code, stdout, stderr and the files written, of one run in an empty directory
-    try:
-        rc = cli.main(argv)
-    except SystemExit as exc:
-        rc = exc.code
+    rc = cli.main(argv)
     written = {}
     for f in path.iterdir():
         written[f.name] = f.read_bytes()
@@ -870,10 +860,9 @@ def test_negative_number_in_exponent_form_reaches_its_option(
         assert json.loads(err)["error"] == "config"
 
 
-def test_an_option_is_not_read_as_a_value():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["solve", "--omega0", "1", "--A", "3.5", "--b", "--samples", "3"])
-    assert exc.value.code == 2
+def test_an_option_is_not_read_as_a_value(capsys):
+    rc, out, err = run_cli(capsys, "solve", "--omega0", "1", "--A", "3.5", "--b", "--samples", "3")
+    assert rc == 2 and out == "" and "expected one argument" in err
 
 
 @pytest.mark.parametrize("tail, code", [(["--he", "-1e-05"], 0), (["--", "-1e-05"], 2)],
@@ -881,10 +870,8 @@ def test_an_option_is_not_read_as_a_value():
 def test_help_and_the_end_of_options_take_no_value(capsys, tail, code):
     # a prefix of --help prints the help and exits 0, and after "--" a number is an
     # argument, which no subcommand takes; neither is joined to the number after it
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["solve", "--omega0", "1", "--A", "3", *tail])
-    assert exc.value.code == code
-    out, err = capsys.readouterr()
+    rc, out, err = run_cli(capsys, "solve", "--omega0", "1", "--A", "3", *tail)
+    assert rc == code
     if code == 0:
         assert out.startswith("usage: pdmosc solve") and err == ""
     else:
@@ -932,20 +919,30 @@ def test_module_entry_point():
 def test_closed_stdout_is_a_config_error(unbuffered):
     # a reader that has gone, as in a pipe into head -1, ended in a BrokenPipeError
     # traceback with exit 1; it is refused as an unwritable --out is.  A buffered stdout
-    # keeps what it could not write, and the interpreter's last flush of it prints nothing
-    read, write = os.pipe()
-    os.close(read)
-    try:
-        done = run_module(
-            "solve", "--omega0", "1", "--A", "3", stdout=write, PYTHONUNBUFFERED=unbuffered
-        )
-    finally:
-        os.close(write)
-    assert done.returncode == 2
-    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
-    assert done.stderr.count("\n") == 1
-    msg = json.loads(done.stderr)
-    assert msg["error"] == "config" and "stdout" in msg["message"]
+    # keeps what it could not write, and the interpreter's last flush of it prints nothing.
+    # argparse's help took the same end buffered (exit 120 and "Exception ignored") and
+    # exited 0 unbuffered, since argparse drops an error from its own write
+    for argv in (["solve", "--omega0", "1", "--A", "3"], ["--help"], ["solve", "--help"]):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = run_module(*argv, stdout=write, PYTHONUNBUFFERED=unbuffered)
+        finally:
+            os.close(write)
+        assert done.returncode == 2, argv
+        assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
+        assert done.stderr.count("\n") == 1
+        msg = json.loads(done.stderr)
+        assert msg["error"] == "config" and "stdout" in msg["message"]
+
+
+def test_argparse_exits_are_returned(capsys):
+    # main returns argparse's own exit codes, 0 after the help and 2 after a usage error,
+    # and raises no SystemExit
+    rc, out, err = run_cli(capsys, "--help")
+    assert rc == 0 and out.startswith("usage: pdmosc") and out.endswith("\n") and err == ""
+    rc, out, err = run_cli(capsys)
+    assert rc == 2 and out == "" and "the following arguments are required: command" in err
 
 
 def test_stdout_with_no_descriptor_is_left_in_place(capsys):
@@ -997,6 +994,24 @@ def test_scan_rejects_nonfinite_range(capsys, bound, value):
     rc, out, err = run_cli(capsys, "scan", "--omega0", "1", *(f"{k}={v}" for k, v in argv.items()))
     assert rc == 2 and out == ""
     assert "finite" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize(
+    "scan_range, step",
+    [(["--A-start", "2", "--A-stop", "2.000000000000001", "--A-step", "1e-16"], "1e-16"),
+     (["--A-start", "2", "--A-stop", "2", "--A-step", "1e-320"], "1e-320"),
+     (["--A", "3", "--b-start", "0.1", "--b-stop", "0.10000000000000002", "--b-step", "1e-18"],
+      "1e-18")],
+    ids=["A-range", "one-value-A-range", "b-range"],
+)
+def test_scan_step_that_repeats_a_value_is_refused(capsys, scan_range, step):
+    # a step below the spacing of floats at a row printed repeated rows (three of 2, then
+    # four of 2.0000000000000004, with equal energies), or a range from 2 to 2 was refused
+    # as more than MAX_SCAN_ROWS rows; either is one config line that names the step
+    rc, out, err = run_cli(capsys, "scan", "--omega0", "1", *scan_range)
+    assert rc == 2 and out == "" and err.count("\n") == 1
+    msg = json.loads(err)
+    assert msg["error"] == "config" and f"scan step {step} " in msg["message"]
 
 
 @pytest.mark.parametrize(

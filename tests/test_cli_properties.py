@@ -121,10 +121,7 @@ def _verify_must_pass(argv: list[str]) -> bool:
 def _run(argv: list[str]) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            rc = cli.main(argv)
-        except SystemExit as exc:  # argparse's own failures
-            rc = exc.code
+        rc = cli.main(argv)
     return rc, out.getvalue()
 
 

@@ -28,7 +28,6 @@ from pdmosc.oracle import (
     discretize_bdd,
     eigenvalues_sturm,
     eigenvector,
-    norms,
     overlap,
     solve_constant_mass_numeric,
     solve_pdm_numeric,
@@ -826,24 +825,17 @@ def test_overlap_orthogonality():
     assert abs(overlap(f0, f0, -a, a, 400) - 1.0) < 1e-9
 
 
-@pytest.mark.parametrize("graded", [True])
-def test_norms_are_the_overlaps_of_each_row(graded):
-    # one evaluation of the whole block, and each row's norm bit for bit its own overlap under
-    # the one rule norms takes, the graded one
-    p = OscillatorParams(1.0, 7.3, 0.4)
-    a = confinement_length(1.0, 7.3)
-    fs = [lambda x, n=n: wavefunction(p, n, x) for n in range(num_bound_states(p))]
-    seen = []
+@pytest.mark.parametrize("graded", [False, True])
+@pytest.mark.parametrize(
+    "lo, hi", [(1.0, -1.0), (1.0, 1.0), (-math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0)]
+)
+def test_overlap_refuses_reversed_or_nonfinite_bounds(lo, hi, graded):
+    # each rule is refused before either function is evaluated
+    def never(x):
+        raise AssertionError("a function was evaluated")
 
-    def block(x):
-        seen.append(x.shape)
-        return np.array([f(x) for f in fs])
-
-    got = norms(block, -a, a, 300)
-    assert seen == [(300,)]
-    assert got == [overlap(f, f, -a, a, 300, graded=graded) for f in fs]
     with pytest.raises(ParameterError):
-        norms(block, a, -a, 300)
+        overlap(never, never, lo, hi, 300, graded=graded)
 
 
 # --- spectrum drivers ---
