@@ -6,10 +6,12 @@ Subcommands: ``solve`` (closed-form spectrum, optional wavefunction table),
 general solver), ``scan`` (CSV spectrum table over an A or b range; a fixed
 ``--A`` with an A-range or ``--b`` with a b-range is a configuration error,
 and so is a step too small to change the value from one row to the next).
-A scan derives each row once, with no model object: one parameter map, which
-validates it, its level count, and its energies straight from the closed
-forms, with no level gate, since its levels lie inside the unshifted well's
-window.  Every row is mapped before any row's level limit is checked.
+Every command derives each model once, as one oscillator._Model from one
+parameter map, which validates it: a ``solve`` or ``jafarov`` model, each
+``scan`` row, and the model that sets ``verify``'s work (the oracle derives
+its own).  Every spectrum, JSON or CSV, is the model's ungated
+``_Model.spectrum``, since its levels lie inside the unshifted well's window.
+A scan maps every row before any row's level limit is checked.
 A negative number in exponent form after an option (``--b -1e-05``,
 ``--b -inf``) is joined to it as ``--b=-1e-05`` before parsing, since
 argparse by itself reads such a token as an option.  The rule is one test on
@@ -31,10 +33,9 @@ or the ``--out`` path, under one rule: an ``--out`` path that cannot be
 written, or a stdout that cannot (a pipe whose reader has gone), is a
 configuration error, exit 2 with one ``config`` line; stdout is then pointed
 at the null device, so that the interpreter's last flush at exit prints
-nothing more.  JSON
-payloads come from one small emitter that
-prints the bytes ``json.dumps(payload, indent=2)`` would: a float prints as
-its shortest round-trip repr, and NaN and +-inf print as null.  ``solve``
+nothing more.  JSON payloads come from one small emitter that prints the
+bytes ``json.dumps(payload, indent=2)`` would: a float prints as its
+shortest round-trip repr, and NaN and +-inf print as null.  ``solve``
 holds each level's samples table as two columns, the x points shared by
 every level and the level's psi values, and prints it in the same bytes as
 its ``[{"x": x, "psi": psi}, ...]`` form, with the x texts formatted once per
@@ -73,7 +74,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from . import oracle, oscillator, pct, rosen_morse
+from . import oracle, oscillator
 from .errors import ConvergenceError, ParameterError
 from .oscillator import OscillatorParams
 
@@ -225,23 +226,17 @@ def _error(kind: str, message: str) -> None:
     )
 
 
-def _params_block(p: OscillatorParams) -> dict:
-    return {"omega0": p.omega0, "A": p.A, "b": p.b}
+def _params_block(model: oscillator._Model) -> dict:
+    return {"omega0": model.omega0, "A": model.A, "b": model.b}
 
 
-def _refuse_levels(omega0: float, A: float, b: float, count: int) -> None:
+def _admit(model: oscillator._Model) -> oscillator._Model:
     # the one level limit, checked before any level is computed
-    if count > MAX_LEVELS:
+    if model.count > MAX_LEVELS:
         raise ParameterError(
-            f"omega0={omega0!r}, A={A!r}, b={b!r} holds {count} levels, "
-            f"above the limit of {MAX_LEVELS}"
+            f"omega0={model.omega0!r}, A={model.A!r}, b={model.b!r} holds {model.count} "
+            f"levels, above the limit of {MAX_LEVELS}"
         )
-
-
-def _admit(p: OscillatorParams) -> oscillator._Model:
-    # one derivation, admitted under the level limit
-    model = oscillator._model(p)
-    _refuse_levels(p.omega0, p.A, p.b, model.count)
     return model
 
 
@@ -253,26 +248,21 @@ def _refuse_over(work: int, what: str) -> None:
 
 def _spectrum(model: oscillator._Model) -> dict:
     # the JSON spectrum block of an admitted model; no level's wavefunction is resolved
-    energies = model.energies(range(model.count))
     return {
         "a": model.a,
         "num_states": model.count,
-        "levels": [{"n": n, "energy": e} for n, e in enumerate(energies)],
+        "levels": [{"n": n, "energy": e} for n, e in enumerate(model.spectrum())],
     }
 
 
-def _spectrum_rows(rows: list[tuple[float, float, float, float, int]]) -> Iterator[list[object]]:
-    # one CSV row per (param, A, a, b, count) of an admitted model, each made as it is
-    # joined; columns past a row's last level stay empty.  The energies come straight from
-    # the two formulas: the levels range(count) lie inside the unshifted well's window,
-    # since level_count(A, B) <= rm_nmax(A) + 1, so no gate runs.  No level's wavefunction
-    # is resolved
-    kmax = max(row[4] for row in rows)
+def _spectrum_rows(rows: list[tuple[float, oscillator._Model]]) -> Iterator[list[object]]:
+    # one CSV row per (param, model) of an admitted model, each made as it is joined;
+    # columns past a row's last level stay empty.  No level's wavefunction is resolved
+    kmax = max(model.count for _, model in rows)
     yield ["param", "a", "num_states"] + [f"E{i}" for i in range(kmax)]
-    for v, A, a, b, k in rows:
-        levels = range(k)
-        floors = rosen_morse._level_energies(A, 0.0, levels, True)
-        yield [v, a, k, *oscillator._energies(A, a, b, levels, floors)] + [""] * (kmax - k)
+    for v, model in rows:
+        k = model.count
+        yield [v, model.a, k, *model.spectrum()] + [""] * (kmax - k)
 
 
 def _sample_points(model: oscillator._Model, samples: int) -> list[float]:
@@ -323,10 +313,9 @@ def _sample_rows(model: oscillator._Model, samples: int) -> Iterator[list[object
 def cmd_solve(ns: argparse.Namespace) -> int:
     if ns.samples < 0:
         raise ParameterError(f"--samples must be >= 0, got {ns.samples}")
-    p = OscillatorParams(ns.omega0, ns.A, ns.b)
-    model = _admit(p)
+    model = _admit(oscillator._model(ns.omega0, ns.A, ns.b))
     k = model.count
-    rule = max(NORM_RULE_MIN, math.ceil(NORM_RULE_PER_A * p.A))
+    rule = max(NORM_RULE_MIN, math.ceil(NORM_RULE_PER_A * model.A))
     if ns.samples > 0:
         # level n's degree-n polynomial on the samples and the rule's nodes, and k printed
         # tables.  One estimate for both formats: the CSV table builds no rule, but its rule
@@ -336,14 +325,14 @@ def cmd_solve(ns: argparse.Namespace) -> int:
             f"solve of {k} levels at --samples {ns.samples} with a {rule}-node norm rule",
         )
     if ns.format == "csv":
-        rows = _spectrum_rows([(p.A, p.A, model.a, p.b, k)])
+        rows = _spectrum_rows([(model.A, model)])
         if ns.samples > 0:
             rows = chain(rows, [[], ["n", "x", "psi"]], _sample_rows(model, ns.samples))
         _emit(ns.out, _csv_text(rows))
         return 0
     payload = {
         "command": "solve",
-        "params": _params_block(p),
+        "params": _params_block(model),
         "spectrum": _spectrum(model),
     }
     if ns.samples > 0:
@@ -359,12 +348,15 @@ def cmd_solve(ns: argparse.Namespace) -> int:
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:
-    p = OscillatorParams(ns.omega0, ns.A, ns.b)
-    k = _admit(p).count
+    model = _admit(oscillator._model(ns.omega0, ns.A, ns.b))
+    k = model.count
     # the oracle's order-estimate grid, half of this one, has at least 250 points and more
     # than 8 A - 1, so it always holds the k < A levels
-    grid = max(VERIFY_GRID_MIN, math.ceil(VERIFY_GRID_PER_A * p.A))
+    grid = max(VERIFY_GRID_MIN, math.ceil(VERIFY_GRID_PER_A * model.A))
     _refuse_over(FD_WORK * grid * (k + 3), f"verify of {k} levels on its {grid}-point grid")
+    # the oracle takes an OscillatorParams, whose constructor validates, and derives its
+    # own model
+    p = OscillatorParams(model.omega0, model.A, model.b)
     report = oracle.solve_pdm_numeric(p, k, grid, estimate_order=True)
     levels = []
     for i in range(k):
@@ -381,7 +373,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     passed = worst <= VERIFY_TOL
     payload = {
         "command": "verify",
-        "params": _params_block(p),
+        "params": _params_block(model),
         "grid": grid,
         "report": {
             "grid_sizes": list(report.grid_sizes),
@@ -402,7 +394,7 @@ def cmd_jafarov(ns: argparse.Namespace) -> int:
             f"--l {ns.l} gives {ns.l - 1} levels, above the limit of {MAX_LEVELS}"
         )
     a_l, quant = oscillator._jafarov_levels(ns.omega0, ns.l)
-    spectrum = _spectrum(_admit(OscillatorParams(ns.omega0, float(ns.l), 0.0)))
+    spectrum = _spectrum(_admit(oscillator._model(ns.omega0, float(ns.l), 0.0)))
     devs = [abs(a_l - spectrum["a"]) / abs(spectrum["a"])]
     for lv, (e, _) in zip(spectrum["levels"], quant):
         devs.append(abs(e - lv["energy"]) / max(abs(lv["energy"]), 1e-300))
@@ -459,20 +451,16 @@ def _range_values(rng: tuple[float, float, float]) -> list[float]:
 
 def cmd_scan(ns: argparse.Namespace) -> int:
     a_range, b_range = _scan_ranges(ns)
+    # one derivation per row: every row is mapped, which validates it, before any row's
+    # level limit is checked, and the work is estimated after that
     if a_range is not None:
         b = 0.0 if ns.b is None else ns.b
-        wells = [(v, v, b) for v in _range_values(a_range)]
+        rows = [(v, oscillator._model(ns.omega0, v, b)) for v in _range_values(a_range)]
     else:
-        wells = [(v, ns.A, v) for v in _range_values(b_range)]
-    # one derivation per row, with no model object: every row is mapped, which validates
-    # it, before any row's level limit is checked, and the work is estimated after that
-    rows = []
-    for v, A, b in wells:
-        a, _, rm = pct.map_parameters(ns.omega0, A, b)
-        rows.append((v, A, a, b, pct.level_count(A, rm.B)))
-    for _, A, _, b, k in rows:
-        _refuse_levels(ns.omega0, A, b, k)
-    levels = sum(row[4] for row in rows)
+        rows = [(v, oscillator._model(ns.omega0, ns.A, v)) for v in _range_values(b_range)]
+    for _, model in rows:
+        _admit(model)
+    levels = sum(model.count for _, model in rows)
     _refuse_over(LEVEL_WORK * levels, f"scan of {len(rows)} rows holding {levels} levels")
     _emit(ns.out, _csv_text(_spectrum_rows(rows)))
     return 0

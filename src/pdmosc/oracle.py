@@ -669,7 +669,7 @@ def solve_pdm_numeric(
     """
     if not is_int(n_grid) or n_grid < 8:
         raise ParameterError(f"need an integer n_grid >= 8, got {n_grid!r}")
-    model = oscillator._model(p)
+    model = oscillator._model(p.omega0, p.A, p.b)
     profile = pct.MassProfile(1.0)
     # the finest grid's midpoints, where the mass is sampled, put to pct.mass's own test
     try:

@@ -24,6 +24,7 @@ from .rosen_morse import (
     _check_level,
     _evaluate,
     _Level,
+    _level_energies,
     _resolve,
     _stack,
     rm_energy,
@@ -53,9 +54,6 @@ class OscillatorParams:
     b: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("omega0", "A", "b"):
-            if isinstance(getattr(self, name), bool):
-                raise ParameterError(f"{name} must be a number, not a bool")
         # single validation authority, shared with everything derived
         pct.map_parameters(self.omega0, self.A, self.b)
 
@@ -73,18 +71,25 @@ class BoundState:
 
 
 class _Model(NamedTuple):
-    """One derivation of p: the half-width a, the derived well rm and its level count."""
+    """One derivation of (omega0, A, b): the half-width a, the well rm and its level count."""
 
-    p: OscillatorParams
+    omega0: float
+    A: float
+    b: float
     a: float
     rm: RosenMorseParams
     count: int
 
     def energies(self, levels: range) -> list[float]:
         # the levels pass the unshifted well's gate once, in one rm_energy call
-        p, a, rm, _ = self
-        well = rm if p.b == 0.0 else RosenMorseParams(p.A)
-        return _energies(p.A, a, p.b, levels, rm_energy(well, levels, from_floor=True))
+        well = self.rm if self.b == 0.0 else RosenMorseParams(self.A)
+        return _energies(self.A, self.a, self.b, levels, rm_energy(well, levels, from_floor=True))
+
+    def spectrum(self) -> list[float]:
+        # every level, with no gate: range(count) lies inside the unshifted well's window,
+        # since level_count(A, B) <= rm_nmax(A) + 1
+        levels = range(self.count)
+        return _energies(self.A, self.a, self.b, levels, _level_energies(self.A, 0.0, levels, True))
 
     def _level(self, n: int, form: str = "auto") -> _Level:
         # the well's level n times the transform's prefactor a^(-1/2) (1 - t^2)^(-1/2)
@@ -112,10 +117,10 @@ def _energies(A: float, a: float, b: float, levels: range, floors: list[float]) 
     ]
 
 
-def _model(p: OscillatorParams) -> _Model:
-    # one parameter map
-    a, _, rm = pct.map_parameters(p.omega0, p.A, p.b)
-    return _Model(p, a, rm, pct.level_count(rm.A, rm.B))
+def _model(omega0: float, A: float, b: float) -> _Model:
+    # one parameter map, which validates (omega0, A, b)
+    a, _, rm = pct.map_parameters(omega0, A, b)
+    return _Model(omega0, A, b, a, rm, pct.level_count(A, rm.B))
 
 
 def confinement_length(omega0: float, A: float) -> float:
@@ -126,7 +131,7 @@ def confinement_length(omega0: float, A: float) -> float:
 
 def num_bound_states(p: OscillatorParams) -> int:
     """Count of admitted levels: pct.level_count of the derived well, at least 1."""
-    return _model(p).count
+    return _model(p.omega0, p.A, p.b).count
 
 
 def energy(p: OscillatorParams, n: int) -> float:
@@ -141,7 +146,7 @@ def energy(p: OscillatorParams, n: int) -> float:
     # bench/test_bench.py::test_tracer_counts_and_self_time pins this path's count of
     # parameter maps, so deriving once waits on a change to that benchmark test
     _check_level(n, num_bound_states(p), p)
-    return _model(p).energies(range(n, n + 1))[0]
+    return _model(p.omega0, p.A, p.b).energies(range(n, n + 1))[0]
 
 
 def _half_integer_form(omega0: float, a: float, n: int) -> float:
@@ -162,7 +167,7 @@ def energy_harmonic_form(p: OscillatorParams, n: int) -> float:
     plus b^2 g(n)/f(n) with f(n) = (A-n)^2 and g(n) = f(n) - omega0^2 a^4/4
     when the shift is present.
     """
-    model = _model(p)
+    model = _model(p.omega0, p.A, p.b)
     _check_level(n, model.count, p)
     e = _half_integer_form(p.omega0, model.a, n)
     if p.b != 0.0:
@@ -224,7 +229,7 @@ def wavefunction(
     alone.  Within 1e-12 a of the interval ends the value is exactly 0.0;
     one entry that is not finite or lies beyond them raises DomainError.
     """
-    model = _model(p)
+    model = _model(p.omega0, p.A, p.b)
     _check_level(n, model.count, p)
     return model.psi(n, form)(x)
 
@@ -236,7 +241,7 @@ def bound_states(p: OscillatorParams) -> list[BoundState]:
     evaluating state.wavefunction(x) only does the per-point work, on a float
     or on an ndarray of x; it gives the same values as wavefunction(p, n, x).
     """
-    model = _model(p)
+    model = _model(p.omega0, p.A, p.b)
     energies = model.energies(range(model.count))
     return [BoundState(n, e, model.psi(n)) for n, e in enumerate(energies)]
 

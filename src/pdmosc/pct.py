@@ -148,7 +148,8 @@ def map_parameters(
 
     This is the admission rule: it refuses exactly the inputs whose
     derived well has level_count 0, so every model it accepts holds at
-    least one level.
+    least one level.  It is also the one type check: a bool as any
+    parameter is refused, not read as 0 or 1.
 
     Parameters
     ----------
@@ -167,6 +168,10 @@ def map_parameters(
         transform constants, and the source-well parameters with
         B = -omega0 a^3 b / 2.
     """
+    # one type test per parameter, before the checks below, which a bool would pass
+    if bool in (kinds := (type(omega0), type(A), type(b))):
+        name = ("omega0", "A", "b")[kinds.index(bool)]
+        raise ParameterError(f"{name} must be a number, not a bool")
     if not (math.isfinite(omega0) and math.isfinite(A) and math.isfinite(b)):
         raise ParameterError("omega0, A, b must be finite")
     if omega0 <= 0.0:

@@ -3,12 +3,12 @@
 Everything here is dependency-light on purpose: three-term recurrences for
 the Jacobi and Gegenbauer families, the standard library's log-gamma behind
 a domain check, and Gauss-Legendre rules found by Newton iteration on the
-Legendre recurrence.  Each family's recurrence is one body of arithmetic
-operators.  It evaluates one polynomial at a float or on a numpy array, or a
-block: degrees 0..n on one array, each row with its own parameters, all rows
-stepping together, so that the block costs O(n) array operations, not one
-recurrence per row.  The closed-form states evaluate every level of a model
-this way.
+Gegenbauer recurrence at lam = 1/2, which is Legendre's.  Each family's
+recurrence is one body of arithmetic operators.  It evaluates one polynomial
+at a float or on a numpy array, or a block: degrees 0..n on one array, each
+row with its own parameters, all rows stepping together, so that the block
+costs O(n) array operations, not one recurrence per row.  The closed-form
+states evaluate every level of a model this way.
 """
 
 from __future__ import annotations
@@ -118,15 +118,17 @@ _GEGENBAUER: _Family = (_gegenbauer_first, _gegenbauer_coeffs, _gegenbauer_step)
 _BLOCK_SIZE = 32768
 
 
-def _recurrence(family: _Family, n: int, x: _Values, params: tuple) -> _Values:
-    """Degree n of one family member at x, a float or an array: the forward recurrence."""
+def _recurrence(family: _Family, n: int, x: _Values, params: tuple) -> tuple[_Values, _Values]:
+    """Degrees n - 1 and n of one family member at x, a float or an array: the forward
+    recurrence, with degree -1 taken as 0."""
+    p = 0.0 * x + 1.0
     if n == 0:
-        return 0.0 * x + 1.0
+        return 0.0 * x, p
     first, coeffs, step = family
-    pm1, p = 1.0, first(x, *params)
+    pm1, p = p, first(x, *params)
     for k in range(2, n + 1):
         pm1, p = p, step(coeffs(k, *params), x, p, pm1)
-    return p
+    return pm1, p
 
 
 def _recurrence_rows(family: _Family, n: int, x: np.ndarray, params: tuple) -> np.ndarray:
@@ -163,7 +165,7 @@ def _recurrence_rows(family: _Family, n: int, x: np.ndarray, params: tuple) -> n
 def _polynomial(family: _Family, n: int, x: _Values, params: tuple) -> _Values:
     # one polynomial, or a block when the parameters are arrays
     if not isinstance(params[0], np.ndarray):
-        return _recurrence(family, n, x, params)
+        return _recurrence(family, n, x, params)[1]
     if not all(np.shape(v) == (n + 1,) for v in params) or np.ndim(x) != 1:
         raise ParameterError(
             f"a block of degrees 0..{n} needs parameter arrays of {n + 1} entries and a "
@@ -236,15 +238,6 @@ def ln_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def _legendre_pair(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Return (P_{n-1}(x), P_n(x)) by the forward Legendre recurrence."""
-    p0 = np.ones_like(x)
-    p1 = x.copy()
-    for j in range(2, n + 1):
-        p0, p1 = p1, ((2.0 * j - 1.0) * x * p1 - (j - 1.0) * p0) / j
-    return p0, p1
-
-
 @lru_cache(maxsize=64)
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre rule with n points on [-1, 1]: its nodes, ascending, and weights.
@@ -261,18 +254,18 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     k = np.arange(1, n // 2 + 1, dtype=float)
     x = np.cos(math.pi * (4.0 * k - 1.0) / (4.0 * n + 2.0))
     for _ in range(100):
-        pm1, p = _legendre_pair(x, n)
+        pm1, p = _recurrence(_GEGENBAUER, n, x, (0.5,))
         dp = n * (x * p - pm1) / (x * x - 1.0)
         dx = p / dp
         x -= dx
         if np.all(np.abs(dx) <= 1e-15):
             break
-    pm1, p = _legendre_pair(x, n)
+    pm1, p = _recurrence(_GEGENBAUER, n, x, (0.5,))
     dp = n * (x * p - pm1) / (x * x - 1.0)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     if n % 2:
         center = np.zeros(1)
-        pm1c, _ = _legendre_pair(center, n)
+        pm1c, _ = _recurrence(_GEGENBAUER, n, center, (0.5,))
         dpc = n * pm1c  # P_n'(0) = n P_{n-1}(0) since P_n(0) = 0 for odd n
         wc = 2.0 / (dpc * dpc)
         nodes = np.concatenate([-x, center, x[::-1]])

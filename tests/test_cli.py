@@ -163,9 +163,9 @@ def test_solve_sample_values(capsys):
 
 @pytest.mark.parametrize("A, b", [("3.1", "0"), ("20.5", "0"), ("60.3", "0"), ("59.3", "0.5")])
 def test_norm_column_resolves_states_rough_at_the_walls(capsys, A, b):
-    # the top levels behave like (1 - |x|/a)^((A-n-1)/2) at the walls; the rule on the
-    # sine map resolves them at the default --quad, where plain Gauss-Legendre nodes in x
-    # missed 1 by up to 7.4e-4 (A = 60.3)
+    # the top levels behave like (1 - |x|/a)^((A-n-1)/2) at the walls; the graded rule of
+    # max(400, 3 A) nodes resolves them, where plain Gauss-Legendre nodes in x missed 1 by
+    # up to 7.4e-4 (A = 60.3)
     rc, out, _ = run_cli(capsys, "solve", "--omega0", "1", "--A", A, "--b", b, "--samples", "1")
     assert rc == 0
     for block in json.loads(out)["wavefunctions"]:
@@ -590,31 +590,50 @@ def test_scan_refuses_a_fixed_value_its_range_overrides(capsys, fixed, rng):
     ],
 )
 def test_spectrum_rows_derive_once_and_resolve_no_state(count_calls, capsys, argv, models):
-    # a scan row maps once, and a solve or jafarov model once to be admitted and once for
-    # a and its energies; rows that print no wavefunction resolve none
+    # each scan row, solve model and jafarov model maps once, and that one model gives a
+    # and its energies; rows that print no wavefunction resolve none
     count_calls(pct, "map_parameters")
     calls = count_calls(rosen_morse, "ln_gamma")
     rc, _, _ = run_cli(capsys, *argv)
     assert rc == 0
-    maps = models if argv[0] == "scan" else 2 * models
-    assert calls == {"map_parameters": maps, "ln_gamma": 0}
+    assert calls == {"map_parameters": models, "ln_gamma": 0}
 
 
 def test_each_spectrum_takes_its_levels_in_one_call(monkeypatch, capsys):
-    # the jafarov spectrum passes the reference well's level gate once: one rm_energy call,
-    # covering exactly its levels, from the floor of the unshifted well.  A scan row runs
-    # no gate; tests/test_cli_properties.py holds its energies to the gated ones
-    calls = []
+    # every printed spectrum, JSON or CSV, takes all its model's levels in one ungated
+    # _Model.spectrum call, with no rm_energy call, and equals bit for bit the energies of
+    # that model through the level gate
+    ungated = oscillator._Model.spectrum
+    models = []
 
-    def counted(p, n, **kw):
-        calls.append((p, n, kw))
-        return rosen_morse.rm_energy(p, n, **kw)
+    def spectrum(model):
+        models.append(model)
+        return ungated(model)
 
-    monkeypatch.setattr(oscillator, "rm_energy", counted)
-    rc, out, _ = run_cli(capsys, "jafarov", "--omega0", "1.3", "--l", "12")
-    assert rc == 0
-    k = len(json.loads(out)["spectrum"]["levels"])
-    assert calls == [(rosen_morse.RosenMorseParams(12.0), range(k), {"from_floor": True})]
+    def no_call(*args, **kwargs):
+        raise AssertionError("rm_energy was called")
+
+    monkeypatch.setattr(oscillator._Model, "spectrum", spectrum)
+    monkeypatch.setattr(oscillator, "rm_energy", no_call)
+    printed = []
+    for argv in (
+        ["solve", "--omega0", "1", "--A", "9.5", "--b", "0.1"],
+        ["solve", "--omega0", "0.7", "--A", "6.25", "--b", "-0.2", "--format", "csv"],
+        ["jafarov", "--omega0", "1.3", "--l", "12"],
+        ["scan", "--omega0", "0.9", "--A-start", "2.5", "--A-stop", "6.5", "--A-step", "0.5"],
+        ["scan", "--omega0", "1", "--A", "7.2", "--b-start", "-0.4", "--b-stop", "0.4",
+         "--b-step", "0.2"],
+    ):
+        rc, out, _ = run_cli(capsys, *argv)
+        assert rc == 0, argv
+        if argv[0] == "scan" or "csv" in argv:
+            rows = [line.split(",") for line in out.splitlines()[1:]]
+            printed += [[float(c) for c in row[3:3 + int(row[2])]] for row in rows]
+        else:
+            printed.append([lv["energy"] for lv in json.loads(out)["spectrum"]["levels"]])
+    monkeypatch.undo()
+    assert len(printed) == 1 + 1 + 1 + 9 + 5
+    assert printed == [model.energies(range(model.count)) for model in models]
 
 
 def test_scan_maps_every_row_before_any_level_limit(capsys):
@@ -628,24 +647,16 @@ def test_scan_maps_every_row_before_any_level_limit(capsys):
     assert "a^3 overflows" in msg["message"] and "A=1e+206" in msg["message"]
 
 
-def test_samples_reuse_the_spectrum_derivation(monkeypatch, count_calls, capsys):
-    # the states come from the derivation that admitted the model, and the spectrum's
-    # energies are computed once, in one rm_energy call covering every level
-    levels = []
-
-    def energies(p, n, **kw):
-        levels.append(n)
-        return rosen_morse.rm_energy(p, n, **kw)
-
-    monkeypatch.setattr(oscillator, "rm_energy", energies)
+def test_samples_reuse_the_spectrum_derivation(count_calls, capsys):
+    # the states come from the one derivation that admitted the model and gave the
+    # spectrum, whose energies pass no gate: no rm_energy call
     count_calls(pct, "map_parameters")
     calls = count_calls(oscillator, "rm_energy")
     rc, out, _ = run_cli(capsys, "solve", "--omega0", "1", "--A", "6.5", "--b", "0.1",
                          "--samples", "4")
     assert rc == 0
     waves = json.loads(out)["wavefunctions"]
-    assert calls == {"map_parameters": 2, "rm_energy": 1}
-    assert levels == [range(len(waves))]
+    assert calls == {"map_parameters": 1, "rm_energy": 0}
     states = oscillator.bound_states(OscillatorParams(1.0, 6.5, 0.1))
     assert [w["n"] for w in waves] == [s.n for s in states]
     for w, s in zip(waves, states):
@@ -695,7 +706,7 @@ def test_norms_and_samples_are_those_of_separate_evaluations(capsys, A, b, rule)
     rc, out, _ = run_cli(capsys, *argv)
     rc_csv, csv_out, _ = run_cli(capsys, *argv, "--format", "csv")
     assert rc == rc_csv == 0
-    model = oscillator._model(OscillatorParams(1.0, float(A), float(b)))
+    model = oscillator._model(1.0, float(A), float(b))
     waves = json.loads(out)["wavefunctions"]
     assert len(waves) == model.count
     rows = [row.split(",") for row in csv_out.split("\n\n")[1].splitlines()[1:]]
@@ -728,8 +739,8 @@ def test_csv_samples_build_no_norm_rule(monkeypatch, capsys):
     assert len(out.split("\n\n")[1].splitlines()) == 1 + 3 * 5
 
 def test_verify_derives_each_model_once(count_calls, capsys):
-    # the constructor validates, _admit derives the model that sets the work, and the
-    # oracle derives its own for a, the level count and every analytic energy
+    # the model that sets the work, the oracle's OscillatorParams, whose constructor
+    # validates, and the oracle's own model for a, the level count and every analytic energy
     calls = count_calls(pct, "map_parameters")
     rc, out, _ = run_cli(capsys, "verify", "--omega0", "1", "--A", "6.5", "--b", "0.1")
     assert rc == 0 and len(json.loads(out)["report"]["levels"]) == 5
@@ -1045,10 +1056,11 @@ def test_work_over_a_limit_is_refused_before_any_level(monkeypatch, capsys, limi
         raise AssertionError("a level was computed")
 
     monkeypatch.setattr(oscillator._Model, "energies", no_level)
+    monkeypatch.setattr(oscillator._Model, "spectrum", no_level)
     monkeypatch.setattr(oscillator, "_jafarov_levels", no_level)
-    # the two formulas a scan row's energies come from, which no gate guards
+    # the two formulas every CLI spectrum's energies come from, which no gate guards
     monkeypatch.setattr(oscillator, "_energies", no_level)
-    monkeypatch.setattr(rosen_morse, "_level_energies", no_level)
+    monkeypatch.setattr(oscillator, "_level_energies", no_level)
     t0 = time.perf_counter()
     rc, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - t0 < 1.0

@@ -6,9 +6,10 @@ and the awkward ones (nan, +-inf, zero, the extremes of the float range);
 ``verify`` draws its model over the admitted space instead, and passes on
 every model away from A = 1.  Sizes stay small enough that the whole
 property runs in a few seconds.  Values are passed as ``--opt=value``.
-Three more properties check that each scan row is its model admitted
-alone, and that ``verify`` sees neither the model's scale nor its mirror
-image b -> -b.
+Four more properties check that each scan row and each ``solve`` or
+``jafarov`` spectrum is its model admitted alone, over omega0 in
+1e-12 ... 1e12, A - 1 in 1e-12 ... 1e3 and b up to its bound, and that
+``verify`` sees neither the model's scale nor its mirror image b -> -b.
 """
 
 import contextlib
@@ -17,12 +18,12 @@ import json
 import math
 import re
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from pdmosc import cli
+from pdmosc import cli, oscillator
 from pdmosc.errors import ParameterError
-from pdmosc.oscillator import OscillatorParams, shift_bound
+from pdmosc.oscillator import OscillatorParams, bound_states, shift_bound
 
 _AWKWARD = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-300, 1e300, -1.0]
 
@@ -167,51 +168,137 @@ def test_every_argv_exits_with_a_documented_code(argv):
         assert rc == 0, argv
 
 
+def _model_params(draw) -> tuple[float, float, float]:
+    # omega0 log-uniform over 1e-12 ... 1e12, A - 1 over 1e-12 ... 1e3, and b a fraction of
+    # shift_bound: 0, uniform in +-1, or +-(1 - 10^-k) for k <= 12, next to the bound.
+    # Where no b is admitted the fraction itself goes in as b, and the model is refused
+    omega0 = draw(_log_uniform(-12.0, 12.0))
+    A = 1.0 + draw(_log_uniform(-12.0, 3.0))
+    edge = st.tuples(st.sampled_from([-1.0, 1.0]), st.integers(1, 12))
+    frac = draw(st.one_of(st.just(0.0), st.floats(-1.0, 1.0),
+                          edge.map(lambda sk: sk[0] * (1.0 - 10.0 ** -sk[1]))))
+    try:
+        return omega0, A, frac * shift_bound(omega0, A)
+    except ParameterError:
+        return omega0, A, frac
+
+
+def _admitted(omega0: float, A: float, b: float) -> oscillator._Model | None:
+    # the model the CLI admits for (omega0, A, b), or None where it refuses it
+    try:
+        return cli._admit(oscillator._model(omega0, A, b))
+    except ParameterError:
+        return None
+
+
 @st.composite
 def _admitted_scan(draw) -> list[str]:
-    # an A-range or a b-range scan of 1 to 30 rows, each admitted, at omega0 log-uniform
-    # over 1e-2 ... 1e2.  An A-range holds b at 0 or within 0.9 of the first row's bound,
-    # which grows with A, so its rows gain levels; a b-range runs within 0.95 of its bound,
-    # so its rows lose levels as |b| grows
-    omega0 = draw(_log_uniform(-2.0, 2.0))
+    # an A-range or a b-range scan of 1 to 30 rows over the space of _model_params.  An
+    # A-range holds b at its first row's value, whose bound grows with A, so its rows gain
+    # levels; a b-range runs from its drawn b up towards the bound, so its rows lose levels
+    # as b nears it
+    omega0, A, b = _model_params(draw)
     rows = draw(st.integers(1, 30))
     if draw(st.booleans()):
-        start = 1.0 + draw(_log_uniform(-3.0, 1.5))
         step = draw(st.floats(0.01, 2.0))
-        b = draw(st.one_of(st.just(0.0), st.floats(-0.9, 0.9))) * shift_bound(omega0, start)
-        return ["scan", _opt("omega0", omega0), _opt("b", b), _opt("A-start", start),
-                _opt("A-stop", start + (rows - 1) * step), _opt("A-step", step)]
-    A = 1.0 + draw(_log_uniform(-3.0, 1.5))
-    top = 0.95 * shift_bound(omega0, A)
-    start = draw(st.floats(-1.0, 0.9)) * top
-    step = draw(st.floats(0.01, 1.0)) * (top - start) / max(rows - 1, 1)
-    return ["scan", _opt("omega0", omega0), _opt("A", A), _opt("b-start", start),
-            _opt("b-stop", start + (rows - 1) * step), _opt("b-step", step)]
+        return ["scan", _opt("omega0", omega0), _opt("b", b), _opt("A-start", A),
+                _opt("A-stop", A + (rows - 1) * step), _opt("A-step", step)]
+    try:
+        top = shift_bound(omega0, A)
+    except ParameterError:
+        top = 1.0
+    # a step of at least 3e-7 of the bound keeps each row's value apart from the last
+    step = draw(st.floats(0.01, 1.0)) * max(top - b, 1e-3 * top) / max(rows - 1, 1)
+    return ["scan", _opt("omega0", omega0), _opt("A", A), _opt("b-start", b),
+            _opt("b-stop", b + (rows - 1) * step), _opt("b-step", step)]
+
+
+def _check_cells(text: str) -> list[list[str]]:
+    # the CSV table's rows, its header first; every non-empty cell after the header is finite
+    header, *rows = [line.split(",") for line in text.splitlines()]
+    for row in rows:
+        assert all(math.isfinite(float(c)) for c in row if c), row
+    return [header, *rows]
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(_admitted_scan())
 @example(["scan", "--omega0=1.0", "--b=0.3", "--A-start=9.0", "--A-stop=10.0", "--A-step=0.25"])
 @example(["scan", "--omega0=1.0", "--A=7.2", "--b-start=-1.4", "--b-stop=1.4", "--b-step=0.2"])
+@example(["scan", "--omega0=1e12", "--b=0.0", "--A-start=1.000001", "--A-stop=2.0",
+          "--A-step=0.25"])
 def test_each_scan_row_is_its_model_admitted_alone(argv):
-    # a scan row takes its energies from the two formulas with no level gate; its a, level
-    # count and energies are, bit for bit, those of the model admitted alone and its
-    # energies through the gate (17 significant digits round-trip a double)
-    rc, out = _run(argv)
-    assert rc == 0, argv
+    # a scan row takes its energies from the one ungated spectrum; its a, level count and
+    # energies are, bit for bit, those of the model admitted alone and of its bound states
+    # (17 significant digits round-trip a double).  A scan with a refused row is refused
     opts = dict(arg[2:].split("=", 1) for arg in argv[1:])
     omega0 = float(opts["omega0"])
-    header, *rows = [line.split(",") for line in out.splitlines()]
-    assert len(header) == 3 + max(int(row[2]) for row in rows)
-    for row in rows:
-        v, k = float(row[0]), int(row[2])
-        if "A-start" in opts:
-            model = cli._admit(OscillatorParams(omega0, v, float(opts["b"])))
-        else:
-            model = cli._admit(OscillatorParams(omega0, float(opts["A"]), v))
-        assert (float(row[1]), k) == (model.a, model.count), (argv, v)
-        assert [float(c) for c in row[3:3 + k]] == model.energies(range(k)), (argv, v)
+    name = "A" if "A-start" in opts else "b"
+    fixed = float(opts["b" if name == "A" else "A"])
+    rng = tuple(float(opts[f"{name}-{part}"]) for part in ("start", "stop", "step"))
+    params = [(omega0, v, fixed) if name == "A" else (omega0, fixed, v)
+              for v in cli._range_values(rng)]
+    models = [_admitted(*q) for q in params]
+    assume(None in models or cli.LEVEL_WORK * sum(m.count for m in models) <= cli.MAX_WORK / 100)
+    rc, out = _run(argv)
+    if None in models:
+        assert rc == 2 and out == "", argv
+        return
+    assert rc == 0, argv
+    header, *rows = _check_cells(out)
+    assert len(rows) == len(models)
+    assert len(header) == 3 + max(m.count for m in models)
+    for row, q, model in zip(rows, params, models):
+        k = int(row[2])
+        assert (float(row[1]), k) == (model.a, model.count), (argv, q)
+        want = [s.energy for s in bound_states(OscillatorParams(*q))]
+        assert [float(c) for c in row[3:3 + k]] == want, (argv, q)
         assert row[3 + k:] == [""] * (len(header) - 3 - k)
+
+
+@st.composite
+def _admitted_solve_or_jafarov(draw) -> list[str]:
+    # a solve, JSON or CSV, of a model of _model_params, or a jafarov at its omega0 and
+    # an integer depth l of 2 ... 1001
+    omega0, A, b = _model_params(draw)
+    if draw(st.booleans()):
+        return ["jafarov", _opt("omega0", omega0), _opt("l", max(2, round(A)))]
+    argv = ["solve", _opt("omega0", omega0), _opt("A", A), _opt("b", b)]
+    return argv + ["--format=csv"] if draw(st.booleans()) else argv
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_admitted_solve_or_jafarov())
+@example(["jafarov", "--omega0=1e-12", "--l=50"])
+@example(["jafarov", "--omega0=1e12", "--l=1001"])
+@example(["solve", "--omega0=1e-12", "--A=1000.5", "--b=0.0", "--format=csv"])
+def test_each_spectrum_is_its_model_admitted_alone(argv):
+    # a solve or jafarov spectrum's a, level count and energies are, bit for bit, those of
+    # the model admitted alone and of its bound states, every number is finite, and the
+    # jafarov routes match.  A refused model is refused with exit 2
+    opts = dict(arg[2:].split("=", 1) for arg in argv[1:])
+    omega0 = float(opts["omega0"])
+    q = (omega0, float(opts["l"]), 0.0) if argv[0] == "jafarov" else (
+        omega0, float(opts["A"]), float(opts["b"]))
+    model = _admitted(*q)
+    rc, out = _run(argv)
+    if model is None:
+        assert rc == 2 and out == "", argv
+        return
+    assert rc == 0, argv
+    if "--format=csv" in argv:
+        _, row = _check_cells(out)
+        a, k, energies = float(row[1]), int(row[2]), [float(c) for c in row[3:]]
+    else:
+        payload = json.loads(out, parse_constant=_no_constant)
+        _finite_leaves(payload, "")
+        spectrum = payload["spectrum"]
+        a, k = spectrum["a"], spectrum["num_states"]
+        energies = [lv["energy"] for lv in spectrum["levels"]]
+        if argv[0] == "jafarov":
+            assert payload["comparison"]["matches"] is True, argv
+    assert (a, k) == (model.a, model.count), argv
+    assert energies == [s.energy for s in bound_states(OscillatorParams(*q))], argv
 
 
 @st.composite

@@ -731,7 +731,7 @@ def test_eigenvector_sign_changes():
 
 
 def test_eigenvector_rejects_far_shift():
-    # a shift far below the spectrum leaves inverse iteration crawling
+    # a shift far below the spectrum is no eigenvalue: its vector's residual fails the gate
     op = discretize_bdd(ONE, ZERO, Grid1D(0.0, math.pi, 200))
     with pytest.raises(ConvergenceError):
         eigenvector(op, -50.0, h=math.pi / 201.0)

@@ -105,10 +105,18 @@ def test_params_reject_excessive_shift():
     OscillatorParams(1.0, 3.0, bound * 0.999)
 
 
-@pytest.mark.parametrize("args", [(True, 3.0), (1.0, True), (1.0, 3.0, False)])
+@pytest.mark.parametrize(
+    "args", [(True, 3.0), (1.0, True), (1.0, 3.0, False), (1.0, 3.0, True), (False, 3.0)]
+)
 def test_params_reject_bools(args):
-    with pytest.raises(ParameterError, match="bool"):
-        OscillatorParams(*args)
+    # pct.map_parameters refuses a bool as any parameter, so every entry that validates
+    # through it does; confinement_length and shift_bound take (omega0, A) alone
+    entries = [OscillatorParams, pct.map_parameters]
+    if len(args) == 2:
+        entries += [confinement_length, shift_bound]
+    for entry in entries:
+        with pytest.raises(ParameterError, match="must be a number, not a bool"):
+            entry(*args)
 
 
 def test_derived_constants_reproducible():
@@ -265,7 +273,7 @@ def test_energies_against_mpmath_over_the_admitted_space(p):
     # energy.  At b != 0 the shift term cancels the unshifted one near the bound, so each energy is
     # held to its unshifted term (D - 1)/a^2, which is |E| at b = 0.  At most 40 levels of a
     # deep model are checked: the first 16, the last 16 and 8 between
-    model = oscillator._model(p)
+    model = oscillator._model(p.omega0, p.A, p.b)
     k = model.count
     assert k >= 1
     energies = model.energies(range(k))
@@ -297,7 +305,8 @@ def _bits(values: list[float]) -> bytes:
 def _well_and_levels(draw):
     # a well of the admitted space, shifted (B != 0 where b != 0) or unshifted with B = 0.0
     # or -0.0, and a range of levels inside its window
-    model = oscillator._model(draw(_admitted_params()))
+    p = draw(_admitted_params())
+    model = oscillator._model(p.omega0, p.A, p.b)
     A, B = model.rm.A, model.rm.B
     well = rosen_morse.RosenMorseParams(A, draw(st.sampled_from([B, 0.0, -0.0])))
     count = rosen_morse.rm_nmax(well) + 1
@@ -334,7 +343,7 @@ def test_a_range_with_an_end_out_of_the_window_gives_that_levels_message(case, p
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(_admitted_params())
 def test_a_spectrum_in_one_call_is_its_energies_one_at_a_time(p):
-    model = oscillator._model(p)
+    model = oscillator._model(p.omega0, p.A, p.b)
     k = model.count
     assert _bits(model.energies(range(k))) == _bits([energy(p, n) for n in range(k)])
 
@@ -358,7 +367,7 @@ def test_all_levels_at_once_are_the_levels_one_at_a_time(case):
     # each row of the one-pass evaluation is, byte for byte, its level's own wavefunction on
     # the same points, on both polynomial routes
     p, t = case
-    model = oscillator._model(p)
+    model = oscillator._model(p.omega0, p.A, p.b)
     x = model.a * np.array(t)
     rows = model.psi_rows(x)
     assert rows.shape == (model.count, x.size)
@@ -388,7 +397,7 @@ def test_the_mirror_b_to_minus_b_reflects_every_state(case):
     p, q, t = case
     here, there = bound_states(p), bound_states(q)
     assert _bits([s.energy for s in there]) == _bits([s.energy for s in here])
-    x = oscillator._model(p).a * np.array(t)
+    x = oscillator._model(p.omega0, p.A, p.b).a * np.array(t)
     for s, r in zip(here, there):
         psi = s.wavefunction(x)
         tol = 1e-11 * np.max(np.abs(psi))
@@ -419,7 +428,7 @@ def test_the_scaling_omega0_to_lam_omega0_scales_every_state(case):
     # of this space the largest differences were 4.4e-16 in a, 3.2 A eps in E and 6.4e-11
     # of max|psi|, at A near 280
     p, q, lam, t = case
-    a_p, a_q = oscillator._model(p).a, oscillator._model(q).a
+    a_p, a_q = (oscillator._model(r.omega0, r.A, r.b).a for r in (p, q))
     assert abs(math.sqrt(lam) * a_q - a_p) <= 1e-15 * a_p
     here, there = bound_states(p), bound_states(q)
     assert len(here) == len(there)

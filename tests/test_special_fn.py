@@ -17,6 +17,8 @@ import scipy.special as sps
 
 from pdmosc.errors import DomainError, ParameterError
 from pdmosc.special_fn import (
+    _GEGENBAUER,
+    _recurrence,
     gauss_legendre,
     gegenbauer_poly,
     jacobi_poly,
@@ -269,6 +271,26 @@ def test_ln_gamma_rejects_nonpositive():
 # --- gauss_legendre ---
 
 
+def _legendre_pair(x, n):
+    # (P_{n-1}(x), P_n(x)) from n P_n = (2n - 1) x P_{n-1} - (n - 1) P_{n-2}, P_0 = 1, P_1 = x
+    p0, p1 = 1.0 + 0.0 * x, 1.0 * x
+    for j in range(2, n + 1):
+        p0, p1 = p1, ((2.0 * j - 1.0) * x * p1 - (j - 1.0) * p0) / j
+    return p0, p1
+
+
+@pytest.mark.parametrize("x", [0.3, np.linspace(-1.0, 1.0, 37)], ids=["float", "array"])
+def test_the_rule_recurrence_is_legendre_at_lam_one_half(x):
+    # gauss_legendre's Newton steps take degrees n - 1 and n from the Gegenbauer recurrence
+    # at lam = 1/2, with degree -1 taken as 0; they are the Legendre recurrence's, bit for bit
+    zero, one = _recurrence(_GEGENBAUER, 0, x, (0.5,))
+    assert np.all(zero == 0.0) and np.all(one == 1.0)
+    for n in range(1, 51):
+        got = _recurrence(_GEGENBAUER, n, x, (0.5,))
+        want = _legendre_pair(x, n)
+        assert [np.asarray(v).tobytes() for v in got] == [np.asarray(v).tobytes() for v in want], n
+
+
 def test_rule_one_point():
     nodes, weights = gauss_legendre(1)
     assert nodes.tolist() == [0.0]
@@ -336,8 +358,8 @@ def test_rule_against_scipy():
 
 
 def test_rule_400_against_polished_mpmath():
-    # the default --quad size; each node is polished by Newton steps on the
-    # Legendre recurrence at 40 digits, and its weight recomputed there
+    # the norm column's smallest graded rule; each node is polished by Newton steps on
+    # the Legendre recurrence at 40 digits, and its weight recomputed there
     n = 400
     nodes, weights = gauss_legendre(n)
 
