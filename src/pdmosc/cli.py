@@ -87,21 +87,20 @@ MAX_SCAN_ROWS = 10_000
 # every other cost is counted in one unit, a polynomial step of about 1e-8 s, and a run
 # whose estimate exceeds MAX_WORK steps is refused before any level is computed.  The
 # weights are fitted from timed runs:
-# - SAMPLE_WORK, one printed sample of solve --samples.  A sample costs about 4e-6 s; the
-#   weight is set above that so that the JSON table's peak RSS stays near 250 MB (A = 2 at
-#   490 847 samples);
+# - SAMPLE_WORK, one printed sample of solve --samples.  A sample costs about 3e-6 s; the
+#   weight is set above that to hold the JSON table's peak RSS (A = 2 at 490 847 samples:
+#   288 MB);
 # - FD_WORK, one level on one point of verify's grid, counted over grid (k + 3) so that a
 #   run's fixed cost is paid too.  At A = 208, the deepest depth admitted, a level-point
-#   cost 3-3.6e-6 s when b != 0, before Newton steps below 1e-8 relative landed on two
-#   counts and each grid started on the quadratic through three; it now costs 2.5-3.1e-6 s
-#   (verify --A 208 --b 0.001: 1.7-2.1 s, against 2.1-2.2 s before).  At b = 0 the oracle
-#   folds its mirror-symmetric operator into two halves and takes about half that
-#   (verify --A 208: 0.9-1.3 s, against 1.2-1.6 s before); the weight stays at the b != 0
-#   cost of before, as a margin;
+#   costs about 2e-6 s when b != 0 (verify --A 208 --b 0.001: 1.38-1.42 s), and about half
+#   that at b = 0, where the oracle folds its mirror-symmetric operator into two halves
+#   (verify --A 208: 0.75-0.77 s).  The weight is the b != 0 cost of 3-3.6e-6 s measured
+#   before the oracle's Newton steps landed on its counts, kept as a margin;
 # - LEVEL_WORK, one level of one scan row.
-# The deepest admitted runs took 2.1-2.2 s (solve --A 581 --samples 1), 2.1-2.4 s (--A 2
-# --samples 490 847), 1.7-2.1 s (verify --A 208 --b 0.001) and 2.2-2.3 s (scan of A from 2
-# to 1426 by 1), 3 runs each on 2 cores shared with other load, Python 3.11
+# The deepest admitted runs took 1.32-1.33 s (solve --A 581 --samples 1), 1.44-1.55 s (--A 2
+# --samples 490 847), 1.38-1.42 s (verify --A 208 --b 0.001) and 1.04-1.06 s (scan of A from
+# 2 to 1426 by 1), 3 runs each with interpreter start on 2 cores shared with other load,
+# Python 3.11.7
 MAX_WORK = 295_000_000
 SAMPLE_WORK = 600
 FD_WORK = 420

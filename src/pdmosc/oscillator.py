@@ -279,6 +279,9 @@ def _jafarov_levels(omega0: float, l: int) -> tuple[float, list[tuple[float, flo
     # the integer-l route: half-width a_l, then (energy, normalization) per level
     if not is_int(l) or l < 2:
         raise ParameterError(f"need an integer l >= 2, got {l!r}")
+    # a bool passes the checks below; this route tests the type itself, apart from the map
+    if type(omega0) is bool:
+        raise ParameterError("omega0 must be a number, not a bool")
     if not math.isfinite(omega0) or omega0 <= 0.0:
         raise ParameterError(f"need omega0 > 0, got {omega0!r}")
     a = math.sqrt(2.0 / omega0) * (l * (l + 1) - 2) ** 0.25

@@ -34,11 +34,56 @@ from pdmosc.oscillator import (
     wavefunction,
 )
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+import smoke  # noqa: E402
+
 
 def run_cli(capsys, *argv):
     rc = cli.main(list(argv))
     cap = capsys.readouterr()
     return rc, cap.out, cap.err
+
+
+# --- the contract table, which scripts/smoke.py also runs against the installed pdmosc ---
+
+
+@pytest.mark.parametrize("row", smoke.ROWS, ids=[row.argv for row in smoke.ROWS])
+def test_contract_row(capsys, row):
+    assert smoke.check(row, *run_cli(capsys, *row.argv.split())) is None
+
+
+def test_check_refuses_each_broken_run():
+    refusal = smoke.Row("solve --omega0 1 --A 1.0", 2, "config", "A=1.0")
+    usage = smoke.Row("verify --omega0 1 --A 3 --grid 64", 2, None, "--grid 64")
+    payload = smoke.Row("solve --omega0 1 --A 2", 0, payload=lambda out: json.loads(out) == {})
+    line = '{"error": "config", "message": "got A=1.0"}\n'
+    argparse_err = "usage: pdmosc [-h]\npdmosc: error: unrecognized arguments: --grid 64\n"
+    assert smoke.check(refusal, 2, "", line) is None
+    assert smoke.check(usage, 2, "", argparse_err) is None
+    assert smoke.check(payload, 0, "{}", "") is None
+    traceback = "Traceback (most recent call last):\n"
+    for row, rc, out, err in [
+        # a wrong exit code
+        (refusal, 3, "", line),
+        (payload, 2, "{}", ""),
+        # a refusal with a payload
+        (refusal, 2, "{}", line),
+        # two stderr lines, a wrong kind, and a JSON line where argparse's usage is due
+        (refusal, 2, "", line + line),
+        (refusal, 2, "", line.replace("config", "numerical")),
+        (usage, 2, "", '{"error": "config", "message": "--grid 64"}\n'),
+        # a missing fragment
+        (refusal._replace(fragment="A=2.0"), 2, "", line),
+        (usage._replace(fragment="--grid 65"), 2, "", argparse_err),
+        # a traceback
+        (refusal, 2, "", traceback + line),
+        (usage, 2, "", argparse_err + traceback),
+        # a false predicate, one that cannot read the payload, and a payload with stderr
+        (payload, 0, "[]", ""),
+        (payload, 0, "{", ""),
+        (payload, 0, "{}", "a warning\n"),
+    ]:
+        assert smoke.check(row, rc, out, err) is not None, (row, rc, out, err)
 
 
 # --- solve ---
@@ -94,13 +139,6 @@ def test_solve_rejects_shallow_well(capsys):
     msg = json.loads(err)
     assert msg["error"] == "config"
     assert "A" in msg["message"]
-
-
-def test_solve_rejects_excess_shift(capsys):
-    rc, _, err = run_cli(capsys, "solve", "--omega0", "1", "--A", "3", "--b", "1.0")
-    assert rc == 2
-    # the limit itself is quoted so the caller knows the valid range
-    assert "0.7544" in json.loads(err)["message"]
 
 
 @pytest.mark.parametrize("command", ["solve", "verify"])
@@ -373,19 +411,6 @@ def test_verify_default_grid_scales_with_the_depth(monkeypatch, capsys, A, grid,
         cli.main(["verify", "--omega0", "1", "--A", A])
     assert stop.value.args == (levels, grid)
     assert cli.FD_WORK * grid * (levels + 3) <= cli.MAX_WORK
-
-
-def test_verify_rejects_excess_shift(capsys):
-    rc, _, err = run_cli(capsys, "verify", "--omega0", "1", "--A", "3", "--b", "0.8")
-    assert rc == 2
-    assert json.loads(err)["error"] == "config"
-
-
-def test_verify_takes_no_grid_option(capsys):
-    # the grid's size comes from the depth alone; argparse refuses the option
-    rc, out, err = run_cli(capsys, "verify", "--omega0", "1", "--A", "3", "--grid", "64")
-    assert rc == 2
-    assert out == "" and "unrecognized arguments: --grid 64" in err
 
 
 # --- jafarov ---

@@ -750,6 +750,10 @@ def test_quantized_case_rejections():
         jafarov_case(1.0, 2.5)
     with pytest.raises(ParameterError):
         jafarov_case(0.0, 3)
+    # the integer-l route's own omega0 check: True read as 1.0 gave 2 states
+    for omega0 in (True, False):
+        with pytest.raises(ParameterError, match="omega0 must be a number, not a bool"):
+            jafarov_case(omega0, 3)
 
 
 # --- states on arrays ---
