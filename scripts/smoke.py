@@ -185,6 +185,12 @@ ROWS = [
 ]
 
 
+def _rows() -> Iterator[tuple[str, str | None]]:
+    for row in ROWS:
+        done = subprocess.run(["pdmosc", *row.argv.split()], capture_output=True, text=True)
+        yield f"pdmosc {row.argv}", check(row, done.returncode, done.stdout, done.stderr)
+
+
 def _scan_into_a_reader_that_leaves() -> str | None:
     # 20 MB of CSV into a pipe whose reader closes after one line, as head -1 does
     row = Row("scan --omega0 1 --A-start 2 --A-stop 1400 --A-step 1", 2, "config",
@@ -197,17 +203,37 @@ def _scan_into_a_reader_that_leaves() -> str | None:
     return check(row, proc.returncode, "", err)
 
 
-def _help_into_a_closed_pipe(unbuffered: str) -> str | None:
-    # the help fits in a pipe buffer, so the pipe's read end is closed before the run
+def _into_a_closed_pipe(argv: str, unbuffered: str, stderr: bool) -> subprocess.CompletedProcess:
+    # stdout, and stderr too when asked, on a pipe whose read end is closed before the run:
+    # what the run prints fits in a pipe buffer
     read, write = os.pipe()
     os.close(read)
     try:
-        done = subprocess.run(["pdmosc", "--help"], stdout=write, stderr=subprocess.PIPE,
-                              text=True, env=dict(os.environ, PYTHONUNBUFFERED=unbuffered))
+        return subprocess.run(["pdmosc", *argv.split()], stdout=write,
+                              stderr=write if stderr else subprocess.PIPE, text=True,
+                              env=dict(os.environ, PYTHONUNBUFFERED=unbuffered))
     finally:
         os.close(write)
-    return check(Row("--help", 2, "config", "cannot write stdout"), done.returncode, "",
-                 done.stderr)
+
+
+# runs whose error line cannot be written either, with stdout and stderr on one closed pipe
+# (2>&1 | head -c0): a payload that fails to print, two refusals and argparse's usage error.
+# Each keeps its exit code
+_SILENCED = ["solve --omega0 1 --A 3", "solve --omega0 1 --A 1.0", "verify --omega0 1 --A 3.25",
+             "solve --omega0 1"]
+
+
+def _pipe_runs() -> Iterator[tuple[str, str | None]]:
+    yield "pdmosc scan into a reader that leaves after one line", _scan_into_a_reader_that_leaves()
+    for unbuffered in ("", "1"):
+        done = _into_a_closed_pipe("--help", unbuffered, stderr=False)
+        yield (f"pdmosc --help into a closed pipe, PYTHONUNBUFFERED={unbuffered!r}",
+               check(Row("--help", 2, "config", "cannot write stdout"), done.returncode, "",
+                     done.stderr))
+        for argv in _SILENCED:
+            rc = _into_a_closed_pipe(argv, unbuffered, stderr=True).returncode
+            yield (f"pdmosc {argv} with stdout and stderr on one closed pipe, "
+                   f"PYTHONUNBUFFERED={unbuffered!r}", None if rc == 2 else f"exit {rc}, not 2")
 
 
 def _refuses(call: Callable[[], object]) -> str | None:
@@ -218,16 +244,7 @@ def _refuses(call: Callable[[], object]) -> str | None:
     return "not refused"
 
 
-def _faults() -> Iterator[tuple[str, str | None]]:
-    # (name, what the run breaks or None) of every row, pipe case and library check, in
-    # turn, so that a caller may stop at the first fault
-    for row in ROWS:
-        done = subprocess.run(["pdmosc", *row.argv.split()], capture_output=True, text=True)
-        yield f"pdmosc {row.argv}", check(row, done.returncode, done.stdout, done.stderr)
-    yield "pdmosc scan into a reader that leaves after one line", _scan_into_a_reader_that_leaves()
-    for unbuffered in ("", "1"):
-        yield (f"pdmosc --help into a closed pipe, PYTHONUNBUFFERED={unbuffered!r}",
-               _help_into_a_closed_pipe(unbuffered))
+def _library() -> Iterator[tuple[str, str | None]]:
     # the box ground state's eigenvector from one twisted factorization of the Sturm pivots,
     # which needs no random start; and a bool refused as a parameter by every entry that
     # takes omega0, the integer-l route included
@@ -249,11 +266,17 @@ def _faults() -> Iterator[tuple[str, str | None]]:
 
 
 def main() -> int:
-    for name, fault in _faults():
-        if fault is not None:
-            print(f"smoke: {name}: {fault}", file=sys.stderr)
-            return 1
-    print(f"{len(ROWS)} rows, 3 pipe runs and the library checks passed")
+    # each part yields (name, what the run breaks or None) in turn, so that the first fault
+    # stops the run
+    passed = []
+    for part in (_rows, _pipe_runs, _library):
+        passed.append(0)
+        for name, fault in part():
+            if fault is not None:
+                print(f"smoke: {name}: {fault}", file=sys.stderr)
+                return 1
+            passed[-1] += 1
+    print("{} rows, {} pipe runs and {} library checks passed".format(*passed))
     return 0
 
 

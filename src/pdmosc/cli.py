@@ -7,9 +7,10 @@ general solver), ``scan`` (CSV spectrum table over an A or b range; a fixed
 ``--A`` with an A-range or ``--b`` with a b-range is a configuration error,
 and so is a step too small to change the value from one row to the next).
 Every command derives each model once, as one oscillator._Model from one
-parameter map, which validates it: a ``solve`` or ``jafarov`` model, each
-``scan`` row, and the model that sets ``verify``'s work (the oracle derives
-its own).  Every spectrum, JSON or CSV, is the model's ungated
+parameter map, which validates it and gives its level count: a ``solve`` or
+``jafarov`` model, each ``scan`` row, and the ``verify`` model, which sets
+the work and is handed to the oracle as it is.  Every spectrum, JSON or CSV,
+and ``verify``'s analytic column, is the model's ungated
 ``_Model.spectrum``, since its levels lie inside the unshifted well's window.
 A scan maps every row before any row's level limit is checked.
 A negative number in exponent form after an option (``--b -1e-05``,
@@ -33,9 +34,11 @@ or the ``--out`` path, under one rule: an ``--out`` path that cannot be
 written, or a stdout that cannot (a pipe whose reader has gone), is a
 configuration error, exit 2 with one ``config`` line; stdout is then pointed
 at the null device, so that the interpreter's last flush at exit prints
-nothing more.  JSON payloads come from one small emitter that prints the
-bytes ``json.dumps(payload, indent=2)`` would: a float prints as its
-shortest round-trip repr, and NaN and +-inf print as null.  ``solve``
+nothing more.  A stderr that cannot be written takes nothing and is pointed
+at the null device the same way, and the run keeps its exit code.  JSON
+payloads come from one small emitter that prints the bytes
+``json.dumps(payload, indent=2)`` would: a float prints as its shortest
+round-trip repr, and NaN and +-inf print as null.  ``solve``
 holds each level's samples table as two columns, the x points shared by
 every level and the level's psi values, and prints it in the same bytes as
 its ``[{"x": x, "psi": psi}, ...]`` form, with the x texts formatted once per
@@ -70,13 +73,12 @@ import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
 from . import oracle, oscillator
 from .errors import ConvergenceError, ParameterError
-from .oscillator import OscillatorParams
 
 VERIFY_TOL = 1e-5
 JAFAROV_TOL = 1e-12
@@ -212,17 +214,22 @@ def _emit(out: str | None, text: str) -> None:
     except OSError as exc:
         if out is not None:
             raise ParameterError(f"cannot write --out {out!r}: {exc.strerror}") from exc
-        # stdout's descriptor, where it has one, is pointed at the null device, so that the
-        # interpreter's last flush of what stays in its buffer prints nothing
-        with contextlib.suppress(OSError), open(os.devnull, "w") as null:
-            os.dup2(null.fileno(), sys.stdout.fileno())
+        _to_null(sys.stdout)
         raise ParameterError(f"cannot write stdout: {exc.strerror}") from exc
 
 
+def _to_null(stream: TextIO) -> None:
+    # the stream's descriptor, where it has one, is pointed at the null device, so that the
+    # interpreter's last flush of what stays in its buffer prints nothing
+    with contextlib.suppress(OSError), open(os.devnull, "w") as null:
+        os.dup2(null.fileno(), stream.fileno())
+
+
 def _error(kind: str, message: str) -> None:
-    sys.stderr.write(
-        json.dumps({"error": kind, "message": message}) + "\n"
-    )
+    # a stderr that cannot be written (a closed pipe) takes nothing, and main's last flush
+    # points it at the null device
+    with contextlib.suppress(OSError):
+        sys.stderr.write(json.dumps({"error": kind, "message": message}) + "\n")
 
 
 def _params_block(model: oscillator._Model) -> dict:
@@ -353,21 +360,13 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     # than 8 A - 1, so it always holds the k < A levels
     grid = max(VERIFY_GRID_MIN, math.ceil(VERIFY_GRID_PER_A * model.A))
     _refuse_over(FD_WORK * grid * (k + 3), f"verify of {k} levels on its {grid}-point grid")
-    # the oracle takes an OscillatorParams, whose constructor validates, and derives its
-    # own model
-    p = OscillatorParams(model.omega0, model.A, model.b)
-    report = oracle.solve_pdm_numeric(p, k, grid, estimate_order=True)
-    levels = []
-    for i in range(k):
-        levels.append(
-            {
-                "n": i,
-                "analytic": report.analytic[i],
-                "numeric": report.numeric[i],
-                "rel_err": report.rel_err[i],
-                "order": report.order[i],
-            }
-        )
+    # the oracle takes the admitted model as it is, and maps nothing
+    report = oracle.solve_pdm_numeric(model, k, grid, estimate_order=True)
+    levels = [
+        {"n": i, "analytic": report.analytic[i], "numeric": report.numeric[i],
+         "rel_err": report.rel_err[i], "order": report.order[i]}
+        for i in range(k)
+    ]
     worst = max(report.rel_err)
     passed = worst <= VERIFY_TOL
     payload = {
@@ -580,6 +579,15 @@ def main(argv: list[str] | None = None) -> int:
         # ParameterError/DomainError and relatives: bad configuration
         _error("config", str(exc))
         return 2
+    finally:
+        # stderr under _emit's rule, with no error of its own: what stays in its buffer,
+        # argparse's text included (argparse drops an error from its own write), is flushed,
+        # and a stderr that cannot take it is pointed at the null device, so that the exit
+        # code stands
+        try:
+            sys.stderr.flush()
+        except OSError:
+            _to_null(sys.stderr)
 
 
 if __name__ == "__main__":

@@ -638,7 +638,7 @@ def _two_grid_report(
 
 
 def solve_pdm_numeric(
-    p: oscillator.OscillatorParams,
+    p: oscillator.OscillatorParams | oscillator._Model,
     k: int,
     n_grid: int,
     estimate_order: bool = False,
@@ -666,14 +666,19 @@ def solve_pdm_numeric(
     An n_grid whose finest grid would place points within
     pct.BOUNDARY_MARGIN of a wall in t, where the mass is not sampled, is
     refused.
+
+    p is an OscillatorParams, which is derived once here, or the
+    oscillator._Model a caller has already derived, which is used as it
+    is.  The analytic column is the model's spectrum.
     """
     if not is_int(n_grid) or n_grid < 8:
         raise ParameterError(f"need an integer n_grid >= 8, got {n_grid!r}")
-    model = oscillator._model(p.omega0, p.A, p.b)
+    model = p if isinstance(p, oscillator._Model) else oscillator._model(p.omega0, p.A, p.b)
     profile = pct.MassProfile(1.0)
-    # the finest grid's midpoints, where the mass is sampled, put to pct.mass's own test
+    # the finest grid's outermost midpoint, where the mass is sampled nearest a wall, put to
+    # pct.mass's own test: its bits are the grid's own, and its mirror is its negation
     try:
-        pct._check_x(profile, SineGrid(2 * n_grid).half_nodes())
+        pct._check_x(profile, _sine_map(SineGrid(2 * n_grid)._s(2 * n_grid + 0.5, 1))[0])
     except DomainError:
         raise ParameterError(
             f"n_grid {n_grid} is too fine: its grid of {2 * n_grid} points would sample the "
@@ -682,16 +687,16 @@ def solve_pdm_numeric(
     if not is_int(k) or k < 1 or k > model.count:
         raise ParameterError(f"need 1 <= k <= {model.count} admitted levels, got {k!r}")
     # omega0 a stays in range wherever a^3 does, which map_parameters checked
-    wa = p.omega0 * model.a
-    g, t0 = 0.5 * wa * model.a, 2.0 * p.b / wa
+    wa = model.omega0 * model.a
+    g, t0 = 0.5 * wa * model.a, 2.0 * model.b / wa
     return _two_grid_report(
         lambda t: (2.0 * g) * pct.mass(profile, t),
         lambda t: (0.5 * g) * (t - t0) ** 2,
         SineGrid,
-        model.energies(range(k)),
+        model.spectrum()[:k],
         n_grid,
         estimate_order,
-        p.omega0,
+        model.omega0,
     )
 
 

@@ -80,14 +80,10 @@ class _Model(NamedTuple):
     rm: RosenMorseParams
     count: int
 
-    def energies(self, levels: range) -> list[float]:
-        # the levels pass the unshifted well's gate once, in one rm_energy call
-        well = self.rm if self.b == 0.0 else RosenMorseParams(self.A)
-        return _energies(self.A, self.a, self.b, levels, rm_energy(well, levels, from_floor=True))
-
     def spectrum(self) -> list[float]:
         # every level, with no gate: range(count) lies inside the unshifted well's window,
-        # since level_count(A, B) <= rm_nmax(A) + 1
+        # since level_count(A, B) <= rm_nmax(A) + 1.  The floors are those of the unshifted
+        # well, whose B^2 is 0, so no tilt term is taken
         levels = range(self.count)
         return _energies(self.A, self.a, self.b, levels, _level_energies(self.A, 0.0, levels, True))
 
@@ -118,15 +114,14 @@ def _energies(A: float, a: float, b: float, levels: range, floors: list[float]) 
 
 
 def _model(omega0: float, A: float, b: float) -> _Model:
-    # one parameter map, which validates (omega0, A, b)
-    a, _, rm = pct.map_parameters(omega0, A, b)
-    return _Model(omega0, A, b, a, rm, pct.level_count(A, rm.B))
+    # one parameter map, which validates (omega0, A, b) and gives the level count
+    a, _, rm, count = pct.map_parameters(omega0, A, b)
+    return _Model(omega0, A, b, a, rm, count)
 
 
 def confinement_length(omega0: float, A: float) -> float:
     """Half-width a = sqrt(2/omega0) * (A(A+1) - 2)^(1/4)."""
-    a, _, _ = pct.map_parameters(omega0, A, 0.0)
-    return a
+    return pct.map_parameters(omega0, A, 0.0)[0]
 
 
 def num_bound_states(p: OscillatorParams) -> int:
@@ -142,11 +137,14 @@ def energy(p: OscillatorParams, n: int) -> float:
     closed form before rounding, so the result keeps its relative accuracy
     at any depth.
     """
-    # two derivations, one for the level check and one for the energy:
-    # bench/test_bench.py::test_tracer_counts_and_self_time pins this path's count of
-    # parameter maps, so deriving once waits on a change to that benchmark test
+    # two derivations, one for the level check and one for the energy, and the level
+    # through rm_energy's gate: bench/test_bench.py::test_tracer_counts_and_self_time pins
+    # this path's 3 parameter maps and 1 rm_energy call, so deriving once waits on a
+    # change to that benchmark test
     _check_level(n, num_bound_states(p), p)
-    return _model(p.omega0, p.A, p.b).energies(range(n, n + 1))[0]
+    model, levels = _model(p.omega0, p.A, p.b), range(n, n + 1)
+    floors = rm_energy(RosenMorseParams(p.A), levels, from_floor=True)
+    return _energies(p.A, model.a, p.b, levels, floors)[0]
 
 
 def _half_integer_form(omega0: float, a: float, n: int) -> float:
@@ -242,8 +240,7 @@ def bound_states(p: OscillatorParams) -> list[BoundState]:
     or on an ndarray of x; it gives the same values as wavefunction(p, n, x).
     """
     model = _model(p.omega0, p.A, p.b)
-    energies = model.energies(range(model.count))
-    return [BoundState(n, e, model.psi(n)) for n, e in enumerate(energies)]
+    return [BoundState(n, e, model.psi(n)) for n, e in enumerate(model.spectrum())]
 
 
 def _jafarov_coeffs(l: int, a: float) -> list[float]:

@@ -143,13 +143,14 @@ def level_count(A: float, B: float) -> int:
 
 def map_parameters(
     omega0: float, A: float, b: float = 0.0
-) -> tuple[float, PctMap, RosenMorseParams]:
-    """Derive (a, PctMap, RosenMorseParams) from oscillator parameters.
+) -> tuple[float, PctMap, RosenMorseParams, int]:
+    """Derive (a, PctMap, RosenMorseParams, level count) from oscillator parameters.
 
     This is the admission rule: it refuses exactly the inputs whose
     derived well has level_count 0, so every model it accepts holds at
-    least one level.  It is also the one type check: a bool as any
-    parameter is refused, not read as 0 or 1.
+    least one level, and it returns that count, which it computes to
+    decide.  It is also the one type check: a bool as any parameter is
+    refused, not read as 0 or 1.
 
     Parameters
     ----------
@@ -163,10 +164,10 @@ def map_parameters(
 
     Returns
     -------
-    (a, PctMap, RosenMorseParams)
+    (a, PctMap, RosenMorseParams, count)
         Half-width a = sqrt(2/omega0) * (A(A+1) - 2)^(1/4), the affine
-        transform constants, and the source-well parameters with
-        B = -omega0 a^3 b / 2.
+        transform constants, the source-well parameters with
+        B = -omega0 a^3 b / 2, and level_count(A, B), at least 1.
     """
     # one type test per parameter, before the checks below, which a bool would pass
     if bool in (kinds := (type(omega0), type(A), type(b))):
@@ -188,7 +189,7 @@ def map_parameters(
             "range: a^3 overflows or underflows"
         )
     B = -0.5 * omega0 * a3 * b
-    if level_count(A, B) == 0:
+    if (count := level_count(A, B)) == 0:
         stem = f"no bound state for omega0={omega0!r}, A={A!r}, b={b!r}: "
         if level_count(A, 0.0) == 0:
             raise ParameterError(
@@ -203,4 +204,4 @@ def map_parameters(
     c_bar = 0.25 * omega0 * (omega0 * a * a) + 1.0 / (a * a)
     if b != 0.0:
         c_bar += b * b
-    return a, PctMap(a_bar=1.0 / a, c_bar=c_bar), RosenMorseParams(A=A, B=B)
+    return a, PctMap(a_bar=1.0 / a, c_bar=c_bar), RosenMorseParams(A=A, B=B), count

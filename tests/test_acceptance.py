@@ -67,7 +67,7 @@ def two_form_disagreement(p):
 
 
 def potential_identity_deviation(p, points=200):
-    a, pmap, rm = pct.map_parameters(p.omega0, p.A, p.b)
+    a, pmap, rm, _ = pct.map_parameters(p.omega0, p.A, p.b)
     prof = pct.MassProfile(a)
     source = partial(rm_potential, rm)
     x0 = 2.0 * p.b / p.omega0
@@ -81,7 +81,7 @@ def potential_identity_deviation(p, points=200):
 
 
 def mass_correction_deviation(p, points=21):
-    a, _, _ = pct.map_parameters(p.omega0, p.A, p.b)
+    a = pct.map_parameters(p.omega0, p.A, p.b)[0]
     prof = pct.MassProfile(a)
     h = 1.5e-5 * a
     worst = 0.0
@@ -115,7 +115,7 @@ def _sign_changes(values, floor):
 
 
 def node_counts_correct(p):
-    a, _, rm = pct.map_parameters(p.omega0, p.A, p.b)
+    a, _, rm, _ = pct.map_parameters(p.omega0, p.A, p.b)
     k = num_bound_states(p)
     xs = np.array([-a + 2.0 * a * (j + 1) / 3002 for j in range(3001)])
     for n in range(k):

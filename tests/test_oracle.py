@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +47,7 @@ ZERO = lambda x: 0.0
 
 
 def pdm_mass_and_potential(p):
-    a, _, _ = pct.map_parameters(p.omega0, p.A, p.b)
+    a = pct.map_parameters(p.omega0, p.A, p.b)[0]
     prof = pct.MassProfile(a)
     x0 = 2.0 * p.b / p.omega0
     pot = lambda x: 0.25 * p.omega0**2 * (x - x0) ** 2
@@ -878,6 +879,25 @@ def test_pdm_rejects_bad_requests():
         solve_pdm_numeric(p, 1, 600_000)
 
 
+def test_a_too_fine_grid_is_refused_at_its_outermost_midpoint():
+    # 555 381 is the largest n_grid whose finest grid, of 2 n_grid points, keeps its
+    # outermost midpoint BOUNDARY_MARGIN off the wall (k = 0 is refused after that test).
+    # Refusing a finer one builds no array of the grid's points
+    p = OscillatorParams(1.0, 2.0)
+    with pytest.raises(ParameterError, match="admitted levels"):
+        solve_pdm_numeric(p, 0, 555_381)
+    with pytest.raises(ParameterError, match="too fine"):
+        solve_pdm_numeric(p, 0, 555_382)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match="too fine"):
+            solve_pdm_numeric(p, 1, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_pdm_report_derives_the_model_once(count_calls):
     # one parameter map gives a, the level count and every analytic energy: the
     # library's per-level entry points, which each derive the model again, are not called
@@ -893,13 +913,25 @@ def test_pdm_report_derives_the_model_once(count_calls):
 
 
 @pytest.mark.parametrize("p", [OscillatorParams(1.0, 6.25), OscillatorParams(0.7, 9.3, -0.2)])
+def test_an_admitted_model_is_used_as_it_is(count_calls, p):
+    # the model a caller has already derived, as the CLI's verify does, is mapped no
+    # more, and gives the report of its OscillatorParams bit for bit
+    model = oscillator._model(p.omega0, p.A, p.b)
+    want = solve_pdm_numeric(p, model.count, 500, estimate_order=True)
+    calls = count_calls(pct, "map_parameters")
+    got = solve_pdm_numeric(model, model.count, 500, estimate_order=True)
+    assert calls == {"map_parameters": 0}
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("p", [OscillatorParams(1.0, 6.25), OscillatorParams(0.7, 9.3, -0.2)])
 def test_the_analytic_values_start_no_grid(monkeypatch, p):
     # every start comes from the oracle's own grids: closed forms that are wrong move only
     # the analytic values and the errors measured against them, not one bit of the rest
     k = num_bound_states(p)
     want = solve_pdm_numeric(p, k, 600, estimate_order=True)
     monkeypatch.setattr(
-        oscillator._Model, "energies", lambda self, levels: [3.0 * n - 7.5 for n in levels]
+        oscillator._Model, "spectrum", lambda self: [3.0 * n - 7.5 for n in range(self.count)]
     )
     got = solve_pdm_numeric(p, k, 600, estimate_order=True)
     assert list(got.analytic) == [3.0 * n - 7.5 for n in range(k)] != list(want.analytic)
@@ -910,7 +942,7 @@ def test_the_analytic_values_start_no_grid(monkeypatch, p):
 
 
 def min_envelope_exponent(p, n):
-    _, _, rm = pct.map_parameters(p.omega0, p.A, p.b)
+    rm = pct.map_parameters(p.omega0, p.A, p.b)[2]
     m = rm.A - n
     beta = rm.B / m
     return (m - 1.0 - abs(beta)) / 2.0

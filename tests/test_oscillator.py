@@ -121,9 +121,9 @@ def test_params_reject_bools(args):
 
 def test_derived_constants_reproducible():
     p = OscillatorParams(1.0, 2.7, 0.05)
-    a1, map1, rm1 = pct.map_parameters(p.omega0, p.A, p.b)
-    a2, map2, rm2 = pct.map_parameters(p.omega0, p.A, p.b)
-    assert (a1, map1.c_bar, rm1.B) == (a2, map2.c_bar, rm2.B)
+    a1, map1, rm1, k1 = pct.map_parameters(p.omega0, p.A, p.b)
+    a2, map2, rm2, k2 = pct.map_parameters(p.omega0, p.A, p.b)
+    assert (a1, map1.c_bar, rm1.B, k1) == (a2, map2.c_bar, rm2.B, k2)
     assert a1 == confinement_length(p.omega0, p.A)
 
 
@@ -276,7 +276,7 @@ def test_energies_against_mpmath_over_the_admitted_space(p):
     model = oscillator._model(p.omega0, p.A, p.b)
     k = model.count
     assert k >= 1
-    energies = model.energies(range(k))
+    energies = model.spectrum()
     assert all(lo < hi for lo, hi in zip(energies, energies[1:]))
     levels = set(range(16)) | set(range(k - 16, k)) | set(range(0, k, max(1, k // 8)))
     for n in sorted(levels & set(range(k))):
@@ -292,9 +292,11 @@ def test_energies_against_mpmath_over_the_admitted_space(p):
 @example(OscillatorParams(1.0, 3.0, 0.999 * shift_bound(1.0, 3.0)))
 def test_levels_lie_inside_the_unshifted_well_window(p):
     # range(level_count(A, B)) lies inside the window of the unshifted well (A, 0), whose
-    # floor a level's energy is taken from, so the scan takes its rows' energies ungated
-    _, _, rm = pct.map_parameters(p.omega0, p.A, p.b)
-    assert pct.level_count(p.A, rm.B) <= rosen_morse.rm_nmax(rosen_morse.RosenMorseParams(p.A)) + 1
+    # floor a level's energy is taken from, so the scan takes its rows' energies ungated.
+    # The map returns that count
+    _, _, rm, count = pct.map_parameters(p.omega0, p.A, p.b)
+    assert count == pct.level_count(p.A, rm.B)
+    assert count <= rosen_morse.rm_nmax(rosen_morse.RosenMorseParams(p.A)) + 1
 
 
 def _bits(values: list[float]) -> bytes:
@@ -345,7 +347,7 @@ def test_a_range_with_an_end_out_of_the_window_gives_that_levels_message(case, p
 def test_a_spectrum_in_one_call_is_its_energies_one_at_a_time(p):
     model = oscillator._model(p.omega0, p.A, p.b)
     k = model.count
-    assert _bits(model.energies(range(k))) == _bits([energy(p, n) for n in range(k)])
+    assert _bits(model.spectrum()) == _bits([energy(p, n) for n in range(k)])
 
 
 @st.composite
@@ -443,8 +445,8 @@ def test_the_scaling_omega0_to_lam_omega0_scales_every_state(case):
 
 
 def test_energy_takes_each_level_from_rm_energy_once(monkeypatch):
-    # pin: the transform route reads the reference well's levels in one call per spectrum,
-    # a one-level range for one energy
+    # pin: one energy reads the reference well's level through rm_energy's gate, as a
+    # one-level range; the bound states take their spectrum ungated, with no rm_energy call
     calls = []
 
     def counted(p, n, **kw):
@@ -456,7 +458,7 @@ def test_energy_takes_each_level_from_rm_energy_once(monkeypatch):
     energy(p, 2)
     assert calls == [range(2, 3)]
     bound_states(p)
-    assert calls == [range(2, 3), range(num_bound_states(p))]
+    assert calls == [range(2, 3)]
 
 
 @pytest.mark.parametrize("omega0", [1e155, 1e200])
@@ -536,7 +538,7 @@ def test_rejects_out_of_window_state():
 def test_unknown_form_rejected_everywhere():
     # the form is checked before the wall shortcut, so x = a raises too
     p = OscillatorParams(1.0, 3.0)
-    a, _, rm = pct.map_parameters(1.0, 3.0)
+    a, _, rm, _ = pct.map_parameters(1.0, 3.0)
     for x in (0.3, a, -a):
         with pytest.raises(ParameterError, match="form"):
             wavefunction(p, 1, x, form="legendre")
@@ -568,7 +570,7 @@ def test_orthonormality_random_parameters():
         b = rng.uniform(-0.7, 0.7) * shift_bound(omega0, A)
         p = OscillatorParams(omega0, A, b)
         a = confinement_length(omega0, A)
-        _, _, rm = pct.map_parameters(omega0, A, b)
+        rm = pct.map_parameters(omega0, A, b)[2]
         k = num_bound_states(p)
 
         def exponent(n):
@@ -625,8 +627,7 @@ def test_wall_accuracy_against_mpmath():
     for omega0, A, frac in [(1.0, 12.15, 0.0), (0.8, 59.3, 0.0), (1.3, 27.6, 0.4), (0.9, 58.7, 0.3)]:
         b = frac * shift_bound(omega0, A)
         p = OscillatorParams(omega0, A, b)
-        a, _, rm = pct.map_parameters(omega0, A, b)
-        k = num_bound_states(p)
+        a, _, rm, k = pct.map_parameters(omega0, A, b)
         for n in sorted({0, 1, k // 2, k - 1}):
             for gap in WALL_GAPS:
                 x = math.copysign(a * (1.0 - abs(gap)), gap)

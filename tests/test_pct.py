@@ -170,7 +170,7 @@ def test_mass_correction_finite_difference():
 
 
 def unshifted_setup():
-    a, pmap, rm = map_parameters(1.0, 2.0)
+    a, pmap, rm, _ = map_parameters(1.0, 2.0)
     prof = MassProfile(a)
     src = lambda u: rm_potential(rm, u)
     return a, pmap, prof, src
@@ -187,7 +187,7 @@ def test_transform_potential_matches_parabola():
 
 
 def test_transform_potential_shifted_minimum():
-    a, pmap, rm = map_parameters(1.0, 3.0, 0.1)
+    a, pmap, rm, _ = map_parameters(1.0, 3.0, 0.1)
     prof = MassProfile(a)
     src = lambda u: rm_potential(rm, u)
     x0 = 0.2
@@ -198,7 +198,7 @@ def test_transform_potential_shifted_minimum():
 
 @pytest.mark.parametrize("omega0,A,b", [(1.0, 2.0, 0.0), (1.0, 3.0, 0.1), (2.0, 4.5, -0.2)])
 def test_transform_potential_pointwise_identity(omega0, A, b):
-    a, pmap, rm = map_parameters(omega0, A, b)
+    a, pmap, rm, _ = map_parameters(omega0, A, b)
     prof = MassProfile(a)
     src = lambda u: rm_potential(rm, u)
     x0 = 2.0 * b / omega0
@@ -216,7 +216,7 @@ def test_transform_identities_random_parameters():
         omega0 = rng.uniform(0.3, 4.0)
         A = rng.uniform(1.05, 6.0)
         b = rng.uniform(-0.8, 0.8) * oscillator.shift_bound(omega0, A)
-        a, pmap, rm = map_parameters(omega0, A, b)
+        a, pmap, rm, _ = map_parameters(omega0, A, b)
         prof = MassProfile(a)
         src = lambda u: rm_potential(rm, u)
         x0 = 2.0 * b / omega0
@@ -237,7 +237,8 @@ def test_transform_identities_random_parameters():
 
 
 def test_map_unshifted_depth_two():
-    a, pmap, rm = map_parameters(1.0, 2.0)
+    a, pmap, rm, count = map_parameters(1.0, 2.0)
+    assert count == 1
     assert math.isclose(a, 2.0, rel_tol=1e-14)
     assert math.isclose(pmap.a_bar, 0.5, rel_tol=1e-14)
     assert math.isclose(pmap.c_bar, 1.25, rel_tol=1e-13)
@@ -246,13 +247,15 @@ def test_map_unshifted_depth_two():
 
 
 def test_map_unshifted_depth_three():
-    a, pmap, _ = map_parameters(1.0, 3.0)
+    a, pmap, _, count = map_parameters(1.0, 3.0)
+    assert count == 2
     assert math.isclose(a, 2.5148669, rel_tol=1e-7)
     assert math.isclose(pmap.c_bar, 1.7392528, rel_tol=1e-7)
 
 
 def test_map_shifted():
-    a, pmap, rm = map_parameters(1.0, 3.0, 0.1)
+    a, pmap, rm, count = map_parameters(1.0, 3.0, 0.1)
+    assert count == 2
     assert math.isclose(rm.B, -0.7952707, rel_tol=1e-6)
     assert math.isclose(pmap.c_bar, 1.7492528, rel_tol=1e-7)
     # B = -omega0 a^3 b / 2 with a^3 = 40^(3/4)
@@ -313,7 +316,7 @@ def test_unshifted_refusal_quotes_no_bound():
 def test_quarter_power_change_of_function(omega0, A, b, form):
     # psi_n(x) = sqrt(a_bar) M(x)^(1/4) phi_n(u(x)): the u-space solution
     # carried through the variable change reproduces the x-space one
-    a, pmap, rm = map_parameters(omega0, A, b)
+    a, pmap, rm, _ = map_parameters(omega0, A, b)
     prof = MassProfile(a)
     p = oscillator.OscillatorParams(omega0, A, b)
     for n in range(oscillator.num_bound_states(p)):
