@@ -3,10 +3,11 @@
     python scripts/smoke.py
 
 runs every row of ROWS through the ``pdmosc`` console script, then the pipe
-cases and the library checks, and exits 1 at the first that fails, naming
-it.  It needs the installed package alone: the standard library, numpy and
-pdmosc, none of the test extra.  The tier-1 tests run the same rows in
-process through ``cli.main`` and ``check``.
+cases, a scan row and a jafarov row in a fresh interpreter, which must leave
+numpy unimported, and the library checks, and exits 1 at the first that
+fails, naming it.  It needs the installed package alone: the standard
+library, numpy and pdmosc, none of the test extra.  The tier-1 tests run the
+same rows in process through ``cli.main`` and ``check``.
 
 A row is an argv, its exit code, and either a refusal (an error kind and
 a fragment its message must hold; a kind of None is argparse's own usage
@@ -236,6 +237,37 @@ def _pipe_runs() -> Iterator[tuple[str, str | None]]:
                    f"PYTHONUNBUFFERED={unbuffered!r}", None if rc == 2 else f"exit {rc}, not 2")
 
 
+# each argv through cli.main in one new interpreter; per run, its exit code, stdout, stderr
+# and whether numpy.linalg, which numpy's own import loads, is in sys.modules after it
+_FRESH = """
+import contextlib, io, json, sys
+from pdmosc import cli, oracle
+runs = []
+for argv in sys.argv[1:]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv.split())
+    runs.append([rc, out.getvalue(), err.getvalue(), "numpy.linalg" in sys.modules])
+print(json.dumps({"runs": runs, "bound": oracle.np is sys.modules["numpy"]}))
+"""
+
+
+def fresh(argvs: list[str], **env: str) -> dict:
+    """Run argvs through cli.main in a new interpreter; its runs and whether pdmosc's np is numpy."""
+    done = subprocess.run([sys.executable, "-c", _FRESH, *argvs], capture_output=True,
+                          text=True, env=dict(os.environ, **env), check=True)
+    return json.loads(done.stdout)
+
+
+def _startup() -> Iterator[tuple[str, str | None]]:
+    # a scan and a jafarov row build no array, so numpy is never imported; the package
+    # imported is the one this interpreter has installed
+    rows = [next(row for row in ROWS if row.argv.startswith(cmd)) for cmd in ("scan", "jafarov")]
+    for row, (rc, out, err, loaded) in zip(rows, fresh([row.argv for row in rows])["runs"]):
+        yield (f"pdmosc {row.argv} in a fresh interpreter",
+               "numpy.linalg is loaded" if loaded else check(row, rc, out, err))
+
+
 def _refuses(call: Callable[[], object]) -> str | None:
     try:
         call()
@@ -269,14 +301,14 @@ def main() -> int:
     # each part yields (name, what the run breaks or None) in turn, so that the first fault
     # stops the run
     passed = []
-    for part in (_rows, _pipe_runs, _library):
+    for part in (_rows, _pipe_runs, _startup, _library):
         passed.append(0)
         for name, fault in part():
             if fault is not None:
                 print(f"smoke: {name}: {fault}", file=sys.stderr)
                 return 1
             passed[-1] += 1
-    print("{} rows, {} pipe runs and {} library checks passed".format(*passed))
+    print("{} rows, {} pipe runs, {} start-up runs and {} library checks passed".format(*passed))
     return 0
 
 

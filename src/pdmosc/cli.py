@@ -13,6 +13,9 @@ the work and is handed to the oracle as it is.  Every spectrum, JSON or CSV,
 and ``verify``'s analytic column, is the model's ungated
 ``_Model.spectrum``, since its levels lie inside the unshifted well's window.
 A scan maps every row before any row's level limit is checked.
+numpy is imported at its first use (``pdmosc._numpy``), so ``scan``,
+``jafarov``, ``solve`` without ``--samples`` and every refusal made before a
+state or grid exists run without it.
 A negative number in exponent form after an option (``--b -1e-05``,
 ``--b -inf``) is joined to it as ``--b=-1e-05`` before parsing, since
 argparse by itself reads such a token as an option.  The rule is one test on
@@ -75,9 +78,8 @@ from json.encoder import encode_basestring_ascii as _json_str
 from itertools import chain
 from typing import Iterable, Iterator, TextIO
 
-import numpy as np
-
 from . import oracle, oscillator
+from ._numpy import np
 from .errors import ConvergenceError, ParameterError
 
 VERIFY_TOL = 1e-5

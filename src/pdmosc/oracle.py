@@ -41,9 +41,8 @@ from functools import lru_cache, partial
 from itertools import chain
 from typing import Callable, Sequence
 
-import numpy as np
-
 from . import oscillator, pct
+from ._numpy import np
 from .errors import ConvergenceError, DomainError, ParameterError
 from .rosen_morse import RosenMorseParams, rm_energy, rm_nmax, rm_potential, rm_wavefunction
 from .special_fn import gauss_legendre, is_int

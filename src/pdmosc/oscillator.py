@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import pct
+from ._numpy import np
 from .errors import DomainError, ParameterError
 from .pct import shift_bound
 from .rosen_morse import (
@@ -200,12 +199,12 @@ def _zero_on_walls(
 
 # the wall points take log 0, tails underflow, and a large depth may
 # overflow the polynomial: each gives its IEEE value, never a warning
-@np.errstate(all="ignore")
 def _psi(s: _Level, a: float, x: float | np.ndarray) -> float | np.ndarray:
-    inside = _interior(a, x)
-    # a -+ x is exact near each wall, where 1 -+ x/a would round x/a first
-    psi = _evaluate(s, x / a, np.log((a - x) / a), np.log((a + x) / a))
-    return _zero_on_walls(x, inside, psi)
+    with np.errstate(all="ignore"):
+        inside = _interior(a, x)
+        # a -+ x is exact near each wall, where 1 -+ x/a would round x/a first
+        psi = _evaluate(s, x / a, np.log((a - x) / a), np.log((a + x) / a))
+        return _zero_on_walls(x, inside, psi)
 
 
 def wavefunction(
@@ -262,14 +261,14 @@ def _jafarov_coeffs(l: int, a: float) -> list[float]:
     return out
 
 
-@np.errstate(all="ignore")
 def _jafarov_wavefunction(
     coeff: float, l: int, a: float, n: int, x: float | np.ndarray
 ) -> float | np.ndarray:
-    inside = _interior(a, x)
-    s = (a - x) / a * ((a + x) / a)
-    psi = coeff * np.power(s, 0.5 * (l - n - 1)) * gegenbauer_poly(n, l - n + 0.5, x / a)
-    return _zero_on_walls(x, inside, psi)
+    with np.errstate(all="ignore"):
+        inside = _interior(a, x)
+        s = (a - x) / a * ((a + x) / a)
+        psi = coeff * np.power(s, 0.5 * (l - n - 1)) * gegenbauer_poly(n, l - n + 0.5, x / a)
+        return _zero_on_walls(x, inside, psi)
 
 
 def _jafarov_levels(omega0: float, l: int) -> tuple[float, list[tuple[float, float]]]:

@@ -15,8 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
+from ._numpy import np
 from .errors import DomainError, ParameterError
 from .rosen_morse import WINDOW_MARGIN, RosenMorseParams, admitted_nmax
 from .special_fn import _check_finite, _largest_abs

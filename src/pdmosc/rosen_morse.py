@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
-import numpy as np
-
+from ._numpy import np
 from .errors import NoSuchStateError, ParameterError
 from .special_fn import _check_finite, gegenbauer_poly, is_int, jacobi_poly, ln_gamma
 
@@ -245,12 +244,12 @@ def _evaluate(
 
 # tails underflow, and a large depth may overflow the polynomial: each
 # gives its IEEE value, never a warning
-@np.errstate(all="ignore")
 def _phi(s: _Level, u: float | np.ndarray) -> float | np.ndarray:
-    _check_finite(u, "u")
-    # log(1 -+ tanh u) stays accurate far into both tails
-    phi = _evaluate(s, np.tanh(u), _LN2 - _ln1p_exp(2.0 * u), _LN2 - _ln1p_exp(-2.0 * u))
-    return phi if isinstance(u, np.ndarray) else float(phi)
+    with np.errstate(all="ignore"):
+        _check_finite(u, "u")
+        # log(1 -+ tanh u) stays accurate far into both tails
+        phi = _evaluate(s, np.tanh(u), _LN2 - _ln1p_exp(2.0 * u), _LN2 - _ln1p_exp(-2.0 * u))
+        return phi if isinstance(u, np.ndarray) else float(phi)
 
 
 def rm_wavefunction(

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeAlias
 
-import numpy as np
-
+from ._numpy import np
 from .errors import DomainError, ParameterError
 
 __all__ = [
@@ -54,7 +53,7 @@ def _check_finite(x: float | np.ndarray, what: str = "evaluation point") -> None
 
 
 # a float or an ndarray: each recurrence formula below takes either
-_Values = float | np.ndarray
+_Values: TypeAlias = "float | np.ndarray"
 
 
 def _jacobi_first(x: _Values, alpha: _Values, beta: _Values) -> _Values:
