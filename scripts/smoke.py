@@ -24,11 +24,12 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from pdmosc import ParameterError, confinement_length, jafarov_case
+from pdmosc import OscillatorParams, ParameterError, confinement_length, jafarov_case
 from pdmosc.oracle import Grid1D, discretize_bdd, eigenvalues_sturm, eigenvector
 
 
@@ -278,8 +279,8 @@ def _refuses(call: Callable[[], object]) -> str | None:
 
 def _library() -> Iterator[tuple[str, str | None]]:
     # the box ground state's eigenvector from one twisted factorization of the Sturm pivots,
-    # which needs no random start; and a bool refused as a parameter by every entry that
-    # takes omega0, the integer-l route included
+    # which needs no random start; a record's derived fields, replace included; and a bool
+    # refused as a parameter by every entry that takes omega0, the integer-l route included
     grid = Grid1D(0.0, math.pi, 400)
     op = discretize_bdd(lambda x: 1.0, lambda x: 0.0, grid)
     (lam,) = eigenvalues_sturm(op, 1)
@@ -292,6 +293,13 @@ def _library() -> Iterator[tuple[str, str | None]]:
         else "its residual is over 1e-8"
     )
     yield "the library", "numpy.random is loaded" if "numpy.random" in sys.modules else None
+    p = OscillatorParams(1.0, 3.5)
+    for name, got, want in [
+        ("OscillatorParams(1.0, 3.5).count", p.count, 3),
+        ("OscillatorParams(1.0, 3.5).a", p.a, confinement_length(1.0, 3.5)),
+        ("replace(OscillatorParams(1.0, 3.5), A=5.5).count", replace(p, A=5.5).count, 5),
+    ]:
+        yield name, None if got == want else f"{got!r}, not {want!r}"
     yield "confinement_length(True, 3.0)", _refuses(lambda: confinement_length(True, 3.0))
     for omega0 in (True, False):
         yield f"jafarov_case({omega0}, 3)", _refuses(lambda: jafarov_case(omega0, 3))

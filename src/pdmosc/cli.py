@@ -6,12 +6,13 @@ Subcommands: ``solve`` (closed-form spectrum, optional wavefunction table),
 general solver), ``scan`` (CSV spectrum table over an A or b range; a fixed
 ``--A`` with an A-range or ``--b`` with a b-range is a configuration error,
 and so is a step too small to change the value from one row to the next).
-Every command derives each model once, as one oscillator._Model from one
-parameter map, which validates it and gives its level count: a ``solve`` or
-``jafarov`` model, each ``scan`` row, and the ``verify`` model, which sets
-the work and is handed to the oracle as it is.  Every spectrum, JSON or CSV,
-and ``verify``'s analytic column, is the model's ungated
-``_Model.spectrum``, since its levels lie inside the unshifted well's window.
+Every command derives each model once, as one ``OscillatorParams``, whose
+constructor makes the one parameter map, which validates it and gives its
+level count: a ``solve`` or ``jafarov`` model, each ``scan`` row, and the
+``verify`` model, which sets the work and is handed to the oracle as it is.
+Every spectrum, JSON or CSV, and ``verify``'s analytic column, is the
+model's ungated ``OscillatorParams._spectrum``, since its levels lie inside
+the unshifted well's window.
 A scan maps every row before any row's level limit is checked.
 numpy is imported at its first use (``pdmosc._numpy``), so ``scan``,
 ``jafarov``, ``solve`` without ``--samples`` and every refusal made before a
@@ -79,6 +80,7 @@ from itertools import chain
 from typing import Iterable, Iterator, TextIO
 
 from . import oracle, oscillator
+from .oscillator import OscillatorParams
 from ._numpy import np
 from .errors import ConvergenceError, ParameterError
 
@@ -234,11 +236,11 @@ def _error(kind: str, message: str) -> None:
         sys.stderr.write(json.dumps({"error": kind, "message": message}) + "\n")
 
 
-def _params_block(model: oscillator._Model) -> dict:
+def _params_block(model: OscillatorParams) -> dict:
     return {"omega0": model.omega0, "A": model.A, "b": model.b}
 
 
-def _admit(model: oscillator._Model) -> oscillator._Model:
+def _admit(model: OscillatorParams) -> OscillatorParams:
     # the one level limit, checked before any level is computed
     if model.count > MAX_LEVELS:
         raise ParameterError(
@@ -254,26 +256,26 @@ def _refuse_over(work: int, what: str) -> None:
         raise ParameterError(f"{what} is {work} steps of work, above the limit of {MAX_WORK}")
 
 
-def _spectrum(model: oscillator._Model) -> dict:
+def _spectrum(model: OscillatorParams) -> dict:
     # the JSON spectrum block of an admitted model; no level's wavefunction is resolved
     return {
         "a": model.a,
         "num_states": model.count,
-        "levels": [{"n": n, "energy": e} for n, e in enumerate(model.spectrum())],
+        "levels": [{"n": n, "energy": e} for n, e in enumerate(model._spectrum())],
     }
 
 
-def _spectrum_rows(rows: list[tuple[float, oscillator._Model]]) -> Iterator[list[object]]:
+def _spectrum_rows(rows: list[tuple[float, OscillatorParams]]) -> Iterator[list[object]]:
     # one CSV row per (param, model) of an admitted model, each made as it is joined;
     # columns past a row's last level stay empty.  No level's wavefunction is resolved
     kmax = max(model.count for _, model in rows)
     yield ["param", "a", "num_states"] + [f"E{i}" for i in range(kmax)]
     for v, model in rows:
         k = model.count
-        yield [v, model.a, k, *model.spectrum()] + [""] * (kmax - k)
+        yield [v, model.a, k, *model._spectrum()] + [""] * (kmax - k)
 
 
-def _sample_points(model: oscillator._Model, samples: int) -> list[float]:
+def _sample_points(model: OscillatorParams, samples: int) -> list[float]:
     a = model.a
     return [-a + 2.0 * a * (j + 1) / (samples + 1) for j in range(samples)]
 
@@ -294,24 +296,24 @@ def _refuse_nonfinite(psi: np.ndarray, norms: list[float] | None = None) -> None
 
 
 def _norms_and_samples(
-    model: oscillator._Model, rule: int, points: np.ndarray
+    model: OscillatorParams, rule: int, points: np.ndarray
 ) -> tuple[list[float], list[list[float]]]:
     # every level in one evaluation, on the graded rule's nodes joined with the sample points:
     # each norm sums the nodes' part of its row as oracle.overlap(psi, psi, -a, a, rule,
     # graded=True) does, and the rest is psi at the points.  Each entry is bit for bit its
     # one-point value, so both are those of separate evaluations
     x, weights, half = oracle._rule_nodes(-model.a, model.a, rule, True)
-    on_nodes, at_points = np.split(model.psi_rows(np.concatenate((x, points))), [x.size], axis=1)
+    on_nodes, at_points = np.split(model._psi_rows(np.concatenate((x, points))), [x.size], axis=1)
     norms = [half * float(np.dot(weights, v * v)) for v in on_nodes]
     _refuse_nonfinite(at_points, norms)
     return norms, at_points.tolist()
 
 
-def _sample_rows(model: oscillator._Model, samples: int) -> Iterator[list[object]]:
+def _sample_rows(model: OscillatorParams, samples: int) -> Iterator[list[object]]:
     # the CSV samples table, each row made as it is joined, from every level evaluated at
     # once.  It prints no norm, so the levels are evaluated at the sample points alone
     xs = _sample_points(model, samples)
-    block = model.psi_rows(np.array(xs))
+    block = model._psi_rows(np.array(xs))
     _refuse_nonfinite(block)
     for n, psi in enumerate(block):
         for x, v in zip(xs, psi.tolist()):
@@ -321,7 +323,7 @@ def _sample_rows(model: oscillator._Model, samples: int) -> Iterator[list[object
 def cmd_solve(ns: argparse.Namespace) -> int:
     if ns.samples < 0:
         raise ParameterError(f"--samples must be >= 0, got {ns.samples}")
-    model = _admit(oscillator._model(ns.omega0, ns.A, ns.b))
+    model = _admit(OscillatorParams(ns.omega0, ns.A, ns.b))
     k = model.count
     rule = max(NORM_RULE_MIN, math.ceil(NORM_RULE_PER_A * model.A))
     if ns.samples > 0:
@@ -356,7 +358,7 @@ def cmd_solve(ns: argparse.Namespace) -> int:
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:
-    model = _admit(oscillator._model(ns.omega0, ns.A, ns.b))
+    model = _admit(OscillatorParams(ns.omega0, ns.A, ns.b))
     k = model.count
     # the oracle's order-estimate grid, half of this one, has at least 250 points and more
     # than 8 A - 1, so it always holds the k < A levels
@@ -394,7 +396,7 @@ def cmd_jafarov(ns: argparse.Namespace) -> int:
             f"--l {ns.l} gives {ns.l - 1} levels, above the limit of {MAX_LEVELS}"
         )
     a_l, quant = oscillator._jafarov_levels(ns.omega0, ns.l)
-    spectrum = _spectrum(_admit(oscillator._model(ns.omega0, float(ns.l), 0.0)))
+    spectrum = _spectrum(_admit(OscillatorParams(ns.omega0, float(ns.l), 0.0)))
     devs = [abs(a_l - spectrum["a"]) / abs(spectrum["a"])]
     for lv, (e, _) in zip(spectrum["levels"], quant):
         devs.append(abs(e - lv["energy"]) / max(abs(lv["energy"]), 1e-300))
@@ -455,9 +457,9 @@ def cmd_scan(ns: argparse.Namespace) -> int:
     # level limit is checked, and the work is estimated after that
     if a_range is not None:
         b = 0.0 if ns.b is None else ns.b
-        rows = [(v, oscillator._model(ns.omega0, v, b)) for v in _range_values(a_range)]
+        rows = [(v, OscillatorParams(ns.omega0, v, b)) for v in _range_values(a_range)]
     else:
-        rows = [(v, oscillator._model(ns.omega0, ns.A, v)) for v in _range_values(b_range)]
+        rows = [(v, OscillatorParams(ns.omega0, ns.A, v)) for v in _range_values(b_range)]
     for _, model in rows:
         _admit(model)
     levels = sum(model.count for _, model in rows)

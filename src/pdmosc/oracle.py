@@ -637,7 +637,7 @@ def _two_grid_report(
 
 
 def solve_pdm_numeric(
-    p: oscillator.OscillatorParams | oscillator._Model,
+    p: oscillator.OscillatorParams,
     k: int,
     n_grid: int,
     estimate_order: bool = False,
@@ -666,13 +666,11 @@ def solve_pdm_numeric(
     pct.BOUNDARY_MARGIN of a wall in t, where the mass is not sampled, is
     refused.
 
-    p is an OscillatorParams, which is derived once here, or the
-    oscillator._Model a caller has already derived, which is used as it
-    is.  The analytic column is the model's spectrum.
+    p is used as it is: its constructor has derived the model once, and
+    this maps nothing.  The analytic column is p's spectrum.
     """
     if not is_int(n_grid) or n_grid < 8:
         raise ParameterError(f"need an integer n_grid >= 8, got {n_grid!r}")
-    model = p if isinstance(p, oscillator._Model) else oscillator._model(p.omega0, p.A, p.b)
     profile = pct.MassProfile(1.0)
     # the finest grid's outermost midpoint, where the mass is sampled nearest a wall, put to
     # pct.mass's own test: its bits are the grid's own, and its mirror is its negation
@@ -683,19 +681,19 @@ def solve_pdm_numeric(
             f"n_grid {n_grid} is too fine: its grid of {2 * n_grid} points would sample the "
             f"mass within {pct.BOUNDARY_MARGIN} a of the walls"
         ) from None
-    if not is_int(k) or k < 1 or k > model.count:
-        raise ParameterError(f"need 1 <= k <= {model.count} admitted levels, got {k!r}")
+    if not is_int(k) or k < 1 or k > p.count:
+        raise ParameterError(f"need 1 <= k <= {p.count} admitted levels, got {k!r}")
     # omega0 a stays in range wherever a^3 does, which map_parameters checked
-    wa = model.omega0 * model.a
-    g, t0 = 0.5 * wa * model.a, 2.0 * model.b / wa
+    wa = p.omega0 * p.a
+    g, t0 = 0.5 * wa * p.a, 2.0 * p.b / wa
     return _two_grid_report(
         lambda t: (2.0 * g) * pct.mass(profile, t),
         lambda t: (0.5 * g) * (t - t0) ** 2,
         SineGrid,
-        model.spectrum()[:k],
+        p._spectrum()[:k],
         n_grid,
         estimate_order,
-        model.omega0,
+        p.omega0,
     )
 
 

@@ -10,9 +10,9 @@ point of the construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from . import pct
 from ._numpy import np
@@ -44,17 +44,51 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OscillatorParams:
-    """Model parameters: frequency omega0 > 0, depth A > 1, shift b."""
+    """Model parameters: frequency omega0 > 0, depth A > 1, shift b.
+
+    Construction validates them and derives the model once, in one
+    pct.map_parameters call: the half-width a, the derived well rm and its
+    level count.  These three are read-only and take no part in eq, hash or
+    repr, which see (omega0, A, b) alone; dataclasses.replace derives anew.
+    """
 
     omega0: float
     A: float
     b: float = 0.0
+    a: float = field(init=False, repr=False, compare=False)
+    rm: RosenMorseParams = field(init=False, repr=False, compare=False)
+    count: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        # single validation authority, shared with everything derived
-        pct.map_parameters(self.omega0, self.A, self.b)
+    def __init__(self, omega0: float, A: float, b: float = 0.0) -> None:
+        # the one parameter map, which validates (omega0, A, b) and gives the level count;
+        # every field goes in with one update, since a generated __init__ would set each
+        # through the frozen record's object.__setattr__
+        a, _, rm, count = pct.map_parameters(omega0, A, b)
+        self.__dict__.update(omega0=omega0, A=A, b=b, a=a, rm=rm, count=count)
+
+    def _spectrum(self) -> list[float]:
+        # every level, with no gate: range(count) lies inside the unshifted well's window,
+        # since level_count(A, B) <= rm_nmax(A) + 1.  The floors are those of the unshifted
+        # well, whose B^2 is 0, so no tilt term is taken
+        levels = range(self.count)
+        return _energies(self.A, self.a, self.b, levels, _level_energies(self.A, 0.0, levels, True))
+
+    def _level(self, n: int, form: str = "auto") -> _Level:
+        # the well's level n times the transform's prefactor a^(-1/2) (1 - t^2)^(-1/2)
+        return _resolve(self.rm, n, form, lower=0.5, ln_scale=-0.5 * math.log(self.a))
+
+    def _psi_of(
+        self, n: int, form: str = "auto"
+    ) -> Callable[[float | np.ndarray], float | np.ndarray]:
+        # level n's wavefunction of x with its constants resolved, only the per-point work left
+        return partial(_psi, self._level(n, form), self.a)
+
+    def _psi_rows(self, x: np.ndarray) -> np.ndarray:
+        # every level on the 1-D array x in one pass, with one polynomial call: row n is
+        # _psi_of(n)(x) bit for bit
+        return _psi(_stack([self._level(n) for n in range(self.count)]), self.a, x)
 
 
 @dataclass(frozen=True)
@@ -69,37 +103,6 @@ class BoundState:
     wavefunction: Callable[[float | np.ndarray], float | np.ndarray]
 
 
-class _Model(NamedTuple):
-    """One derivation of (omega0, A, b): the half-width a, the well rm and its level count."""
-
-    omega0: float
-    A: float
-    b: float
-    a: float
-    rm: RosenMorseParams
-    count: int
-
-    def spectrum(self) -> list[float]:
-        # every level, with no gate: range(count) lies inside the unshifted well's window,
-        # since level_count(A, B) <= rm_nmax(A) + 1.  The floors are those of the unshifted
-        # well, whose B^2 is 0, so no tilt term is taken
-        levels = range(self.count)
-        return _energies(self.A, self.a, self.b, levels, _level_energies(self.A, 0.0, levels, True))
-
-    def _level(self, n: int, form: str = "auto") -> _Level:
-        # the well's level n times the transform's prefactor a^(-1/2) (1 - t^2)^(-1/2)
-        return _resolve(self.rm, n, form, lower=0.5, ln_scale=-0.5 * math.log(self.a))
-
-    def psi(self, n: int, form: str = "auto") -> Callable[[float | np.ndarray], float | np.ndarray]:
-        # level n's wavefunction of x with its constants resolved, only the per-point work left
-        return partial(_psi, self._level(n, form), self.a)
-
-    def psi_rows(self, x: np.ndarray) -> np.ndarray:
-        # every level on the 1-D array x in one pass, with one polynomial call: row n is
-        # psi(n)(x) bit for bit
-        return _psi(_stack([self._level(n) for n in range(self.count)]), self.a, x)
-
-
 def _energies(A: float, a: float, b: float, levels: range, floors: list[float]) -> list[float]:
     # a_bar^2 eps_n + c_bar of the derivation (A, a, b), summed before it is rounded, from
     # floors, the levels' energies D above the floor of the unshifted well (A, 0).  At
@@ -112,12 +115,6 @@ def _energies(A: float, a: float, b: float, levels: range, floors: list[float]) 
     ]
 
 
-def _model(omega0: float, A: float, b: float) -> _Model:
-    # one parameter map, which validates (omega0, A, b) and gives the level count
-    a, _, rm, count = pct.map_parameters(omega0, A, b)
-    return _Model(omega0, A, b, a, rm, count)
-
-
 def confinement_length(omega0: float, A: float) -> float:
     """Half-width a = sqrt(2/omega0) * (A(A+1) - 2)^(1/4)."""
     return pct.map_parameters(omega0, A, 0.0)[0]
@@ -125,7 +122,7 @@ def confinement_length(omega0: float, A: float) -> float:
 
 def num_bound_states(p: OscillatorParams) -> int:
     """Count of admitted levels: pct.level_count of the derived well, at least 1."""
-    return _model(p.omega0, p.A, p.b).count
+    return p.count
 
 
 def energy(p: OscillatorParams, n: int) -> float:
@@ -136,14 +133,14 @@ def energy(p: OscillatorParams, n: int) -> float:
     closed form before rounding, so the result keeps its relative accuracy
     at any depth.
     """
-    # two derivations, one for the level check and one for the energy, and the level
-    # through rm_energy's gate: bench/test_bench.py::test_tracer_counts_and_self_time pins
-    # this path's 3 parameter maps and 1 rm_energy call, so deriving once waits on a
-    # change to that benchmark test
-    _check_level(n, num_bound_states(p), p)
-    model, levels = _model(p.omega0, p.A, p.b), range(n, n + 1)
+    # p derived again twice, once for the level check and once for the energy, and the
+    # level through rm_energy's gate: bench/test_bench.py::test_tracer_counts_and_self_time
+    # pins this path's 3 parameter maps, the constructor's included, and 1 rm_energy call,
+    # so reading p's own derivation waits on a change to that benchmark test
+    _check_level(n, pct.map_parameters(p.omega0, p.A, p.b)[3], p)
+    a, levels = pct.map_parameters(p.omega0, p.A, p.b)[0], range(n, n + 1)
     floors = rm_energy(RosenMorseParams(p.A), levels, from_floor=True)
-    return _energies(p.A, model.a, p.b, levels, floors)[0]
+    return _energies(p.A, a, p.b, levels, floors)[0]
 
 
 def _half_integer_form(omega0: float, a: float, n: int) -> float:
@@ -164,12 +161,11 @@ def energy_harmonic_form(p: OscillatorParams, n: int) -> float:
     plus b^2 g(n)/f(n) with f(n) = (A-n)^2 and g(n) = f(n) - omega0^2 a^4/4
     when the shift is present.
     """
-    model = _model(p.omega0, p.A, p.b)
-    _check_level(n, model.count, p)
-    e = _half_integer_form(p.omega0, model.a, n)
+    _check_level(n, p.count, p)
+    e = _half_integer_form(p.omega0, p.a, n)
     if p.b != 0.0:
         f = (p.A - n) ** 2
-        g = f - 0.25 * (p.omega0 * model.a * model.a) ** 2
+        g = f - 0.25 * (p.omega0 * p.a * p.a) ** 2
         e += p.b * p.b * g / f
     return e
 
@@ -226,20 +222,18 @@ def wavefunction(
     alone.  Within 1e-12 a of the interval ends the value is exactly 0.0;
     one entry that is not finite or lies beyond them raises DomainError.
     """
-    model = _model(p.omega0, p.A, p.b)
-    _check_level(n, model.count, p)
-    return model.psi(n, form)(x)
+    _check_level(n, p.count, p)
+    return p._psi_of(n, form)(x)
 
 
 def bound_states(p: OscillatorParams) -> list[BoundState]:
-    """All admitted levels, ordered by n, from one derivation of the model.
+    """All admitted levels, ordered by n, from p's one derivation.
 
     Each state's energy and wavefunction constants are computed here, so
     evaluating state.wavefunction(x) only does the per-point work, on a float
     or on an ndarray of x; it gives the same values as wavefunction(p, n, x).
     """
-    model = _model(p.omega0, p.A, p.b)
-    return [BoundState(n, e, model.psi(n)) for n, e in enumerate(model.spectrum())]
+    return [BoundState(n, e, p._psi_of(n)) for n, e in enumerate(p._spectrum())]
 
 
 def _jafarov_coeffs(l: int, a: float) -> list[float]:

@@ -21,7 +21,7 @@ import re
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from pdmosc import cli, oscillator
+from pdmosc import cli
 from pdmosc.errors import ParameterError
 from pdmosc.oscillator import OscillatorParams, bound_states, shift_bound
 
@@ -183,10 +183,10 @@ def _model_params(draw) -> tuple[float, float, float]:
         return omega0, A, frac
 
 
-def _admitted(omega0: float, A: float, b: float) -> oscillator._Model | None:
+def _admitted(omega0: float, A: float, b: float) -> OscillatorParams | None:
     # the model the CLI admits for (omega0, A, b), or None where it refuses it
     try:
-        return cli._admit(oscillator._model(omega0, A, b))
+        return cli._admit(OscillatorParams(omega0, A, b))
     except ParameterError:
         return None
 

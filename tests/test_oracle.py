@@ -899,29 +899,24 @@ def test_a_too_fine_grid_is_refused_at_its_outermost_midpoint():
 
 
 def test_pdm_report_derives_the_model_once(count_calls):
-    # one parameter map gives a, the level count and every analytic energy: the
-    # library's per-level entry points, which each derive the model again, are not called
-    p = OscillatorParams(0.9, 7.4, 0.2)
-    k = num_bound_states(p)
-    want = [energy(p, n) for n in range(k)]
+    # the derivation p's constructor made gives a, the level count and every analytic
+    # energy: the report maps nothing and calls none of the library's per-level entry
+    # points, and it is bit for bit the report of a record built anew from p's inputs
+    models = [OscillatorParams(0.9, 7.4, 0.2), OscillatorParams(1.0, 6.25),
+              OscillatorParams(0.7, 9.3, -0.2)]
+    wants = [[energy(p, n) for n in range(num_bound_states(p))] for p in models]
+    anew = [
+        solve_pdm_numeric(OscillatorParams(p.omega0, p.A, p.b), p.count, 500, estimate_order=True)
+        for p in models
+    ]
     count_calls(pct, "map_parameters")
     count_calls(oscillator, "energy")
     calls = count_calls(oscillator, "num_bound_states")
-    rep = solve_pdm_numeric(p, k, 500)
-    assert calls == {"map_parameters": 1, "energy": 0, "num_bound_states": 0}
-    assert list(rep.analytic) == want
-
-
-@pytest.mark.parametrize("p", [OscillatorParams(1.0, 6.25), OscillatorParams(0.7, 9.3, -0.2)])
-def test_an_admitted_model_is_used_as_it_is(count_calls, p):
-    # the model a caller has already derived, as the CLI's verify does, is mapped no
-    # more, and gives the report of its OscillatorParams bit for bit
-    model = oscillator._model(p.omega0, p.A, p.b)
-    want = solve_pdm_numeric(p, model.count, 500, estimate_order=True)
-    calls = count_calls(pct, "map_parameters")
-    got = solve_pdm_numeric(model, model.count, 500, estimate_order=True)
-    assert calls == {"map_parameters": 0}
-    assert repr(got) == repr(want)
+    reports = [solve_pdm_numeric(p, p.count, 500, estimate_order=True) for p in models]
+    assert calls == {"map_parameters": 0, "energy": 0, "num_bound_states": 0}
+    for want, rep, again in zip(wants, reports, anew):
+        assert list(rep.analytic) == want
+        assert repr(rep) == repr(again)
 
 
 @pytest.mark.parametrize("p", [OscillatorParams(1.0, 6.25), OscillatorParams(0.7, 9.3, -0.2)])
@@ -931,7 +926,7 @@ def test_the_analytic_values_start_no_grid(monkeypatch, p):
     k = num_bound_states(p)
     want = solve_pdm_numeric(p, k, 600, estimate_order=True)
     monkeypatch.setattr(
-        oscillator._Model, "spectrum", lambda self: [3.0 * n - 7.5 for n in range(self.count)]
+        OscillatorParams, "_spectrum", lambda self: [3.0 * n - 7.5 for n in range(self.count)]
     )
     got = solve_pdm_numeric(p, k, 600, estimate_order=True)
     assert list(got.analytic) == [3.0 * n - 7.5 for n in range(k)] != list(want.analytic)

@@ -5,7 +5,9 @@ hand (a^2 = sqrt(40) arithmetic and friends); route-equality tests compare
 independently coded evaluation paths.
 """
 
+import dataclasses
 import math
+import pickle
 import random
 import warnings
 from functools import partial
@@ -30,6 +32,7 @@ from pdmosc.oscillator import (
     shift_bound,
     wavefunction,
 )
+from pdmosc.oracle import solve_pdm_numeric
 from pdmosc.rosen_morse import rm_wavefunction
 from pdmosc.special_fn import gauss_legendre
 
@@ -64,6 +67,49 @@ WALL_GAPS = [side * 10.0**-e for e in range(3, 9) for side in (1.0, -1.0)]
 
 
 # --- derived constants ---
+
+
+def test_params_derive_once_and_compare_on_their_inputs(count_calls):
+    # a, rm and count come from the constructor's one map and take no part in eq, hash or
+    # repr; replace derives anew, a pickle keeps them without a map, and none can be set
+    p = OscillatorParams(1.0, 3.5)
+    assert (p.count, p.a) == (3, confinement_length(1.0, 3.5))
+    assert p.rm == pct.map_parameters(1.0, 3.5, 0.0)[2]
+    assert repr(p) == "OscillatorParams(omega0=1.0, A=3.5, b=0.0)"
+    assert p == OscillatorParams(1.0, 3.5, 0.0) != OscillatorParams(1.0, 3.5, 0.1)
+    assert hash(p) == hash((1.0, 3.5, 0.0))
+    assert [f.name for f in dataclasses.fields(p) if f.compare or f.repr] == ["omega0", "A", "b"]
+    deeper = dataclasses.replace(p, A=5.5)
+    assert deeper == OscillatorParams(1.0, 5.5)
+    assert (deeper.count, deeper.a) == (5, confinement_length(1.0, 5.5))
+    calls = count_calls(pct, "map_parameters")
+    back = pickle.loads(pickle.dumps(p))
+    assert calls == {"map_parameters": 0}
+    assert back == p and (back.a, back.rm, back.count) == (p.a, p.rm, p.count)
+    for name in ("omega0", "a", "rm", "count"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, name, 2.0)
+    with pytest.raises(ParameterError, match="not a bool"):
+        dataclasses.replace(p, b=True)
+
+
+def test_a_built_model_is_mapped_no_more(count_calls):
+    # each entry point reads the derivation p's constructor made; energy alone derives p
+    # twice more, as its own comment says why
+    p = OscillatorParams(0.9, 7.4, 0.2)
+    k = p.count
+    calls = count_calls(pct, "map_parameters")
+    for name, call in [
+        ("num_bound_states", lambda: num_bound_states(p)),
+        ("wavefunction", lambda: wavefunction(p, k - 1, 0.3 * p.a)),
+        ("bound_states", lambda: bound_states(p)[k - 1].wavefunction(0.3 * p.a)),
+        ("energy_harmonic_form", lambda: energy_harmonic_form(p, k - 1)),
+        ("solve_pdm_numeric", lambda: solve_pdm_numeric(p, 1, 64)),
+    ]:
+        call()
+        assert calls == {"map_parameters": 0}, name
+    energy(p, 0)
+    assert calls == {"map_parameters": 2}
 
 
 def test_confinement_length_values():
@@ -273,10 +319,9 @@ def test_energies_against_mpmath_over_the_admitted_space(p):
     # energy.  At b != 0 the shift term cancels the unshifted one near the bound, so each energy is
     # held to its unshifted term (D - 1)/a^2, which is |E| at b = 0.  At most 40 levels of a
     # deep model are checked: the first 16, the last 16 and 8 between
-    model = oscillator._model(p.omega0, p.A, p.b)
-    k = model.count
+    k = p.count
     assert k >= 1
-    energies = model.spectrum()
+    energies = p._spectrum()
     assert all(lo < hi for lo, hi in zip(energies, energies[1:]))
     levels = set(range(16)) | set(range(k - 16, k)) | set(range(0, k, max(1, k // 8)))
     for n in sorted(levels & set(range(k))):
@@ -308,8 +353,7 @@ def _well_and_levels(draw):
     # a well of the admitted space, shifted (B != 0 where b != 0) or unshifted with B = 0.0
     # or -0.0, and a range of levels inside its window
     p = draw(_admitted_params())
-    model = oscillator._model(p.omega0, p.A, p.b)
-    A, B = model.rm.A, model.rm.B
+    A, B = p.rm.A, p.rm.B
     well = rosen_morse.RosenMorseParams(A, draw(st.sampled_from([B, 0.0, -0.0])))
     count = rosen_morse.rm_nmax(well) + 1
     i, j = sorted(draw(st.lists(st.integers(0, count), min_size=2, max_size=2)))
@@ -345,9 +389,7 @@ def test_a_range_with_an_end_out_of_the_window_gives_that_levels_message(case, p
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(_admitted_params())
 def test_a_spectrum_in_one_call_is_its_energies_one_at_a_time(p):
-    model = oscillator._model(p.omega0, p.A, p.b)
-    k = model.count
-    assert _bits(model.spectrum()) == _bits([energy(p, n) for n in range(k)])
+    assert _bits(p._spectrum()) == _bits([energy(p, n) for n in range(p.count)])
 
 
 @st.composite
@@ -369,12 +411,11 @@ def test_all_levels_at_once_are_the_levels_one_at_a_time(case):
     # each row of the one-pass evaluation is, byte for byte, its level's own wavefunction on
     # the same points, on both polynomial routes
     p, t = case
-    model = oscillator._model(p.omega0, p.A, p.b)
-    x = model.a * np.array(t)
-    rows = model.psi_rows(x)
-    assert rows.shape == (model.count, x.size)
+    x = p.a * np.array(t)
+    rows = p._psi_rows(x)
+    assert rows.shape == (p.count, x.size)
     for n, row in enumerate(rows):
-        assert row.tobytes() == model.psi(n)(x).tobytes(), n
+        assert row.tobytes() == p._psi_of(n)(x).tobytes(), n
 
 
 @st.composite
@@ -399,7 +440,7 @@ def test_the_mirror_b_to_minus_b_reflects_every_state(case):
     p, q, t = case
     here, there = bound_states(p), bound_states(q)
     assert _bits([s.energy for s in there]) == _bits([s.energy for s in here])
-    x = oscillator._model(p.omega0, p.A, p.b).a * np.array(t)
+    x = p.a * np.array(t)
     for s, r in zip(here, there):
         psi = s.wavefunction(x)
         tol = 1e-11 * np.max(np.abs(psi))
@@ -430,7 +471,7 @@ def test_the_scaling_omega0_to_lam_omega0_scales_every_state(case):
     # of this space the largest differences were 4.4e-16 in a, 3.2 A eps in E and 6.4e-11
     # of max|psi|, at A near 280
     p, q, lam, t = case
-    a_p, a_q = (oscillator._model(r.omega0, r.A, r.b).a for r in (p, q))
+    a_p, a_q = p.a, q.a
     assert abs(math.sqrt(lam) * a_q - a_p) <= 1e-15 * a_p
     here, there = bound_states(p), bound_states(q)
     assert len(here) == len(there)
@@ -674,12 +715,12 @@ def test_bound_states_assembly():
 
 
 def test_bound_states_derive_once(count_calls):
-    models = [OscillatorParams(0.9, 7.4, 0.2), OscillatorParams(1.0, 5.5)]
+    # the one map is the constructor's
     count_calls(pct, "map_parameters")
     calls = count_calls(rosen_morse, "ln_gamma")
-    for p in models:
+    for args in [(0.9, 7.4, 0.2), (1.0, 5.5)]:
         calls.update(map_parameters=0, ln_gamma=0)
-        states = bound_states(p)
+        states = bound_states(OscillatorParams(*args))
         assert calls["map_parameters"] == 1
         calls.update(map_parameters=0, ln_gamma=0)
         for s in states:
