@@ -901,22 +901,28 @@ def test_a_too_fine_grid_is_refused_at_its_outermost_midpoint():
 def test_pdm_report_derives_the_model_once(count_calls):
     # the derivation p's constructor made gives a, the level count and every analytic
     # energy: the report maps nothing and calls none of the library's per-level entry
-    # points, and it is bit for bit the report of a record built anew from p's inputs
-    models = [OscillatorParams(0.9, 7.4, 0.2), OscillatorParams(1.0, 6.25),
-              OscillatorParams(0.7, 9.3, -0.2)]
-    wants = [[energy(p, n) for n in range(num_bound_states(p))] for p in models]
-    anew = [
-        solve_pdm_numeric(OscillatorParams(p.omega0, p.A, p.b), p.count, 500, estimate_order=True)
-        for p in models
-    ]
+    # points, which each derive the model again
+    p = OscillatorParams(0.9, 7.4, 0.2)
+    k = num_bound_states(p)
+    want = [energy(p, n) for n in range(k)]
     count_calls(pct, "map_parameters")
     count_calls(oscillator, "energy")
     calls = count_calls(oscillator, "num_bound_states")
-    reports = [solve_pdm_numeric(p, p.count, 500, estimate_order=True) for p in models]
+    rep = solve_pdm_numeric(p, k, 500)
     assert calls == {"map_parameters": 0, "energy": 0, "num_bound_states": 0}
-    for want, rep, again in zip(wants, reports, anew):
-        assert list(rep.analytic) == want
-        assert repr(rep) == repr(again)
+    assert list(rep.analytic) == want
+
+
+@pytest.mark.parametrize("p", [OscillatorParams(1.0, 6.25), OscillatorParams(0.7, 9.3, -0.2)])
+def test_an_admitted_model_is_used_as_it_is(count_calls, p):
+    # the model a caller has already built, as the CLI's verify does, is mapped no
+    # more, and gives the report of a record built anew from its inputs bit for bit
+    want = solve_pdm_numeric(OscillatorParams(p.omega0, p.A, p.b), p.count, 500,
+                             estimate_order=True)
+    calls = count_calls(pct, "map_parameters")
+    got = solve_pdm_numeric(p, p.count, 500, estimate_order=True)
+    assert calls == {"map_parameters": 0}
+    assert repr(got) == repr(want)
 
 
 @pytest.mark.parametrize("p", [OscillatorParams(1.0, 6.25), OscillatorParams(0.7, 9.3, -0.2)])
