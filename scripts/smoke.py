@@ -12,6 +12,8 @@ same rows in process through ``cli.main`` and ``check``.
 A row is an argv, its exit code, and either a refusal (an error kind and
 a fragment its message must hold; a kind of None is argparse's own usage
 error, whose text must hold it) or a payload predicate on stdout.
+A JSON payload (every payload but a scan's and a CSV ``solve``'s) must also
+be the bytes ``json.dumps(payload, indent=2)`` prints, and a newline.
 A refusal prints nothing on stdout and no traceback, and a row with a kind
 prints exactly one JSON line of that kind on stderr; a payload prints
 nothing on stderr.
@@ -40,6 +42,10 @@ class Row(NamedTuple):
     fragment: str = ""
     payload: Callable[[str], bool] | None = None
 
+    def prints_json(self) -> bool:
+        """Whether the row's payload is JSON: every payload but a scan's and a CSV solve's."""
+        return not self.argv.startswith("scan") and "--format csv" not in self.argv
+
 
 def check(row: Row, rc: int, out: str, err: str) -> str | None:
     """What the run (exit code rc, stdout out, stderr err) breaks of row, or None."""
@@ -49,6 +55,9 @@ def check(row: Row, rc: int, out: str, err: str) -> str | None:
         if err:
             return f"a payload with stderr {err!r}"
         try:
+            # a JSON payload is the bytes json.dumps(payload, indent=2) prints, and a newline
+            if row.prints_json() and out != json.dumps(json.loads(out), indent=2) + "\n":
+                return "the payload is not the bytes of json.dumps(indent=2)"
             return None if row.payload(out) else "the payload fails its predicate"
         except (ValueError, LookupError, TypeError) as exc:
             return f"the payload fails its predicate: {exc!r}"

@@ -41,17 +41,21 @@ at the null device, so that the interpreter's last flush at exit prints
 nothing more.  A stderr that cannot be written takes nothing and is pointed
 at the null device the same way, and the run keeps its exit code.  JSON
 payloads come from one small emitter that prints the bytes
-``json.dumps(payload, indent=2)`` would: a float prints as its shortest
-round-trip repr, and NaN and +-inf print as null.  ``solve``
-holds each level's samples table as two columns, the x points shared by
-every level and the level's psi values, and prints it in the same bytes as
-its ``[{"x": x, "psi": psi}, ...]`` form, with the x texts formatted once per
-solve.  It evaluates every level in one pass, with one polynomial call per
-solve (the levels' recurrences step together, so k levels take O(k) array
-operations): JSON on the graded rule's nodes joined with the sample points,
-where each norm sums its row as ``oracle.overlap`` with ``graded=True``
-does, and CSV on the sample points alone.  A CSV float cell prints with 17
-significant digits, and any other cell (an int, a str) as ``str`` prints it.
+``json.dumps(payload, indent=2)`` would, as one list of parts joined once: a
+float prints as its shortest round-trip repr, and NaN and +-inf print as
+null.  Every list of records in a payload is one column table: the
+spectrum's levels (``n``, ``energy``), ``jafarov``'s quantized levels
+(``n``, ``energy``, ``norm``), ``verify``'s report levels (``n``,
+``analytic``, ``numeric``, ``rel_err``, ``order``) and each ``solve``
+level's samples (``x``, ``psi``), whose x texts are formatted once per
+solve and shared by every level.  A table prints in the bytes of its list
+of dicts, with no Python call per record.  ``solve`` evaluates every level
+in one pass, with one polynomial call per solve (the levels' recurrences
+step together, so k levels take O(k) array operations): JSON on the graded
+rule's nodes joined with the sample points, where each norm sums its row as
+``oracle.overlap`` with ``graded=True`` does, and CSV on the sample points
+alone.  A CSV float cell prints with 17 significant digits, and any other
+cell (an int, a str) as ``str`` prints it.
 
 Work is bounded before any level is computed, with exit 2: a model with more
 than MAX_LEVELS levels (a ``solve`` or ``verify`` model, a ``scan`` row, or
@@ -95,7 +99,7 @@ MAX_SCAN_ROWS = 10_000
 # weights are fitted from timed runs:
 # - SAMPLE_WORK, one printed sample of solve --samples.  A sample costs about 3e-6 s; the
 #   weight is set above that to hold the JSON table's peak RSS (A = 2 at 490 847 samples:
-#   288 MB);
+#   205 MB, 287 MB before the payload was printed as one list of parts);
 # - FD_WORK, one level on one point of verify's grid, counted over grid (k + 3) so that a
 #   run's fixed cost is paid too.  At A = 208, the deepest depth admitted, a level-point
 #   costs about 2e-6 s when b != 0 (verify --A 208 --b 0.001: 1.38-1.42 s), and about half
@@ -103,7 +107,7 @@ MAX_SCAN_ROWS = 10_000
 #   (verify --A 208: 0.75-0.77 s).  The weight is the b != 0 cost of 3-3.6e-6 s measured
 #   before the oracle's Newton steps landed on its counts, kept as a margin;
 # - LEVEL_WORK, one level of one scan row.
-# The deepest admitted runs took 1.32-1.33 s (solve --A 581 --samples 1), 1.44-1.55 s (--A 2
+# The deepest admitted runs took 1.32-1.33 s (solve --A 581 --samples 1), 1.03-1.13 s (--A 2
 # --samples 490 847), 1.38-1.42 s (verify --A 208 --b 0.001) and 1.04-1.06 s (scan of A from
 # 2 to 1426 by 1), 3 runs each with interpreter start on 2 cores shared with other load,
 # Python 3.11.7
@@ -129,70 +133,108 @@ VERIFY_GRID_PER_A = 16
 
 
 @dataclass(frozen=True)
-class _SampleTable:
-    # one level's samples as two columns, printed as [{"x": x, "psi": psi}, ...].  x_json,
-    # the JSON texts of the sample points, is the same list for every level of one solve
-    x_json: list[str]
-    psi: list[float]
+class _Table:
+    # a list of records held as columns, printed as [{keys[0]: columns[0][i], ...}, ...].
+    # A column is a range of ints, a list of floats (a non-finite one prints as null) or a
+    # list of str, the entries' JSON texts, printed as they are; every column has the
+    # length of the first, and there is at least one key
+    keys: tuple[str, ...]
+    columns: tuple[range | list | tuple, ...]
 
 
-def _sample_json(table: _SampleTable, indent: str) -> str:
-    # the bytes the recursion below prints for the table's dict form, in one join with no
-    # recursion per point.  A non-finite psi prints as null; a table holds at least one sample
+def _column_texts(column: range | list | tuple) -> list[str]:
+    # each entry's JSON text, with no Python call per entry: an entry of a float column
+    # that float.__repr__ cannot take raises TypeError
+    if type(column) is range:
+        return list(map(int.__repr__, column))
+    if column and type(column[0]) is str:
+        return column
+    texts = list(map(float.__repr__, column))
+    # a finite float's repr holds no "n", and each of nan, inf and -inf holds one
+    if "n" in "".join(texts):
+        texts = ["null" if "n" in t else t for t in texts]
+    return texts
+
+
+def _put_table(table: _Table, indent: str, out: list[str]) -> None:
+    # the bytes the recursion below prints for the table's dict form, laid into out with no
+    # Python call per record.  Record i is the stride parts from start + i stride: for each
+    # key, the text before its value (the first key's closes the record before and opens
+    # this one) and the value's text.  A template lays the fixed texts, and each column's
+    # texts go into their slots in one slice assignment
+    rows = len(table.columns[0])
+    if not rows:
+        out.append("[]")
+        return
     inner = indent + "  "
-    head = inner + "{" + inner + '  "x": '
-    mid = "," + inner + '  "psi": '
-    tail = inner + "}"
-    text, finite = float.__repr__, math.isfinite
-    return "[" + ",".join([
-        f"{head}{x}{mid}{text(v) if finite(v) else 'null'}{tail}"
-        for x, v in zip(table.x_json, table.psi)
-    ]) + indent + "]"
+    before = [inner + "  " + _json_str(k) + ": " for k in table.keys]
+    stride = 2 * len(before)
+    template: list[str] = []
+    for j, text in enumerate(before):
+        template += ["," + text if j else inner + "}," + inner + "{" + text, ""]
+    start = len(out)
+    out += template * rows
+    out[start] = "[" + inner + "{" + before[0]
+    out.append(inner + "}" + indent + "]")
+    for j, column in enumerate(table.columns):
+        out[start + 2 * j + 1::stride] = _column_texts(column)
 
 
-def _json_payload(value: object, indent: str = "\n") -> str:
-    # the text of json.dumps(value, indent=2) in one recursion, since indent sends
-    # json.dumps to its pure-Python encoder.  A float prints as float.__repr__, the
-    # shortest text that round-trips bit for bit (repr of an np.float64 is not JSON);
-    # NaN and +-inf print as null, since JSON has neither; a dict key must be a str.
+def _json_payload(value: object) -> str:
+    # the text of json.dumps(value, indent=2), whose indent sends it to json's pure-Python
+    # encoder, made here as one list of parts and joined once
+    out: list[str] = []
+    _put(value, "\n", out)
+    return "".join(out)
+
+
+def _put(value: object, indent: str, out: list[str]) -> None:
+    # value's JSON text, at the nesting of indent, appended to out in parts.  A float prints
+    # as float.__repr__, the shortest text that round-trips bit for bit (repr of an
+    # np.float64 is not JSON); NaN and +-inf print as null, since JSON has neither; a dict
+    # key must be a str
+    inner = indent + "  "
     if isinstance(value, float):
-        return float.__repr__(value) if math.isfinite(value) else "null"
-    inner = indent + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        parts = []
+        out.append(float.__repr__(value) if math.isfinite(value) else "null")
+    elif isinstance(value, dict):
+        sep = "{"
         for k, v in value.items():
             if not isinstance(k, str):
                 raise TypeError(f"JSON keys must be str, not {type(k).__name__}")
+            head = sep + inner + _json_str(k) + ": "
+            sep = ","
             # a plain float or int value prints here, without a call; a subclass (a bool,
             # an np.float64) takes the recursion, as every other value does
             t = type(v)
             if t is float:
-                text = float.__repr__(v) if math.isfinite(v) else "null"
+                out.append(head + (float.__repr__(v) if math.isfinite(v) else "null"))
             elif t is int:
-                text = int.__repr__(v)
+                out.append(head + int.__repr__(v))
             else:
-                text = _json_payload(v, inner)
-            parts.append(inner + _json_str(k) + ": " + text)
-        return "{" + ",".join(parts) + indent + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        return "[" + ",".join([inner + _json_payload(v, inner) for v in value]) + indent + "]"
-    if isinstance(value, str):
-        return _json_str(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, _SampleTable):
-        return _sample_json(value, indent)
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+                out.append(head)
+                _put(v, inner, out)
+        out.append(indent + "}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        sep = "["
+        for v in value:
+            out.append(sep + inner)
+            sep = ","
+            _put(v, inner, out)
+        out.append(indent + "]" if value else "[]")
+    elif isinstance(value, str):
+        out.append(_json_str(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, _Table):
+        _put_table(value, indent, out)
+    else:
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _csv_text(rows: Iterable[list[object]]) -> str:
@@ -261,7 +303,7 @@ def _spectrum(model: OscillatorParams) -> dict:
     return {
         "a": model.a,
         "num_states": model.count,
-        "levels": [{"n": n, "energy": e} for n, e in enumerate(model._spectrum())],
+        "levels": _Table(("n", "energy"), (range(model.count), model._spectrum())),
     }
 
 
@@ -346,11 +388,13 @@ def cmd_solve(ns: argparse.Namespace) -> int:
         "spectrum": _spectrum(model),
     }
     if ns.samples > 0:
-        xs = _sample_points(model, ns.samples)
-        x_json = [float.__repr__(x) for x in xs]
-        norms, psi = _norms_and_samples(model, rule, np.array(xs))
+        # the points are kept as an array and as their JSON texts, and no list of their
+        # floats is held while the payload is printed
+        points = np.array(_sample_points(model, ns.samples))
+        x_json = list(map(float.__repr__, points.tolist()))
+        norms, psi = _norms_and_samples(model, rule, points)
         payload["wavefunctions"] = [
-            {"n": n, "norm": norm, "samples": _SampleTable(x_json, values)}
+            {"n": n, "norm": norm, "samples": _Table(("x", "psi"), (x_json, values))}
             for n, (norm, values) in enumerate(zip(norms, psi))
         ]
     _emit(ns.out, _json_payload(payload))
@@ -366,11 +410,10 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     _refuse_over(FD_WORK * grid * (k + 3), f"verify of {k} levels on its {grid}-point grid")
     # the oracle takes the admitted model as it is, and maps nothing
     report = oracle.solve_pdm_numeric(model, k, grid, estimate_order=True)
-    levels = [
-        {"n": i, "analytic": report.analytic[i], "numeric": report.numeric[i],
-         "rel_err": report.rel_err[i], "order": report.order[i]}
-        for i in range(k)
-    ]
+    levels = _Table(
+        ("n", "analytic", "numeric", "rel_err", "order"),
+        (range(k), report.analytic, report.numeric, report.rel_err, report.order),
+    )
     worst = max(report.rel_err)
     passed = worst <= VERIFY_TOL
     payload = {
@@ -397,9 +440,10 @@ def cmd_jafarov(ns: argparse.Namespace) -> int:
         )
     a_l, quant = oscillator._jafarov_levels(ns.omega0, ns.l)
     spectrum = _spectrum(_admit(OscillatorParams(ns.omega0, float(ns.l), 0.0)))
+    energies, norms = zip(*quant)
     devs = [abs(a_l - spectrum["a"]) / abs(spectrum["a"])]
-    for lv, (e, _) in zip(spectrum["levels"], quant):
-        devs.append(abs(e - lv["energy"]) / max(abs(lv["energy"]), 1e-300))
+    for e, general in zip(energies, spectrum["levels"].columns[1]):
+        devs.append(abs(e - general) / max(abs(general), 1e-300))
     worst = max(devs)
     matches = worst <= JAFAROV_TOL
     payload = {
@@ -408,10 +452,7 @@ def cmd_jafarov(ns: argparse.Namespace) -> int:
         "spectrum": spectrum,
         "quantized_route": {
             "a": a_l,
-            "levels": [
-                {"n": n, "energy": e, "norm": norm}
-                for n, (e, norm) in enumerate(quant)
-            ],
+            "levels": _Table(("n", "energy", "norm"), (range(len(quant)), energies, norms)),
         },
         "comparison": {
             "max_rel_diff": worst,

@@ -108,8 +108,11 @@ def _energies(A: float, a: float, b: float, levels: range, floors: list[float]) 
     # floors, the levels' energies D above the floor of the unshifted well (A, 0).  At
     # b = 0 its terms -(A-n)^2/a^2 and omega0^2 a^2/4 are each O(A) and cancel to
     # O(n + 1/2); as omega0^2 a^4/4 is exactly A(A+1) - 2, the sum is (D - 1)/a^2.  The
-    # shift adds -b^2 (D - 2)/(A-n)^2, whose own O(A^2) terms cancel the same way
+    # shift adds -b^2 (D - 2)/(A-n)^2, whose own O(A^2) terms cancel the same way.
+    # x - 0.0 is x, so an unshifted model skips the shift term with the same bits
     a2, b2 = a * a, b * b
+    if b2 == 0.0:
+        return [(d - 1.0) / a2 for d in floors]
     return [
         (d - 1.0) / a2 - b2 * (d - 2.0) / ((A - n) * (A - n)) for n, d in zip(levels, floors)
     ]

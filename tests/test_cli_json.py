@@ -1,8 +1,9 @@
 """The CLI's JSON emitter: the bytes of ``json.dumps(indent=2)``, with NaN and +-inf as null.
 
 ``cli._json_payload`` writes every JSON payload without the ``json`` module's
-encoder.  The reference here is ``json.dumps`` over a copy of the value in
-which each non-finite float is replaced by None.
+encoder, and prints each list of records held as a ``cli._Table`` of columns.
+The reference here is ``json.dumps`` over a copy of the value in which each
+non-finite float is replaced by None, and each table by its list of dicts.
 """
 
 import contextlib
@@ -12,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdmosc import cli
@@ -124,7 +125,65 @@ def test_solve_samples_print_the_bytes_of_json_dumps(A, b, samples):
 
 def test_sample_table_prints_nonfinite_psi_as_null():
     xs = [-0.75, -0.25, 0.25, 0.75]
-    table = cli._SampleTable([float.__repr__(x) for x in xs], [math.nan, math.inf, -math.inf, 0.5])
+    table = cli._Table(
+        ("x", "psi"), ([float.__repr__(x) for x in xs], [math.nan, math.inf, -math.inf, 0.5])
+    )
     dict_form = [{"x": x, "psi": v} for x, v in zip(xs, [None, None, None, 0.5])]
     got = cli._json_payload({"wavefunctions": [{"n": 0, "samples": table}]})
     assert got == json.dumps({"wavefunctions": [{"n": 0, "samples": dict_form}]}, indent=2)
+
+
+@st.composite
+def _table_and_dict_form(draw):
+    # a table of 0-6 records under 1-4 distinct keys, and its list of dicts.  Each column is
+    # a range of ints, a list of floats (plain or np.float64), or a list of JSON texts,
+    # which the dict form holds as the values they print
+    keys = draw(st.lists(_TEXT, min_size=1, max_size=4, unique=True))
+    rows = draw(st.integers(0, 6))
+    columns, values = [], []
+    for _ in keys:
+        kind = draw(st.sampled_from(["range", "float", "text"]))
+        if kind == "range":
+            start = draw(st.integers(-(2**70), 2**70))
+            columns.append(range(start, start + rows))
+            values.append(list(columns[-1]))
+        elif kind == "float":
+            column = draw(st.lists(st.one_of(_FLOATS, _FLOATS.map(np.float64)),
+                                   min_size=rows, max_size=rows))
+            columns.append(draw(st.sampled_from([column, tuple(column)])))
+            values.append(column)
+        else:
+            leaf = st.one_of(_TEXT, _FLOATS.filter(math.isfinite))
+            column = draw(st.lists(leaf, min_size=rows, max_size=rows))
+            columns.append([json.dumps(v) for v in column])
+            values.append(column)
+    table = cli._Table(tuple(keys), tuple(columns))
+    return table, [dict(zip(keys, record)) for record in zip(*values)]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_table_and_dict_form(), st.integers(0, 2))
+@example((cli._Table(("n", "energy"), (range(1), [0.5])), [{"n": 0, "energy": 0.5}]), 0)
+@example((cli._Table(("x", "psi"), (["-0.5"], [-0.0])), [{"x": -0.5, "psi": -0.0}]), 2)
+def test_a_table_prints_the_bytes_of_its_dict_form(case, depth):
+    # the table alone, and nested under depth lists or dicts, so that it prints at that indent
+    table, dict_form = case
+    got, want = table, dict_form
+    for level in range(depth):
+        if level % 2:
+            got, want = [got], [want]
+        else:
+            got, want = {"t": got}, {"t": want}
+    assert cli._json_payload(got) == _reference(want)
+
+
+@pytest.mark.parametrize(
+    "column",
+    [[0.5, 1], [0.5, True], [0.5, None], [0.5, "1.0"], [np.float32(1.5)], ["0.5", 1.0]],
+    ids=["int", "bool", "none", "str", "float32", "text-then-float"],
+)
+def test_a_column_entry_that_is_not_a_float_is_refused(column):
+    # float.__repr__ refuses it, or the join of a column of texts does; it is never misprinted
+    table = cli._Table(("n", "v"), (range(len(column)), column))
+    with pytest.raises(TypeError):
+        cli._json_payload({"levels": table})

@@ -392,6 +392,23 @@ def test_a_spectrum_in_one_call_is_its_energies_one_at_a_time(p):
     assert _bits(p._spectrum()) == _bits([energy(p, n) for n in range(p.count)])
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.floats(-12.0, 12.0), st.floats(-12.0, 3.0), st.sampled_from([0.0, -0.0]))
+@example(0.0, 0.0, 0.0)
+@example(12.0, -12.0, -0.0)
+@example(-12.0, 3.0, 0.0)
+def test_an_unshifted_spectrum_is_the_two_term_sum(log_omega0, log_excess, b):
+    # at b = 0 the spectrum skips the shift term, since x - 0.0 is x: every level keeps the
+    # bits of the two-term sum (D - 1)/a^2 - b^2 (D - 2)/(A-n)^2, with D = (2n+1)A - n^2
+    p = OscillatorParams(10.0**log_omega0, 1.0 + 10.0**log_excess, b)
+    A, a2, b2 = p.A, p.a * p.a, p.b * p.b
+    want = [
+        (d - 1.0) / a2 - b2 * (d - 2.0) / ((A - n) * (A - n))
+        for n, d in enumerate((2 * n + 1) * A - n * n for n in range(p.count))
+    ]
+    assert _bits(p._spectrum()) == _bits(want)
+
+
 @st.composite
 def _sampled_model(draw):
     # omega0 log-uniform, A - 1 log-uniform up to A = 150, b zero or within 0.9 of its bound;
