@@ -31,7 +31,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from pdmosc import OscillatorParams, ParameterError, confinement_length, jafarov_case
+from pdmosc import OscillatorParams, ParameterError, confinement_length, jafarov_case, pct
 from pdmosc.oracle import Grid1D, discretize_bdd, eigenvalues_sturm, eigenvector
 
 
@@ -140,6 +140,9 @@ ROWS = [
     Row("solve --omega0 1 --A 1e4", 0, payload=_levels(9999)),
     Row("solve --omega0 1 --A 10001", 0, payload=_levels(10000)),
     Row("solve --omega0 1 --A 10002", 2, "config", "above the limit of 10000"),
+    # the map derives no transform constant, whose omega0^2 a^2 term would overflow here:
+    # the level limit refuses the model
+    Row("solve --omega0 1e265 --A 1e50", 2, "config", "above the limit of 10000"),
     # the recurrence overflows at this depth: no payload, and the first such level named
     Row("solve --omega0 1.6189491004119715e-08 --A 1729.0152111635182 "
         "--b -0.002638004038449934 --samples 31 --format csv", 4, "numerical", "level 184 of "),
@@ -288,8 +291,9 @@ def _refuses(call: Callable[[], object]) -> str | None:
 
 def _library() -> Iterator[tuple[str, str | None]]:
     # the box ground state's eigenvector from one twisted factorization of the Sturm pivots,
-    # which needs no random start; a record's derived fields, replace included; and a bool
-    # refused as a parameter by every entry that takes omega0, the integer-l route included
+    # which needs no random start; a record's derived fields, replace included, which are
+    # what the parameter map returns; and a bool refused as a parameter by every entry that
+    # takes omega0, the integer-l route included
     grid = Grid1D(0.0, math.pi, 400)
     op = discretize_bdd(lambda x: 1.0, lambda x: 0.0, grid)
     (lam,) = eigenvalues_sturm(op, 1)
@@ -306,6 +310,7 @@ def _library() -> Iterator[tuple[str, str | None]]:
     for name, got, want in [
         ("OscillatorParams(1.0, 3.5).count", p.count, 3),
         ("OscillatorParams(1.0, 3.5).a", p.a, confinement_length(1.0, 3.5)),
+        ("pct.map_parameters(1.0, 3.5)", pct.map_parameters(1.0, 3.5), (p.a, p.rm, p.count)),
         ("replace(OscillatorParams(1.0, 3.5), A=5.5).count", replace(p, A=5.5).count, 5),
     ]:
         yield name, None if got == want else f"{got!r}, not {want!r}"

@@ -438,9 +438,11 @@ def cmd_jafarov(ns: argparse.Namespace) -> int:
         raise ParameterError(
             f"--l {ns.l} gives {ns.l - 1} levels, above the limit of {MAX_LEVELS}"
         )
-    a_l, quant = oscillator._jafarov_levels(ns.omega0, ns.l)
+    # l and omega0 are checked, then the general model is admitted, before either route
+    # computes a level
+    a_l = oscillator._jafarov_width(ns.omega0, ns.l)
     spectrum = _spectrum(_admit(OscillatorParams(ns.omega0, float(ns.l), 0.0)))
-    energies, norms = zip(*quant)
+    energies, norms = zip(*oscillator._jafarov_levels(ns.omega0, ns.l, a_l))
     devs = [abs(a_l - spectrum["a"]) / abs(spectrum["a"])]
     for e, general in zip(energies, spectrum["levels"].columns[1]):
         devs.append(abs(e - general) / max(abs(general), 1e-300))
@@ -452,7 +454,7 @@ def cmd_jafarov(ns: argparse.Namespace) -> int:
         "spectrum": spectrum,
         "quantized_route": {
             "a": a_l,
-            "levels": _Table(("n", "energy", "norm"), (range(len(quant)), energies, norms)),
+            "levels": _Table(("n", "energy", "norm"), (range(len(norms)), energies, norms)),
         },
         "comparison": {
             "max_rel_diff": worst,

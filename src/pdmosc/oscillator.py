@@ -62,10 +62,10 @@ class OscillatorParams:
     count: int = field(init=False, repr=False, compare=False)
 
     def __init__(self, omega0: float, A: float, b: float = 0.0) -> None:
-        # the one parameter map, which validates (omega0, A, b) and gives the level count;
-        # every field goes in with one update, since a generated __init__ would set each
-        # through the frozen record's object.__setattr__
-        a, _, rm, count = pct.map_parameters(omega0, A, b)
+        # the one parameter map, which validates (omega0, A, b) and returns the three derived
+        # fields; every field goes in with one update, since a generated __init__ would set
+        # each through the frozen record's object.__setattr__
+        a, rm, count = pct.map_parameters(omega0, A, b)
         self.__dict__.update(omega0=omega0, A=A, b=b, a=a, rm=rm, count=count)
 
     def _spectrum(self) -> list[float]:
@@ -132,15 +132,15 @@ def energy(p: OscillatorParams, n: int) -> float:
     """Level energy from the transform route a_bar^2 eps_n + c_bar.
 
     eps_n is rosen_morse.rm_energy, taken from the floor of the unshifted
-    well, and (a_bar, c_bar) the pct.PctMap; the sum is carried out in
-    closed form before rounding, so the result keeps its relative accuracy
-    at any depth.
+    well, with a_bar = 1/a and c_bar = omega0^2 a^2/4 + 1/a^2 + b^2; the
+    sum is carried out in closed form before rounding, so the result keeps
+    its relative accuracy at any depth.
     """
     # p derived again twice, once for the level check and once for the energy, and the
     # level through rm_energy's gate: bench/test_bench.py::test_tracer_counts_and_self_time
     # pins this path's 3 parameter maps, the constructor's included, and 1 rm_energy call,
     # so reading p's own derivation waits on a change to that benchmark test
-    _check_level(n, pct.map_parameters(p.omega0, p.A, p.b)[3], p)
+    _check_level(n, pct.map_parameters(p.omega0, p.A, p.b)[2], p)
     a, levels = pct.map_parameters(p.omega0, p.A, p.b)[0], range(n, n + 1)
     floors = rm_energy(RosenMorseParams(p.A), levels, from_floor=True)
     return _energies(p.A, a, p.b, levels, floors)[0]
@@ -268,8 +268,8 @@ def _jafarov_wavefunction(
         return _zero_on_walls(x, inside, psi)
 
 
-def _jafarov_levels(omega0: float, l: int) -> tuple[float, list[tuple[float, float]]]:
-    # the integer-l route: half-width a_l, then (energy, normalization) per level
+def _jafarov_width(omega0: float, l: int) -> float:
+    # the integer-l route's half-width a_l, from l and omega0, which it checks itself
     if not is_int(l) or l < 2:
         raise ParameterError(f"need an integer l >= 2, got {l!r}")
     # a bool passes the checks below; this route tests the type itself, apart from the map
@@ -277,8 +277,12 @@ def _jafarov_levels(omega0: float, l: int) -> tuple[float, list[tuple[float, flo
         raise ParameterError("omega0 must be a number, not a bool")
     if not math.isfinite(omega0) or omega0 <= 0.0:
         raise ParameterError(f"need omega0 > 0, got {omega0!r}")
-    a = math.sqrt(2.0 / omega0) * (l * (l + 1) - 2) ** 0.25
-    return a, [(_half_integer_form(omega0, a, n), c) for n, c in enumerate(_jafarov_coeffs(l, a))]
+    return math.sqrt(2.0 / omega0) * (l * (l + 1) - 2) ** 0.25
+
+
+def _jafarov_levels(omega0: float, l: int, a: float) -> list[tuple[float, float]]:
+    # the integer-l route's (energy, normalization) per level at its half-width a
+    return [(_half_integer_form(omega0, a, n), c) for n, c in enumerate(_jafarov_coeffs(l, a))]
 
 
 def jafarov_case(omega0: float, l: int) -> list[BoundState]:
@@ -289,8 +293,8 @@ def jafarov_case(omega0: float, l: int) -> list[BoundState]:
     integer-l formulas (factorials, the (n+1/2) energy form), deliberately
     not through the general transform route, so the two can be compared.
     """
-    a, levels = _jafarov_levels(omega0, l)
+    a = _jafarov_width(omega0, l)
     return [
         BoundState(n, e, partial(_jafarov_wavefunction, coeff, l, a, n))
-        for n, (e, coeff) in enumerate(levels)
+        for n, (e, coeff) in enumerate(_jafarov_levels(omega0, l, a))
     ]

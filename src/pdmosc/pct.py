@@ -4,9 +4,10 @@ The oscillator on (-a, a) with mass M(x) = (1 - x^2/a^2)^-2 maps onto the
 constant-mass hyperbolic well on the line: u(x) = a_bar * v(x) with
 v(x) = a * arctanh(x/a), energies transform affinely, and the potential picks
 up a mass-derivative correction term.  This module holds the profile, the
-transform maps, the parameter mapping from (omega0, A, b) to everything
-derived, and the admission rule: which (omega0, A, b) give a model with at
-least one level, and how many levels it has.
+transform maps with their constants (PctMap), the parameter mapping from
+(omega0, A, b) to what a model stores (the half-width a, the derived well and
+its level count), and the admission rule: which (omega0, A, b) give a model
+with at least one level, and how many levels it has.
 """
 
 from __future__ import annotations
@@ -142,8 +143,8 @@ def level_count(A: float, B: float) -> int:
 
 def map_parameters(
     omega0: float, A: float, b: float = 0.0
-) -> tuple[float, PctMap, RosenMorseParams, int]:
-    """Derive (a, PctMap, RosenMorseParams, level count) from oscillator parameters.
+) -> tuple[float, RosenMorseParams, int]:
+    """Derive (a, RosenMorseParams, level count) from oscillator parameters.
 
     This is the admission rule: it refuses exactly the inputs whose
     derived well has level_count 0, so every model it accepts holds at
@@ -163,10 +164,12 @@ def map_parameters(
 
     Returns
     -------
-    (a, PctMap, RosenMorseParams, count)
-        Half-width a = sqrt(2/omega0) * (A(A+1) - 2)^(1/4), the affine
-        transform constants, the source-well parameters with
-        B = -omega0 a^3 b / 2, and level_count(A, B), at least 1.
+    (a, RosenMorseParams, count)
+        Half-width a = sqrt(2/omega0) * (A(A+1) - 2)^(1/4), the source-well
+        parameters with B = -omega0 a^3 b / 2, and level_count(A, B), at
+        least 1: the three fields an OscillatorParams stores.  The
+        PctMap constants a_bar = 1/a and c_bar = omega0^2 a^2/4 + 1/a^2 + b^2
+        are not returned, since every energy is summed in closed form.
     """
     # one type test per parameter, before the checks below, which a bool would pass
     if bool in (kinds := (type(omega0), type(A), type(b))):
@@ -199,8 +202,4 @@ def map_parameters(
             stem + f"the lowest level is past or within {WINDOW_MARGIN} of its normalizability "
             f"threshold, which |b| reaches at the admissibility bound {shift_bound(omega0, A):.17g}"
         )
-    # omega0 a^2 = 2 sqrt(A(A+1) - 2) stays bounded where omega0^2 would overflow
-    c_bar = 0.25 * omega0 * (omega0 * a * a) + 1.0 / (a * a)
-    if b != 0.0:
-        c_bar += b * b
-    return a, PctMap(a_bar=1.0 / a, c_bar=c_bar), RosenMorseParams(A=A, B=B), count
+    return a, RosenMorseParams(A=A, B=B), count

@@ -66,10 +66,10 @@ def two_form_disagreement(p):
     return worst
 
 
-def potential_identity_deviation(p, points=200):
-    a, pmap, rm, _ = pct.map_parameters(p.omega0, p.A, p.b)
+def potential_identity_deviation(p, pmap, points=200):
+    a = p.a
     prof = pct.MassProfile(a)
-    source = partial(rm_potential, rm)
+    source = partial(rm_potential, p.rm)
     x0 = 2.0 * p.b / p.omega0
     worst = 0.0
     for j in range(points):
@@ -81,7 +81,7 @@ def potential_identity_deviation(p, points=200):
 
 
 def mass_correction_deviation(p, points=21):
-    a = pct.map_parameters(p.omega0, p.A, p.b)[0]
+    a = p.a
     prof = pct.MassProfile(a)
     h = 1.5e-5 * a
     worst = 0.0
@@ -115,8 +115,7 @@ def _sign_changes(values, floor):
 
 
 def node_counts_correct(p):
-    a, _, rm, _ = pct.map_parameters(p.omega0, p.A, p.b)
-    k = num_bound_states(p)
+    a, rm, k = p.a, p.rm, num_bound_states(p)
     xs = np.array([-a + 2.0 * a * (j + 1) / 3002 for j in range(3001)])
     for n in range(k):
         vals = wavefunction(p, n, xs)
@@ -170,9 +169,10 @@ def test_two_energy_forms_agree(acceptance_log):
     )
 
 
-def test_transformed_potential_identity(acceptance_log):
-    worst_v = max(potential_identity_deviation(OscillatorParams(*c)) for c in CONFIGS)
-    worst_m = max(mass_correction_deviation(OscillatorParams(*c)) for c in CONFIGS)
+def test_transformed_potential_identity(acceptance_log, pct_map):
+    models = [OscillatorParams(*c) for c in CONFIGS]
+    worst_v = max(potential_identity_deviation(p, pct_map(p)) for p in models)
+    worst_m = max(mass_correction_deviation(p) for p in models)
     ok = worst_v <= 1e-10 and worst_m <= 1e-6
     _finish(
         acceptance_log, 4, "potential map and mass correction", ok,
@@ -190,7 +190,7 @@ def test_orthonormality_and_nodes(acceptance_log):
     )
 
 
-def test_noninteger_depth_sweep(acceptance_log):
+def test_noninteger_depth_sweep(acceptance_log, pct_map):
     t0 = time.perf_counter()
     worst_spec = worst_form = worst_pot = worst_orth = 0.0
     nodes_ok = True
@@ -199,7 +199,7 @@ def test_noninteger_depth_sweep(acceptance_log):
         worst_spec = max(worst_spec, spectrum_disagreement(p))
         worst_form = max(worst_form, two_form_disagreement(p))
         worst_pot = max(
-            worst_pot, potential_identity_deviation(p), mass_correction_deviation(p)
+            worst_pot, potential_identity_deviation(p, pct_map(p)), mass_correction_deviation(p)
         )
         worst_orth = max(worst_orth, orthonormality_deviation(p))
         nodes_ok = nodes_ok and node_counts_correct(p)

@@ -943,7 +943,7 @@ def test_the_analytic_values_start_no_grid(monkeypatch, p):
 
 
 def min_envelope_exponent(p, n):
-    rm = pct.map_parameters(p.omega0, p.A, p.b)[2]
+    rm = pct.map_parameters(p.omega0, p.A, p.b)[1]
     m = rm.A - n
     beta = rm.B / m
     return (m - 1.0 - abs(beta)) / 2.0

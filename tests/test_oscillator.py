@@ -74,7 +74,7 @@ def test_params_derive_once_and_compare_on_their_inputs(count_calls):
     # repr; replace derives anew, a pickle keeps them without a map, and none can be set
     p = OscillatorParams(1.0, 3.5)
     assert (p.count, p.a) == (3, confinement_length(1.0, 3.5))
-    assert p.rm == pct.map_parameters(1.0, 3.5, 0.0)[2]
+    assert p.rm == pct.map_parameters(1.0, 3.5, 0.0)[1]
     assert repr(p) == "OscillatorParams(omega0=1.0, A=3.5, b=0.0)"
     assert p == OscillatorParams(1.0, 3.5, 0.0) != OscillatorParams(1.0, 3.5, 0.1)
     assert hash(p) == hash((1.0, 3.5, 0.0))
@@ -110,6 +110,20 @@ def test_a_built_model_is_mapped_no_more(count_calls):
         assert calls == {"map_parameters": 0}, name
     energy(p, 0)
     assert calls == {"map_parameters": 2}
+
+
+def test_no_entry_builds_a_pct_map(monkeypatch):
+    # the map returns the three fields the record stores, and no energy reads the transform
+    # constants, so a PctMap that cannot be built stops none of these
+    def no_map(*args, **kwargs):
+        raise AssertionError("a PctMap was built")
+
+    monkeypatch.setattr(pct, "PctMap", no_map)
+    p = OscillatorParams(0.9, 7.4, 0.2)
+    assert p.count == 5
+    assert confinement_length(0.9, 7.4) == p.a
+    assert shift_bound(0.9, 7.4) > 0.2
+    assert math.isfinite(energy(p, p.count - 1))
 
 
 def test_confinement_length_values():
@@ -167,9 +181,9 @@ def test_params_reject_bools(args):
 
 def test_derived_constants_reproducible():
     p = OscillatorParams(1.0, 2.7, 0.05)
-    a1, map1, rm1, k1 = pct.map_parameters(p.omega0, p.A, p.b)
-    a2, map2, rm2, k2 = pct.map_parameters(p.omega0, p.A, p.b)
-    assert (a1, map1.c_bar, rm1.B, k1) == (a2, map2.c_bar, rm2.B, k2)
+    a1, rm1, k1 = pct.map_parameters(p.omega0, p.A, p.b)
+    a2, rm2, k2 = pct.map_parameters(p.omega0, p.A, p.b)
+    assert (a1, rm1.B, k1) == (a2, rm2.B, k2) == (p.a, p.rm.B, p.count)
     assert a1 == confinement_length(p.omega0, p.A)
 
 
@@ -339,7 +353,7 @@ def test_levels_lie_inside_the_unshifted_well_window(p):
     # range(level_count(A, B)) lies inside the window of the unshifted well (A, 0), whose
     # floor a level's energy is taken from, so the scan takes its rows' energies ungated.
     # The map returns that count
-    _, _, rm, count = pct.map_parameters(p.omega0, p.A, p.b)
+    _, rm, count = pct.map_parameters(p.omega0, p.A, p.b)
     assert count == pct.level_count(p.A, rm.B)
     assert count <= rosen_morse.rm_nmax(rosen_morse.RosenMorseParams(p.A)) + 1
 
@@ -596,7 +610,7 @@ def test_rejects_out_of_window_state():
 def test_unknown_form_rejected_everywhere():
     # the form is checked before the wall shortcut, so x = a raises too
     p = OscillatorParams(1.0, 3.0)
-    a, _, rm, _ = pct.map_parameters(1.0, 3.0)
+    a, rm, _ = pct.map_parameters(1.0, 3.0)
     for x in (0.3, a, -a):
         with pytest.raises(ParameterError, match="form"):
             wavefunction(p, 1, x, form="legendre")
@@ -628,7 +642,7 @@ def test_orthonormality_random_parameters():
         b = rng.uniform(-0.7, 0.7) * shift_bound(omega0, A)
         p = OscillatorParams(omega0, A, b)
         a = confinement_length(omega0, A)
-        rm = pct.map_parameters(omega0, A, b)[2]
+        rm = pct.map_parameters(omega0, A, b)[1]
         k = num_bound_states(p)
 
         def exponent(n):
@@ -685,7 +699,7 @@ def test_wall_accuracy_against_mpmath():
     for omega0, A, frac in [(1.0, 12.15, 0.0), (0.8, 59.3, 0.0), (1.3, 27.6, 0.4), (0.9, 58.7, 0.3)]:
         b = frac * shift_bound(omega0, A)
         p = OscillatorParams(omega0, A, b)
-        a, _, rm, k = pct.map_parameters(omega0, A, b)
+        a, rm, k = pct.map_parameters(omega0, A, b)
         for n in sorted({0, 1, k // 2, k - 1}):
             for gap in WALL_GAPS:
                 x = math.copysign(a * (1.0 - abs(gap)), gap)
@@ -797,9 +811,8 @@ def test_quantized_norms_equal_the_factorial_formula_bit_for_bit(l):
         lead = math.factorial(2 * l - 2 * n) // (2 ** (l - n) * math.factorial(l - n))
         sq = lead * lead * (l - n) * math.factorial(n) / math.factorial(2 * l - n)
         want.append(math.sqrt(sq / a))
-    got = oscillator._jafarov_levels(1.0, l)
-    assert got[0] == a
-    assert [norm for _, norm in got[1]] == want
+    assert oscillator._jafarov_width(1.0, l) == a
+    assert [norm for _, norm in oscillator._jafarov_levels(1.0, l, a)] == want
 
 
 def test_quantized_case_rejections():
@@ -850,7 +863,7 @@ def test_float_in_float_out():
     for name, f, a in _state_families():
         assert type(f(0.3 * a)) is float, name
         assert type(f(a)) is float, name
-    rm = pct.map_parameters(0.8, 9.7, 0.3)[2]
+    rm = pct.map_parameters(0.8, 9.7, 0.3)[1]
     assert type(rm_wavefunction(rm, 2, 0.4)) is float
     assert all(type(s.wavefunction(-1.1)) is float for s in rosen_morse.rm_bound_states(rm))
 
@@ -905,7 +918,7 @@ def test_deep_model_point_emits_no_warning():
     # underflows (a known NaN); neither the point nor the array path warns
     p = OscillatorParams(1.0, 1e4)
     a = confinement_length(1.0, 1e4)
-    rm = pct.map_parameters(1.0, 1e4)[2]
+    rm = pct.map_parameters(1.0, 1e4)[1]
     with warnings.catch_warnings(), np.errstate(all="warn"):
         warnings.simplefilter("error")
         wavefunction(p, 299, 0.3 * a)

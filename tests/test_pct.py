@@ -14,6 +14,7 @@ import sympy
 
 from pdmosc import oscillator
 from pdmosc.errors import DomainError, ParameterError
+from pdmosc.oscillator import OscillatorParams
 from pdmosc.pct import (
     MassProfile,
     PctMap,
@@ -169,27 +170,23 @@ def test_mass_correction_finite_difference():
 # --- potential and energy transforms ---
 
 
-def unshifted_setup():
-    a, pmap, rm, _ = map_parameters(1.0, 2.0)
-    prof = MassProfile(a)
-    src = lambda u: rm_potential(rm, u)
-    return a, pmap, prof, src
+def transform_setup(pct_map, omega0, A, b=0.0):
+    p = OscillatorParams(omega0, A, b)
+    return p.a, pct_map(p), MassProfile(p.a), lambda u: rm_potential(p.rm, u)
 
 
-def test_transform_potential_center_cancels():
-    _, pmap, prof, src = unshifted_setup()
+def test_transform_potential_center_cancels(pct_map):
+    _, pmap, prof, src = transform_setup(pct_map, 1.0, 2.0)
     assert abs(transform_potential(src, prof, pmap, 0.0)) < 1e-13
 
 
-def test_transform_potential_matches_parabola():
-    _, pmap, prof, src = unshifted_setup()
+def test_transform_potential_matches_parabola(pct_map):
+    _, pmap, prof, src = transform_setup(pct_map, 1.0, 2.0)
     assert math.isclose(transform_potential(src, prof, pmap, 1.0), 0.25, rel_tol=1e-12)
 
 
-def test_transform_potential_shifted_minimum():
-    a, pmap, rm, _ = map_parameters(1.0, 3.0, 0.1)
-    prof = MassProfile(a)
-    src = lambda u: rm_potential(rm, u)
+def test_transform_potential_shifted_minimum(pct_map):
+    _, pmap, prof, src = transform_setup(pct_map, 1.0, 3.0, 0.1)
     x0 = 0.2
     assert abs(transform_potential(src, prof, pmap, x0)) < 1e-12
     assert transform_potential(src, prof, pmap, x0 + 0.3) > 0.0
@@ -197,10 +194,8 @@ def test_transform_potential_shifted_minimum():
 
 
 @pytest.mark.parametrize("omega0,A,b", [(1.0, 2.0, 0.0), (1.0, 3.0, 0.1), (2.0, 4.5, -0.2)])
-def test_transform_potential_pointwise_identity(omega0, A, b):
-    a, pmap, rm, _ = map_parameters(omega0, A, b)
-    prof = MassProfile(a)
-    src = lambda u: rm_potential(rm, u)
+def test_transform_potential_pointwise_identity(pct_map, omega0, A, b):
+    a, pmap, prof, src = transform_setup(pct_map, omega0, A, b)
     x0 = 2.0 * b / omega0
     for i in range(200):
         x = -0.995 * a + 1.99 * a * i / 199
@@ -208,7 +203,7 @@ def test_transform_potential_pointwise_identity(omega0, A, b):
         assert abs(transform_potential(src, prof, pmap, x) - want) < 1e-10
 
 
-def test_transform_identities_random_parameters():
+def test_transform_identities_random_parameters(pct_map):
     # same identities at arbitrary non-integer depths; nothing below ties
     # these formulas to any particular parameter grid
     rng = random.Random(31)
@@ -216,9 +211,7 @@ def test_transform_identities_random_parameters():
         omega0 = rng.uniform(0.3, 4.0)
         A = rng.uniform(1.05, 6.0)
         b = rng.uniform(-0.8, 0.8) * oscillator.shift_bound(omega0, A)
-        a, pmap, rm, _ = map_parameters(omega0, A, b)
-        prof = MassProfile(a)
-        src = lambda u: rm_potential(rm, u)
+        a, pmap, prof, src = transform_setup(pct_map, omega0, A, b)
         x0 = 2.0 * b / omega0
         h = 1.5e-5 * a
         for i in range(40):
@@ -236,28 +229,29 @@ def test_transform_identities_random_parameters():
 # --- map_parameters ---
 
 
-def test_map_unshifted_depth_two():
-    a, pmap, rm, count = map_parameters(1.0, 2.0)
+def test_map_unshifted_depth_two(pct_map):
+    a, rm, count = map_parameters(1.0, 2.0)
     assert count == 1
     assert math.isclose(a, 2.0, rel_tol=1e-14)
-    assert math.isclose(pmap.a_bar, 0.5, rel_tol=1e-14)
-    assert math.isclose(pmap.c_bar, 1.25, rel_tol=1e-13)
     assert rm.B == 0.0
     assert rm.A == 2.0
+    pmap = pct_map(OscillatorParams(1.0, 2.0))
+    assert math.isclose(pmap.a_bar, 0.5, rel_tol=1e-14)
+    assert math.isclose(pmap.c_bar, 1.25, rel_tol=1e-13)
 
 
-def test_map_unshifted_depth_three():
-    a, pmap, _, count = map_parameters(1.0, 3.0)
+def test_map_unshifted_depth_three(pct_map):
+    a, _, count = map_parameters(1.0, 3.0)
     assert count == 2
     assert math.isclose(a, 2.5148669, rel_tol=1e-7)
-    assert math.isclose(pmap.c_bar, 1.7392528, rel_tol=1e-7)
+    assert math.isclose(pct_map(OscillatorParams(1.0, 3.0)).c_bar, 1.7392528, rel_tol=1e-7)
 
 
-def test_map_shifted():
-    a, pmap, rm, count = map_parameters(1.0, 3.0, 0.1)
+def test_map_shifted(pct_map):
+    a, rm, count = map_parameters(1.0, 3.0, 0.1)
     assert count == 2
     assert math.isclose(rm.B, -0.7952707, rel_tol=1e-6)
-    assert math.isclose(pmap.c_bar, 1.7492528, rel_tol=1e-7)
+    assert math.isclose(pct_map(OscillatorParams(1.0, 3.0, 0.1)).c_bar, 1.7492528, rel_tol=1e-7)
     # B = -omega0 a^3 b / 2 with a^3 = 40^(3/4)
     assert math.isclose(rm.B, -0.05 * 40.0**0.75, rel_tol=1e-13)
 
@@ -313,12 +307,11 @@ def test_unshifted_refusal_quotes_no_bound():
         pytest.param(1.0, 12.15, 0.0, "jacobi", id="deep-jacobi"),
     ],
 )
-def test_quarter_power_change_of_function(omega0, A, b, form):
+def test_quarter_power_change_of_function(pct_map, omega0, A, b, form):
     # psi_n(x) = sqrt(a_bar) M(x)^(1/4) phi_n(u(x)): the u-space solution
     # carried through the variable change reproduces the x-space one
-    a, pmap, rm, _ = map_parameters(omega0, A, b)
-    prof = MassProfile(a)
-    p = oscillator.OscillatorParams(omega0, A, b)
+    p = OscillatorParams(omega0, A, b)
+    a, rm, pmap, prof = p.a, p.rm, pct_map(p), MassProfile(p.a)
     for n in range(oscillator.num_bound_states(p)):
         for i in range(40):
             x = -0.95 * a + 1.9 * a * i / 39
