@@ -32,7 +32,7 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from pdmosc import OscillatorParams, ParameterError, confinement_length, jafarov_case, pct
-from pdmosc.oracle import Grid1D, discretize_bdd, eigenvalues_sturm, eigenvector
+from pdmosc.oracle import Grid1D, discretize_bdd, eigenvalues_sturm, eigenvector, solve_pdm_numeric
 
 
 class Row(NamedTuple):
@@ -291,9 +291,9 @@ def _refuses(call: Callable[[], object]) -> str | None:
 
 def _library() -> Iterator[tuple[str, str | None]]:
     # the box ground state's eigenvector from one twisted factorization of the Sturm pivots,
-    # which needs no random start; a record's derived fields, replace included, which are
-    # what the parameter map returns; and a bool refused as a parameter by every entry that
-    # takes omega0, the integer-l route included
+    # which needs no random start; a report whose pre-grids take LAPACK's values; a record's
+    # derived fields, replace included, which are what the parameter map returns; and a bool
+    # refused as a parameter by every entry that takes omega0, the integer-l route included
     grid = Grid1D(0.0, math.pi, 400)
     op = discretize_bdd(lambda x: 1.0, lambda x: 0.0, grid)
     (lam,) = eigenvalues_sturm(op, 1)
@@ -306,6 +306,10 @@ def _library() -> Iterator[tuple[str, str | None]]:
         else "its residual is over 1e-8"
     )
     yield "the library", "numpy.random is loaded" if "numpy.random" in sys.modules else None
+    report = solve_pdm_numeric(OscillatorParams(1.0, 6.5, 0.2), 4, 500, estimate_order=True)
+    yield "solve_pdm_numeric(OscillatorParams(1.0, 6.5, 0.2), 4, 500)", (
+        None if max(report.rel_err) <= 1e-5 else f"rel_err {max(report.rel_err):.3e} over 1e-5"
+    )
     p = OscillatorParams(1.0, 3.5)
     for name, got, want in [
         ("OscillatorParams(1.0, 3.5).count", p.count, 3),

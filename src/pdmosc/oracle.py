@@ -26,9 +26,12 @@ blocks of about half its rows, one for the even levels and one for the
 odd; SineGrid places its points as exact mirror pairs, so that the
 confined model at b = 0 assembles to such a matrix.
 A report first solves two unreported pre-grids, an eighth and a quarter
-the size of its coarsest grid, each when it holds the k levels; every
-grid then starts from the polynomial in h^2 through the last three grids
-solved before it (the quadratic), or through the two or one there are.
+the size of its coarsest grid, each when it holds the k levels; a pre-grid
+of at most 64 points takes LAPACK's values on its dense matrix instead of
+Sturm passes, since they are only starts.
+Every grid then starts from the polynomial in h^2 through the last three
+grids solved before it (the quadratic), or through the two or one there
+are, and every reported grid is solved by eigenvalues_sturm.
 Nothing in here knows about the analytic solution route; that
 independence is the point.
 """
@@ -38,7 +41,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import chain
 from typing import Callable, Sequence
 
 from . import oscillator, pct
@@ -59,6 +61,14 @@ _CERT = 0.49 * _RTOL
 # 1e-7 on verify --A 208 at b = 0 and 0.001 together; 1e-7 walked 3 % fewer on the
 # benchmark's verify jobs, but 7 % more there
 _LAND = 1e-8
+# an unreported pre-grid of at most _DENSE_ROWS points takes its values from LAPACK on its
+# dense matrix (32 KB at most).  Sturm passes cost about k n row steps in pure Python and
+# LAPACK about n^3 in native code; they cross near n^2 = 6000 k, which no n <= 64 reaches
+# at any k >= 1, while 5 levels of 250 and 500 rows took 2.6 and 13 ms dense against 1.1
+# and 1.7 ms by Sturm passes.  Above 64 rows OpenBLAS also runs LAPACK on its threads, and
+# on 2 cores a call there took 13 times its usual time at 72-96 rows in some runs, and
+# 0.9 s at 416 rows (9 ms usually) in one of three verify --A 208 --b 0.001 runs
+_DENSE_ROWS = 64
 
 __all__ = [
     "Grid1D",
@@ -210,18 +220,19 @@ def discretize_bdd(
 
 
 def _sturm_count(
-    d: list[float], e2: list[float], lam: float, pivmin: float, cap: float = math.inf
+    rows: list[tuple[float, float]], lam: float, pivmin: float, cap: float = math.inf
 ) -> int:
     """Number of eigenvalues below lam, by the LDL^T sign count.
 
-    The pass stops as soon as the count exceeds cap and returns that
-    partial count: a number above cap, which is all a caller that only
-    tells levels up to cap apart needs.  The count only grows along the
-    rows, so it is the full count whenever that is at most cap.
+    rows holds the pairs (d_i, e2_{i-1}) of _rows.  The pass stops as soon
+    as the count exceeds cap and returns that partial count: a number above
+    cap, which is all a caller that only tells levels up to cap apart needs.
+    The count only grows along the rows, so it is the full count whenever
+    that is at most cap.
     """
     # row 0 couples to no row before it: 0.0/1.0 leaves its pivot d[0] - lam
     q, count = 1.0, 0
-    for di, ei in zip(d, chain((0.0,), e2)):
+    for di, ei in rows:
         q = di - lam - ei / q
         # a pivot within pivmin of zero is replaced by -pivmin (and counted)
         if q <= pivmin:
@@ -233,9 +244,7 @@ def _sturm_count(
     return count
 
 
-def _sturm_newton(
-    d: list[float], e2: list[float], lam: float, pivmin: float
-) -> tuple[int, float]:
+def _sturm_newton(rows: list[tuple[float, float]], lam: float, pivmin: float) -> tuple[int, float]:
     """The count of _sturm_count at lam, and det'/det of T - lam from the same pass.
 
     With pivots q_i, det(T - lam) = prod q_i, so det'/det = sum q_i'/q_i.
@@ -245,7 +254,7 @@ def _sturm_newton(
     ratio (0 * 0 - 1)/q_0 is -1/q_0.
     """
     q, r, total, count = 1.0, 0.0, 0.0, 0
-    for di, ei in zip(d, chain((0.0,), e2)):
+    for di, ei in rows:
         t = ei / q
         q = di - lam - t
         if q <= pivmin:
@@ -257,24 +266,22 @@ def _sturm_newton(
     return count, total
 
 
-def _rows(op: TridiagonalOperator) -> tuple[list[float], list[float], float]:
-    # a Sturm pass's input as Python floats: diag, off^2 and the pivot floor pivmin
-    e2 = (op.off * op.off).tolist()
-    return op.diag.tolist(), e2, 2.3e-308 * max(1.0, max(e2, default=1.0))
+def _rows(diag: np.ndarray, off: np.ndarray) -> tuple[list[tuple[float, float]], float]:
+    # a Sturm pass's input as Python floats: the pairs (d_i, off_{i-1}^2), zipped once so
+    # that a pass walks one list, with row 0 coupled by 0.0; and the pivot floor pivmin
+    e2 = (off * off).tolist()
+    return list(zip(diag.tolist(), [0.0, *e2])), 2.3e-308 * max(1.0, max(e2, default=1.0))
 
 
-def _gershgorin(op: TridiagonalOperator) -> tuple[float, float]:
-    d = op.diag
-    r = np.zeros(op.size)
-    r[:-1] += np.abs(op.off)
-    r[1:] += np.abs(op.off)
-    return float(np.min(d - r)), float(np.max(d + r))
+def _gershgorin(diag: np.ndarray, off: np.ndarray) -> tuple[float, float]:
+    r = np.zeros(len(diag))
+    r[:-1] += np.abs(off)
+    r[1:] += np.abs(off)
+    return float(np.min(diag - r)), float(np.max(diag + r))
 
 
-def _mirror_halves(
-    op: TridiagonalOperator,
-) -> tuple[TridiagonalOperator, TridiagonalOperator] | None:
-    """The even and odd blocks of a mirror-symmetric operator; None for any other.
+def _blocks(op: TridiagonalOperator) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The matrices to solve as (diag, off): a mirror-symmetric op's two blocks, else op whole.
 
     The operator qualifies when diag and off^2 read exactly the same
     reversed and no off^2 is zero.  The spectrum depends on off^2 alone, so
@@ -289,20 +296,21 @@ def _mirror_halves(
     n = 2m + 1, the even block takes rows m... with a first coupling of
     sqrt(2) |off[m]| (the middle row scaled to keep the block symmetric),
     and the odd one rows m + 1..., since an odd vector is 0 at the middle.
+    The even block comes first.
     """
     d, off = op.diag, op.off
     e2 = off * off
     n = op.size
     if n < 2 or not (np.array_equal(d, d[::-1]) and np.array_equal(e2, e2[::-1]) and e2.all()):
-        return None
+        return [(d, off)]
     m = n // 2
     if n % 2:
         even_off = np.concatenate(((-math.sqrt(2.0) * abs(off[m]),), off[m + 1:]))
-        return TridiagonalOperator(d[m:], even_off), TridiagonalOperator(d[m + 1:], off[m + 1:])
+        return [(d[m:], even_off), (d[m + 1:], off[m + 1:])]
     even, odd = d[m:].copy(), d[m:].copy()
     even[0] -= abs(off[m - 1])
     odd[0] += abs(off[m - 1])
-    return TridiagonalOperator(even, off[m:]), TridiagonalOperator(odd, off[m:])
+    return [(even, off[m:]), (odd, off[m:])]
 
 
 def eigenvalues_sturm(
@@ -350,20 +358,21 @@ def eigenvalues_sturm(
         raise ParameterError(f"need 1 <= k <= {op.size}, got {k!r}")
     if starts is not None and len(starts) != k:
         raise ParameterError(f"need one start per level ({k}), got {len(starts)}")
-    halves = _mirror_halves(op)
-    if halves is None:
-        return _levels(op, k, starts)
+    blocks = _blocks(op)
     out = [0.0] * k
-    for parity, half in enumerate(halves[:k]):
-        part = None if starts is None else starts[parity::2]
-        out[parity::2] = _levels(half, len(out[parity::2]), part)
+    # the blocks' levels interleave: block j holds levels j, j + len(blocks), ...
+    for j, (d, off) in enumerate(blocks[:k]):
+        part = None if starts is None else starts[j::len(blocks)]
+        out[j::len(blocks)] = _levels(d, off, len(out[j::len(blocks)]), part)
     return out
 
 
-def _levels(op: TridiagonalOperator, k: int, starts: Sequence[float] | None) -> list[float]:
+def _levels(
+    diag: np.ndarray, off: np.ndarray, k: int, starts: Sequence[float] | None
+) -> list[float]:
     # eigenvalues_sturm on one matrix, whole or one mirror block, after its checks
-    d, e2, pivmin = _rows(op)
-    glo, ghi = _gershgorin(op)
+    rows, pivmin = _rows(diag, off)
+    glo, ghi = _gershgorin(diag, off)
     # nudge outward so the bracket provably contains all eigenvalues
     glo -= 1e-12 * max(1.0, abs(glo))
     ghi += 1e-12 * max(1.0, abs(ghi))
@@ -371,7 +380,7 @@ def _levels(op: TridiagonalOperator, k: int, starts: Sequence[float] | None) -> 
     floor = 2.2e-16 * max(abs(glo), abs(ghi))
     # level j (0-based) lies in [lo[j], hi[j]); clo/chi are the counts there
     lo, hi = [glo] * k, [ghi] * k
-    clo, chi = [0] * k, [op.size] * k
+    clo, chi = [0] * k, [len(rows)] * k
 
     def narrow(mu: float, c: int) -> int:
         for i in range(min(c, k)):
@@ -384,10 +393,10 @@ def _levels(op: TridiagonalOperator, k: int, starts: Sequence[float] | None) -> 
 
     def count(mu: float) -> int:
         # a count above k narrows nothing that one of k + 1 would not
-        return narrow(mu, _sturm_count(d, e2, mu, pivmin, k))
+        return narrow(mu, _sturm_count(rows, mu, pivmin, k))
 
     def newton_step(mu: float) -> float:
-        c, s = _sturm_newton(d, e2, mu, pivmin)
+        c, s = _sturm_newton(rows, mu, pivmin)
         narrow(mu, c)
         return -1.0 / s if s != 0.0 and math.isfinite(s) else math.nan
 
@@ -438,15 +447,28 @@ def _levels(op: TridiagonalOperator, k: int, starts: Sequence[float] | None) -> 
     return out
 
 
-def _pivots(d: list[float], e2: list[float], lam: float, pivmin: float) -> list[float]:
+def _dense_levels(op: TridiagonalOperator, k: int) -> list[float]:
+    """The k smallest eigenvalues of op by LAPACK on its dense matrix, with no certificate.
+
+    Accurate to rounding in op's norm; a pre-grid takes them as starts only.
+    """
+    n = op.size
+    dense = np.zeros((n, n))
+    dense.flat[:: n + 1] = op.diag
+    # eigvalsh reads the lower triangle alone
+    dense.flat[n :: n + 1] = op.off
+    return np.linalg.eigvalsh(dense, UPLO="L")[:k].tolist()
+
+
+def _pivots(rows: list[tuple[float, float]], lam: float, pivmin: float) -> list[float]:
     """The pivots of the LDL^T factorization of T - lam, row by row.
 
     Each is formed as in _sturm_count, a pivot within pivmin of zero
     replaced by -pivmin, so that the negative ones number
-    _sturm_count(d, e2, lam, pivmin).
+    _sturm_count(rows, lam, pivmin).
     """
     q, out = 1.0, []
-    for di, ei in zip(d, chain((0.0,), e2)):
+    for di, ei in rows:
         q = di - lam - ei / q
         if -pivmin <= q <= pivmin:
             q = -pivmin
@@ -474,9 +496,9 @@ def eigenvector(op: TridiagonalOperator, lam: float, h: float = 1.0) -> np.ndarr
         raise ParameterError(f"lam must be finite, got {lam!r}")
     if not math.isfinite(h) or h <= 0.0:
         raise ParameterError(f"need h > 0, got {h!r}")
-    d, e2, pivmin = _rows(op)
-    top = np.array(_pivots(d, e2, lam, pivmin))
-    bottom = np.array(_pivots(d[::-1], e2[::-1], lam, pivmin)[::-1])
+    rows, pivmin = _rows(op.diag, op.off)
+    top = np.array(_pivots(rows, lam, pivmin))
+    bottom = np.array(_pivots(_rows(op.diag[::-1], op.off[::-1])[0], lam, pivmin)[::-1])
     gamma = np.abs(top + bottom - (op.diag - lam))
     r = int(np.argmin(np.where(np.isfinite(gamma), gamma, np.inf)))
     # z_i = -(off_i/D+_i) z_{i+1} above r and z_{i+1} = -(off_i/D-_{i+1}) z_i below it
@@ -608,16 +630,22 @@ def _two_grid_report(
     # quadratic, which also takes out the h^4 term, once three are solved;
     # the line through two, or one grid's values, before that.  The starts
     # come only from these grids, never from the analytic values, which
-    # would break the independence
+    # would break the independence.  A pre-grid of at most _DENSE_ROWS
+    # points takes LAPACK's values: they are starts alone, and every
+    # reported grid's values are Sturm-certified whatever its starts were
     pre = [n for n in (sizes[0] // 8, sizes[0] // 4) if n >= max(k, 3)]
     solved = [make_grid(n) for n in pre] + grids
     eigs: list[list[float]] = []
     for i, g in enumerate(solved):
+        op = discretize_bdd(mass_fn, potential_fn, g)
+        if i < len(pre) and g.n <= _DENSE_ROWS:
+            eigs.append(_dense_levels(op, k))
+            continue
         # the Lagrange weights, at g's h^2, of the grids the starts come from
         u = [b.h * b.h for b in solved[max(0, i - 3):i]]
         weights = [math.prod((g.h * g.h - ub) / (ua - ub) for ub in u if ub != ua) for ua in u]
         starts = [sum(w * v for w, v in zip(weights, e)) for e in zip(*eigs[i - len(u):])] or None
-        eigs.append(eigenvalues_sturm(discretize_bdd(mass_fn, potential_fn, g), k, starts=starts))
+        eigs.append(eigenvalues_sturm(op, k, starts=starts))
     eigs = eigs[-len(grids):]
     h_pair = (grids[-2].h, grids[-1].h)
     numeric = [unit * v for v in _richardson(eigs[-2], eigs[-1], h_pair[0] / h_pair[1])]
@@ -656,7 +684,9 @@ def solve_pdm_numeric(
     h^2; a third grid of n_grid // 2 points feeds the order estimate when
     requested.  Two pre-grids, of an eighth and a quarter of the coarsest
     grid's points, each solved when it holds the k levels, only give the
-    later grids their first iterates and are not reported: each grid starts
+    later grids their first iterates and are not reported; one of at most
+    64 points is solved by LAPACK on its dense matrix, which is cheaper
+    there, and any other by Sturm passes.  Each grid starts
     from the quadratic in h^2 through the last three grids solved before it,
     or the line or the values of the grids there are.  Every level
     converges at order 2 on these grids; the CLI's n_grid, max(500, 16 A),

@@ -136,7 +136,9 @@ def test_each_callable_is_called_once_on_the_node_arrays():
 def test_uniform_grid_and_constant_mass_report_keep_the_x_stencil_bit_for_bit():
     # pin: on a Grid1D the Jacobian is 1 and the assembly is the plain stencil
     # (1/M_{i-1/2} + 1/M_{i+1/2})/h^2 + V_i and -1/M_{i+1/2}/h^2, and the
-    # constant-mass report, which runs on Grid1Ds, keeps its bits
+    # constant-mass report, which runs on Grid1Ds, keeps its bits.  Its pre-grid of 37 points
+    # takes LAPACK's values as starts, which moved level 0's order estimate by 3.2e-13
+    # relative (its values are those of a Sturm-solved pre-grid)
     g = Grid1D(-3.0, 2.0, 57)
     mass_fn = lambda x: 1.0 + 0.3 * np.cos(x)
     op = discretize_bdd(mass_fn, lambda x: x * x, g)
@@ -146,7 +148,7 @@ def test_uniform_grid_and_constant_mass_report_keep_the_x_stencil_bit_for_bit():
     assert op.off.tolist() == (-w[1:-1] / h2).tolist()
     rep = solve_constant_mass_numeric(RosenMorseParams(2.5, 1.5), 25.0, 2, 600, estimate_order=True)
     assert [v.hex() for v in rep.numeric] == ["-0x1.a70a39c1911d6p+2", "-0x1.9fffe3e595306p+1"]
-    assert [v.hex() for v in rep.order] == ["0x1.00fe58de7411bp+1", "0x1.037057921fa9cp+1"]
+    assert [v.hex() for v in rep.order] == ["0x1.00fe58de73b62p+1", "0x1.037057921fa9cp+1"]
     assert rep.spacings == (50.0 / 301.0, 50.0 / 601.0, 50.0 / 1201.0)
 
 
@@ -231,14 +233,35 @@ def test_box_first_three_levels():
         assert abs(got - w) / w < 1e-4
 
 
+def sturm_input(op):
+    # a Sturm pass's rows (d_i, off_{i-1}^2), row 0 coupled by 0.0, and its pivot floor
+    e2 = (op.off * op.off).tolist()
+    return list(zip(op.diag.tolist(), [0.0] + e2)), 2.3e-308 * max(1.0, max(e2, default=1.0))
+
+
+def assert_count_certified(op, lams):
+    # eigenvalues_sturm's certificate: level j's value is within 1e-12 max(1, |lam|) of
+    # shifts whose Sturm counts are below j and at least j
+    rows, pivmin = sturm_input(op)
+    for j, lam in enumerate(lams, start=1):
+        t = 1e-12 * max(1.0, abs(lam))
+        assert _sturm_count(rows, lam - t, pivmin) < j <= _sturm_count(rows, lam + t, pivmin), j
+
+
+def assert_dense_values_agree(op, got):
+    # the LAPACK values a small pre-grid takes as starts are eigenvalues_sturm's to 1e-9
+    dense = oracle._dense_levels(op, len(got))
+    assert all(type(v) is float for v in dense)
+    for j, (lam, want) in enumerate(zip(dense, got)):
+        assert abs(lam - want) <= 1e-9 * max(1.0, abs(want)), j
+
+
 def test_sturm_counts_monotone():
     op = discretize_bdd(ONE, ZERO, Grid1D(0.0, math.pi, 60))
-    d = list(op.diag)
-    e2 = [v * v for v in op.off]
-    pivmin = 2.3e-308 * max(1.0, max(e2))
-    lo, hi = _gershgorin(op)
+    rows, pivmin = sturm_input(op)
+    lo, hi = _gershgorin(op.diag, op.off)
     lams = [lo + (hi - lo) * i / 40.0 for i in range(41)]
-    counts = [_sturm_count(d, e2, lam, pivmin) for lam in lams]
+    counts = [_sturm_count(rows, lam, pivmin) for lam in lams]
     assert counts[0] == 0
     assert counts[-1] == op.size
     assert all(c1 <= c2 for c1, c2 in zip(counts, counts[1:]))
@@ -249,23 +272,24 @@ def _laplacian_shifts(n=7):
     # one midway between each pair and one above them all has count 0, 1, ..., n
     levels = [2.0 - 2.0 * math.cos(k * math.pi / (n + 1)) for k in range(1, n + 1)]
     cuts = [-1.0] + [0.5 * (u + v) for u, v in zip(levels, levels[1:])] + [5.0]
-    return [([2.0] * n, [1.0] * (n - 1), lam, count) for count, lam in enumerate(cuts)]
+    rows = [(2.0, 0.0)] + [(2.0, 1.0)] * (n - 1)
+    return [(rows, lam, count) for count, lam in enumerate(cuts)]
 
 
 def test_a_capped_count_is_the_count_up_to_its_cap():
     # the pass stops at the first row that takes the count above cap, so it returns cap + 1
-    for d, e2, lam, want in _laplacian_shifts():
-        assert _sturm_count(d, e2, lam, 2.3e-308) == want
-        for cap in range(len(d) + 2):
-            assert _sturm_count(d, e2, lam, 2.3e-308, cap) == min(want, cap + 1)
+    for rows, lam, want in _laplacian_shifts():
+        assert _sturm_count(rows, lam, 2.3e-308) == want
+        for cap in range(len(rows) + 2):
+            assert _sturm_count(rows, lam, 2.3e-308, cap) == min(want, cap + 1)
 
 
 def test_negative_pivots_number_the_sturm_count():
     # and a zero pivot, at row 1 of [[1, 1, 0], [1, 1, 1], [0, 1, 1]] shifted by 0: its one
     # level below 0 is 1 - sqrt(2)
-    for d, e2, lam, want in _laplacian_shifts() + [([1.0] * 3, [1.0] * 2, 0.0, 1)]:
-        pivots = oracle._pivots(d, e2, lam, 2.3e-308)
-        assert sum(q < 0.0 for q in pivots) == _sturm_count(d, e2, lam, 2.3e-308) == want
+    for rows, lam, want in _laplacian_shifts() + [([(1.0, 0.0), (1.0, 1.0), (1.0, 1.0)], 0.0, 1)]:
+        pivots = oracle._pivots(rows, lam, 2.3e-308)
+        assert sum(q < 0.0 for q in pivots) == _sturm_count(rows, lam, 2.3e-308) == want
 
 
 def test_eigenvalues_rejects_bad_k():
@@ -322,13 +346,7 @@ def pdm_operator(p, n):
 
 def test_sturm_counts_certify_every_level():
     op = pdm_operator(OscillatorParams(1.0, 6.5, 0.2), 1200)
-    d = list(op.diag)
-    e2 = [v * v for v in op.off]
-    pivmin = 2.3e-308 * max(1.0, max(e2))
-    lams = eigenvalues_sturm(op, 6)
-    for j, lam in enumerate(lams, start=1):
-        t = 1e-12 * max(1.0, abs(lam))
-        assert _sturm_count(d, e2, lam - t, pivmin) < j <= _sturm_count(d, e2, lam + t, pivmin)
+    assert_count_certified(op, eigenvalues_sturm(op, 6))
 
 
 def test_starts_change_no_result():
@@ -337,7 +355,7 @@ def test_starts_change_no_result():
     coarse = eigenvalues_sturm(pdm_operator(p, 600), k)
     op = pdm_operator(p, 1200)
     plain = eigenvalues_sturm(op, k)
-    lo, hi = _gershgorin(op)
+    lo, hi = _gershgorin(op.diag, op.off)
     nan, inf = float("nan"), float("inf")
     for starts in (
         coarse,
@@ -376,14 +394,13 @@ def sturm_rows(monkeypatch):
     for name, kind in (("_sturm_count", "count"), ("_sturm_newton", "newton")):
         fn = getattr(oracle, name)
 
-        def counted(d, e2, *args, fn=fn, kind=kind):
+        def counted(pairs, *args, fn=fn, kind=kind):
             def walk():
-                for v in e2:
+                for row in pairs:
                     rows[kind] += 1
-                    yield v
+                    yield row
 
-            rows[kind] += 1
-            return fn(d, walk(), *args)
+            return fn(walk(), *args)
 
         monkeypatch.setattr(oracle, name, counted)
     return rows
@@ -407,9 +424,10 @@ def test_default_verify_grid_cuts_the_sturm_rows(sturm_rows, capsys):
 
 def test_the_mirror_fold_halves_the_default_verify_rows(sturm_rows, capsys):
     # at b = 0 the operator reads the same reversed, and each Sturm pass walks one of its two
-    # halves: 90 434 rows when every grid was solved whole
+    # halves: 90 434 rows when every grid was solved whole, and 41 489 when the pre-grids
+    # were solved by Sturm passes too (37 000 with LAPACK's values for them)
     assert cli.main(["verify", "--omega0", "1", "--A", "12.25"]) == 0
-    assert 0 < sum(sturm_rows.values()) <= 50_000
+    assert 0 < sum(sturm_rows.values()) <= 40_000
     capsys.readouterr()
 
 
@@ -426,8 +444,9 @@ def test_two_pre_grids_cut_the_constant_mass_rows(sturm_rows):
     "run, bound",
     [
         # 32 750 Newton rows (of 44 739) when a level took one more Newton pass after a step
-        # below 4.9e-13 relative, and every grid started on the line through the two before
-        (lambda: cli.main(["verify", "--omega0", "1", "--A", "12.25"]), 25_000),
+        # below 4.9e-13 relative, and every grid started on the line through the two before;
+        # 20 457 when the pre-grids took Newton passes too
+        (lambda: cli.main(["verify", "--omega0", "1", "--A", "12.25"]), 19_000),
         # 108 500 (of 134 358) then
         (
             lambda: solve_constant_mass_numeric(RosenMorseParams(5.191, -2.939), 23.54, 4, 2000),
@@ -510,8 +529,9 @@ def test_one_loop_sturm_passes_are_the_two_part_ones(case):
     # pivots
     d, e2, lam, cap = case
     pivmin = 2.3e-308 * max(1.0, max(e2, default=1.0))
-    full = _sturm_count(d, e2, lam, pivmin)
-    capped = _sturm_count(d, e2, lam, pivmin, cap)
+    rows = list(zip(d, [0.0] + e2))
+    full = _sturm_count(rows, lam, pivmin)
+    capped = _sturm_count(rows, lam, pivmin, cap)
     # a capped count is the count up to its cap
     if full <= cap:
         assert capped == full
@@ -524,12 +544,12 @@ def test_one_loop_sturm_passes_are_the_two_part_ones(case):
     assert full == _two_part_sturm_count(d, e2, lam, pivmin)
     want = _two_part_sturm_count(d, e2, lam, pivmin, cap)
     assert capped == want or (cap == 0 and min(capped, want) > cap)
-    count, total = oracle._sturm_newton(d, e2, lam, pivmin)
+    count, total = oracle._sturm_newton(rows, lam, pivmin)
     want_count, want_total = _two_part_sturm_newton(d, e2, lam, pivmin)
     assert count == want_count
     assert total.hex() == want_total.hex()
     # the negative pivots number the Sturm count
-    pivots = oracle._pivots(d, e2, lam, pivmin)
+    pivots = oracle._pivots(rows, lam, pivmin)
     assert sum(q < 0.0 for q in pivots) == full
 
 
@@ -555,13 +575,10 @@ def test_a_landing_that_misses_falls_back_to_counts_and_bisection(case):
     op, k, starts = case
     got = eigenvalues_sturm(op, k, starts=starts)
     ref = scipy.linalg.eigvalsh_tridiagonal(op.diag, op.off)[:k]
-    d = op.diag.tolist()
-    e2 = (op.off * op.off).tolist()
-    pivmin = 2.3e-308 * max(1.0, max(e2, default=1.0))
     for j, (lam, want) in enumerate(zip(got, ref), start=1):
         assert abs(lam - want) <= 1e-12 * max(1.0, abs(want)), j
-        t = 1e-12 * max(1.0, abs(lam))
-        assert _sturm_count(d, e2, lam - t, pivmin) < j <= _sturm_count(d, e2, lam + t, pivmin)
+    assert_count_certified(op, got)
+    assert_dense_values_agree(op, got)
 
 
 @st.composite
@@ -586,12 +603,14 @@ def _within_certificate_of_scipy(op, got):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_mirror_tridiagonal())
 def test_a_mirror_symmetric_operator_folds_into_its_even_and_odd_levels(op):
-    halves = oracle._mirror_halves(op)
+    blocks = oracle._blocks(op)
     if op.size == 1:
-        assert halves is None
+        assert [len(d) for d, _ in blocks] == [1]
     else:
-        assert [h.size for h in halves] == [(op.size + 1) // 2, op.size // 2]
-    _within_certificate_of_scipy(op, eigenvalues_sturm(op, op.size))
+        assert [len(d) for d, _ in blocks] == [(op.size + 1) // 2, op.size // 2]
+    got = eigenvalues_sturm(op, op.size)
+    _within_certificate_of_scipy(op, got)
+    assert_dense_values_agree(op, got)
 
 
 def _mirror_but_reducible():
@@ -611,13 +630,14 @@ def test_a_near_mirror_operator_is_solved_whole(monkeypatch, make):
     op = make()
     solved = []
     levels = oracle._levels
-    monkeypatch.setattr(oracle, "_levels", lambda m, *a: solved.append(m.size) or levels(m, *a))
+    monkeypatch.setattr(oracle, "_levels", lambda d, *a: solved.append(len(d)) or levels(d, *a))
     _within_certificate_of_scipy(op, eigenvalues_sturm(op, op.size))
     assert solved == [op.size]
 
 
-@pytest.mark.parametrize("p", [OscillatorParams(1.0, 6.5, 0.2), OscillatorParams(1.0, 6.25)])
-def test_every_solve_in_a_report_is_certified(monkeypatch, p):
+@pytest.fixture
+def sturm_solves(monkeypatch):
+    # (operator, values) of every eigenvalues_sturm call the oracle makes
     solves = []
 
     def recorded(op, k, starts=None):
@@ -626,17 +646,76 @@ def test_every_solve_in_a_report_is_certified(monkeypatch, p):
         return out
 
     monkeypatch.setattr(oracle, "eigenvalues_sturm", recorded)
+    return solves
+
+
+@pytest.mark.parametrize("p", [OscillatorParams(1.0, 6.5, 0.2), OscillatorParams(1.0, 6.25)])
+def test_every_solve_in_a_report_is_certified(sturm_solves, p):
     k = num_bound_states(p)
     rep = solve_pdm_numeric(p, k, 2000, estimate_order=True)
-    # the unreported pre-grids of 1000 // 8 and 1000 // 4 points come first
-    assert [op.size for op, _ in solves] == [125, 250, *rep.grid_sizes]
-    for op, lams in solves:
-        d = op.diag.tolist()
-        e2 = (op.off * op.off).tolist()
-        pivmin = 2.3e-308 * max(1.0, max(e2))
-        for j, lam in enumerate(lams, start=1):
-            t = 1e-12 * max(1.0, abs(lam))
-            assert _sturm_count(d, e2, lam - t, pivmin) < j <= _sturm_count(d, e2, lam + t, pivmin)
+    # the unreported pre-grids of 1000 // 8 and 1000 // 4 points, above the 64 rows that take
+    # LAPACK's values, come first
+    assert [op.size for op, _ in sturm_solves] == [125, 250, *rep.grid_sizes]
+    for op, lams in sturm_solves:
+        assert_count_certified(op, lams)
+
+
+@pytest.mark.parametrize(
+    "garbage",
+    [
+        lambda v: [math.nan] * len(v),
+        lambda v: [math.inf] * len(v),
+        lambda v: [-math.inf] * len(v),
+        lambda v: [1.1 * x for x in v],
+        lambda v: v[::-1],
+    ],
+    ids=["nan", "inf", "-inf", "scaled", "reversed"],
+)
+def test_wrong_dense_values_leave_every_report_value_certified(monkeypatch, sturm_solves, garbage):
+    # a pre-grid's LAPACK values are starts only: whatever they are, each grid that the report
+    # solves after them is count-certified level by level, and none is reported
+    dense = []
+    levels = oracle._dense_levels
+    monkeypatch.setattr(
+        oracle, "_dense_levels", lambda op, k: dense.append(op.size) or garbage(levels(op, k))
+    )
+    # all 4 levels of the model, on the grid whose pre-grids of 31 and 62 points take LAPACK's
+    # values
+    rep = solve_pdm_numeric(OscillatorParams(1.0, 6.5, 0.2), 4, 500, estimate_order=True)
+    assert dense == [31, 62]
+    assert [op.size for op, _ in sturm_solves] == list(rep.grid_sizes)
+    for op, lams in sturm_solves:
+        assert_count_certified(op, lams)
+    assert max(rep.rel_err) <= 1e-5
+
+
+def test_default_verify_solves_no_pre_grid_by_sturm_passes(monkeypatch, sturm_solves, capsys):
+    # the pre-grids of 250 // 8 and 250 // 4 points take LAPACK's values, so every Sturm pass
+    # walks a mirror block of a reported grid: 125, 250 or 500 rows
+    walked = set()
+    for name in ("_sturm_count", "_sturm_newton"):
+        fn = getattr(oracle, name)
+        monkeypatch.setattr(
+            oracle, name, lambda rows, *a, fn=fn: walked.add(len(rows)) or fn(rows, *a)
+        )
+    assert cli.main(["verify", "--omega0", "1", "--A", "12.25"]) == 0
+    capsys.readouterr()
+    assert [op.size for op, _ in sturm_solves] == [250, 500, 1000]
+    assert walked == {125, 250, 500}
+
+
+def test_a_pre_grid_above_the_row_cap_is_solved_by_sturm_passes(sturm_solves):
+    # of the pre-grids of 260 // 8 and 260 // 4 points, the 65-point one is above the 64 rows
+    # that take LAPACK's values
+    solve_pdm_numeric(OscillatorParams(1.0, 12.25), 12, 520, estimate_order=True)
+    assert [op.size for op, _ in sturm_solves] == [65, 260, 520, 1040]
+
+
+def test_the_constant_mass_pre_grids_keep_sturm_passes(sturm_solves):
+    # both are above the 64 rows that take LAPACK's values; LAPACK on a dense matrix of 250 or
+    # 500 rows costs more than Sturm passes for a few levels
+    solve_constant_mass_numeric(RosenMorseParams(5.191, -2.939), 23.54, 4, 2000)
+    assert [op.size for op, _ in sturm_solves] == [250, 500, 2000, 4000]
 
 
 def test_starts_need_one_per_level():
